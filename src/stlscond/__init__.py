@@ -51,7 +51,6 @@ from .estimate import (
 from .generate import GeneratedProblem, GeneratorSpec, generate
 from .numerics import (
     SpdFactorization,
-    solve_spd,
     spectral_norm_dense,
     svd,
     unit_sphere_sample,

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exact
 from .errors import StlsError
-from .estimate import PceConfig, PowerConfig, SceConfig, pce, power_method, sce
+from .estimate import METHODS, PceConfig, PowerConfig, SceConfig, power_method
 from .generate import GeneratorSpec, generate
 from .problem import solve_stls
 
@@ -37,8 +36,6 @@ BENCH_COLUMNS = [
     "value", "wall_time_seconds", "iterations", "trial_index",
 ]
 RATIO_COLUMNS = ["trial_index", "ratio1", "ratio2", "ratio3"]
-
-TIMING_METHODS = ("kron", "f1", "f2", "power", "pce", "sce")
 
 
 @dataclass
@@ -115,27 +112,42 @@ def worker_count(threads: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def _evaluate(problem, sol, method, power_cfg, pce_cfg, sce_cfg):
-    """Run one method; returns (value, iterations, ok)."""
-    if method == "kron":
-        return exact.kappa_kron(sol, problem.A).absolute, None, True
-    if method == "f1":
-        return exact.kappa_f1(sol, problem.A).absolute, None, True
-    if method == "f2":
-        return exact.kappa_f2(sol, problem.A).absolute, None, True
-    if method == "power":
-        rep = power_method(sol, problem.A, power_cfg)
-        return rep.absolute, rep.diagnostics["iterations"], rep.diagnostics["converged"]
-    if method == "pce":
-        rep = pce(sol, problem.A, pce_cfg)
-        return rep.absolute, None, True
-    if method == "sce":
-        rep = sce(sol, problem.A, sce_cfg)
-        return rep.absolute, None, True
-    raise ValueError(f"unknown method {method!r}; expected one of {TIMING_METHODS}")
+def _trial(seed, key, cell, power_cfg=None, pce_cfg=None, sce_cfg=None):
+    """Inputs of one trial, all seeded from the root seed and the trial key.
+
+    Returns (problem seed, configs, solved): a config left as None gets a
+    derived seed, and ``solved`` is the generated problem with its
+    solution, or None when generation or the solve fails.
+    """
+    pseed = derive_seed(seed, *key)
+    configs = {
+        "power": power_cfg or PowerConfig(seed=derive_seed(seed, *key, 1)),
+        "pce": pce_cfg or PceConfig(seed=derive_seed(seed, *key, 2)),
+        "sce": sce_cfg or SceConfig(seed=derive_seed(seed, *key, 3)),
+    }
+    m, n, lam, e_p = cell
+    try:
+        problem = generate(GeneratorSpec(m=m, n=n, lam=lam, e_p=e_p, seed=pseed)).problem
+        solved = problem, solve_stls(problem)
+    except StlsError:
+        solved = None
+    return pseed, configs, solved
 
 
-def _run_cells(cells, trials, seed, threads, task):
+def _measure(method, solved, configs):
+    """(value, iterations) of one method; the value is NaN for a failed or
+    unconverged run."""
+    problem, sol = solved
+    try:
+        rep = METHODS[method](sol, problem.A, configs)
+    except StlsError:
+        return float("nan"), None
+    diag = rep.diagnostics or {}
+    value = rep.absolute if diag.get("converged", True) else float("nan")
+    return value, diag.get("iterations")
+
+
+def _run_cells(cells, trials, threads, task):
     """Run task(cell_idx, cell, trial) over all (cell, trial) pairs on a
     bounded thread pool; results ordered by (cell, trial)."""
     jobs = [(ci, cell, t) for ci, cell in enumerate(cells) for t in range(trials)]
@@ -183,38 +195,25 @@ def run_timing_bench(
         raise ValueError(f"trials must be >= 1, got {trials}")
     methods = list(methods)
     for mth in methods:
-        if mth not in TIMING_METHODS:
-            raise ValueError(f"unknown method {mth!r}; expected one of {TIMING_METHODS}")
+        if mth not in METHODS:
+            raise ValueError(f"unknown method {mth!r}; expected one of {tuple(METHODS)}")
     cells = _cells(sizes, lambdas, e_ps)
 
     def task(ci, cell, trial):
-        m, n, lam, e_p = cell
-        pseed = derive_seed(seed, ci, trial)
+        pseed, configs, solved = _trial(
+            seed, (ci, trial), cell, power_cfg, pce_cfg, sce_cfg
+        )
         rows = []
-        try:
-            gen = generate(GeneratorSpec(m=m, n=n, lam=lam, e_p=e_p, seed=pseed))
-            sol = solve_stls(gen.problem)
-        except StlsError:
-            for mth in methods:
-                rows.append(BenchRecord(m, n, lam, e_p, pseed, mth,
-                                        float("nan"), 0.0, None, trial))
-            return rows
-        pw = power_cfg or PowerConfig(seed=derive_seed(seed, ci, trial, 1))
-        pc = pce_cfg or PceConfig(seed=derive_seed(seed, ci, trial, 2))
-        sc = sce_cfg or SceConfig(seed=derive_seed(seed, ci, trial, 3))
         for mth in methods:
-            t0 = time.perf_counter()
-            try:
-                value, iterations, ok = _evaluate(gen.problem, sol, mth, pw, pc, sc)
-                if not ok:
-                    value = float("nan")
-            except StlsError:
-                value, iterations = float("nan"), None
-            wall = time.perf_counter() - t0
-            rows.append(BenchRecord(m, n, lam, e_p, pseed, mth, value, wall, iterations, trial))
+            value, iterations, wall = float("nan"), None, 0.0
+            if solved is not None:
+                t0 = time.perf_counter()
+                value, iterations = _measure(mth, solved, configs)
+                wall = time.perf_counter() - t0
+            rows.append(BenchRecord(*cell, pseed, mth, value, wall, iterations, trial))
         return rows
 
-    per_trial = _run_cells(cells, trials, seed, threads, task)
+    per_trial = _run_cells(cells, trials, threads, task)
     records = [rec for rows in per_trial for rec in rows]
     summaries = summarize_timing(records)
     return records, summaries
@@ -272,28 +271,17 @@ def run_ratio_bench(
     cells = _cells(sizes, lambdas, e_ps)
 
     def task(ci, cell, trial):
-        m, n, lam, e_p = cell
-        pseed = derive_seed(seed, ci, trial)
-        pw = power_cfg or PowerConfig(seed=derive_seed(seed, ci, trial, 1))
-        pc = pce_cfg or PceConfig(seed=derive_seed(seed, ci, trial, 2))
-        sc = sce_cfg or SceConfig(seed=derive_seed(seed, ci, trial, 3))
+        _, configs, solved = _trial(
+            seed, (ci, trial), cell, power_cfg, pce_cfg, sce_cfg
+        )
         ratios = [float("nan")] * 3
-        try:
-            gen = generate(GeneratorSpec(m=m, n=n, lam=lam, e_p=e_p, seed=pseed))
-            sol = solve_stls(gen.problem)
-            exa = exact.kappa_f2(sol, gen.problem.A).absolute
+        if solved is not None:
+            exa, _ = _measure("f2", solved, configs)
             for slot, mth in enumerate(("power", "pce", "sce")):
-                try:
-                    value, _, ok = _evaluate(gen.problem, sol, mth, pw, pc, sc)
-                    if ok:
-                        ratios[slot] = value / exa
-                except StlsError:
-                    pass
-        except StlsError:
-            pass
+                ratios[slot] = _measure(mth, solved, configs)[0] / exa
         return RatioRecord(trial, *ratios)
 
-    per_trial = _run_cells(cells, trials, seed, threads, task)
+    per_trial = _run_cells(cells, trials, threads, task)
     groups = []
     for ci, cell in enumerate(cells):
         recs = per_trial[ci * trials : (ci + 1) * trials]
@@ -330,28 +318,29 @@ def run_power_spread(
     Generates ``groups`` problems; for each, runs the power method from
     ``inits`` different random initial vectors.  Rows use the timing
     schema: seed identifies the problem group, trial_index the initial
-    vector; value is the estimate, iterations the sweep count.
+    vector; value is the estimate, iterations the sweep count.  A failed
+    or unconverged run is a NaN-valued flagged row and the run continues.
     """
-    base = power_cfg or PowerConfig()
     cells = [(m, n, lam, e_p)] * groups
 
     def task(gi, cell, trial):
-        pseed = derive_seed(seed, gi)
-        gen = generate(GeneratorSpec(m=m, n=n, lam=lam, e_p=e_p, seed=pseed))
-        sol = solve_stls(gen.problem)
-        rng = np.random.default_rng(derive_seed(seed, gi, trial, 1))
-        y0 = rng.standard_normal(n)
-        t0 = time.perf_counter()
-        try:
-            rep = power_method(sol, gen.problem.A, base, y0=y0)
-            value = rep.absolute if rep.diagnostics["converged"] else float("nan")
-            iters = rep.diagnostics["iterations"]
-        except StlsError:
-            value, iters = float("nan"), None
-        wall = time.perf_counter() - t0
-        return BenchRecord(m, n, lam, e_p, pseed, "power", value, wall, iters, trial)
+        pseed, configs, solved = _trial(seed, (gi,), cell, power_cfg)
+        value, iters, wall = float("nan"), None, 0.0
+        if solved is not None:
+            problem, sol = solved
+            rng = np.random.default_rng(derive_seed(seed, gi, trial, 1))
+            y0 = rng.standard_normal(n)
+            t0 = time.perf_counter()
+            try:
+                rep = power_method(sol, problem.A, configs["power"], y0=y0)
+                value = rep.absolute if rep.diagnostics["converged"] else float("nan")
+                iters = rep.diagnostics["iterations"]
+            except StlsError:
+                pass
+            wall = time.perf_counter() - t0
+        return BenchRecord(*cell, pseed, "power", value, wall, iters, trial)
 
-    return _run_cells(cells, inits, seed, threads, task)
+    return _run_cells(cells, inits, threads, task)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,13 @@ stable: 0 success, 2 usage error, 3 I/O failure, 4 non-unique problem,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from dataclasses import fields
 
 from . import exact
 from .bench import (
-    PceConfig,
-    PowerConfig,
-    SceConfig,
     run_power_spread,
     run_ratio_bench,
     run_timing_bench,
@@ -30,7 +29,7 @@ from .errors import (
     ZeroResidualError,
     ZeroSolutionError,
 )
-from .estimate import pce, power_method, sce
+from .estimate import METHODS, PceConfig, PowerConfig, SceConfig
 from .generate import GeneratorSpec, generate
 from .problem import load_problem, problem_to_dict, solve_stls
 
@@ -40,13 +39,15 @@ EXIT_IO = 3
 EXIT_NONGENERIC = 4
 EXIT_DEGENERATE = 5
 
-COND_METHODS = ("kron", "f1", "f2", "power", "pce", "sce")
+_CONFIG_SECTIONS = {"power": PowerConfig, "pce": PceConfig, "sce": SceConfig}
 
 
-def _common_options(sub):
-    sub.add_argument("--seed", type=int, default=0, help="root random seed")
-    sub.add_argument("--format", choices=("json", "csv"), default="json",
-                     help="output format where applicable")
+def _common_options(sub, seed=True, fmt=False):
+    if seed:
+        sub.add_argument("--seed", type=int, default=0, help="root random seed")
+    if fmt:
+        sub.add_argument("--format", choices=("json", "csv"), default="json",
+                         help="output format")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -68,14 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = subs.add_parser("solve", help="solve a problem file")
     p_solve.add_argument("--in", dest="input", required=True, help="problem JSON path")
-    _common_options(p_solve)
+    _common_options(p_solve, seed=False, fmt=True)
     p_solve.set_defaults(func=cmd_solve)
 
     p_cond = subs.add_parser("cond", help="condition number of a problem file")
     p_cond.add_argument("--in", dest="input", required=True, help="problem JSON path")
-    p_cond.add_argument("--method", choices=COND_METHODS + ("all",), default="f2")
+    p_cond.add_argument("--method", choices=(*METHODS, "all"), default="f2")
     _estimator_options(p_cond)
-    _common_options(p_cond)
+    _common_options(p_cond, fmt=True)
     p_cond.set_defaults(func=cmd_cond)
 
     p_bt = subs.add_parser("bench-time", help="wall-time benchmark over a grid "
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bt.add_argument("--ep", required=True, help="comma-separated gap parameters")
     p_bt.add_argument("--trials", type=int, default=1)
     p_bt.add_argument("--methods", default="kron,f2",
-                      help="comma-separated subset of kron,f1,f2,power,pce,sce")
+                      help="comma-separated subset of " + ",".join(METHODS))
     p_bt.add_argument("--threads", type=int, default=None,
                       help="worker threads (default: STLSCOND_THREADS or cores)")
     _estimator_options(p_bt)
@@ -121,57 +122,58 @@ def _estimator_options(sub):
                           "sce: {k}, seed}; CLI flags override it")
 
 
-def _estimator_configs(args, n: int | None = None):
+def _estimator_configs(args, n: int | None = None) -> dict:
     """Defaults, overridden by --config file values, overridden by flags.
 
-    The default sample size is clamped to the problem dimension when known;
-    an explicit user value is passed through (and may be rejected later).
+    The flag for field ``f`` of section ``s`` is ``--s-f``.  The default
+    sample size is clamped to the problem dimension when known; an explicit
+    user value is passed through (and may be rejected later).
     """
-    power = {"tol": 1e-8, "max_iter": 500}
-    pce_c = {"eps": 1e-3, "theta": 1e-2}
-    sce_c = {}
-    seed = args.seed
+    doc = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        power.update(doc.get("power", {}))
-        pce_c.update(doc.get("pce", {}))
-        sce_c.update(doc.get("sce", {}))
-        seed = doc.get("seed", seed)
-    if args.power_tol is not None:
-        power["tol"] = args.power_tol
-    if args.power_max_iter is not None:
-        power["max_iter"] = args.power_max_iter
-    if args.pce_eps is not None:
-        pce_c["eps"] = args.pce_eps
-    if args.pce_theta is not None:
-        pce_c["theta"] = args.pce_theta
-    if args.sce_k is not None:
-        sce_c["k"] = args.sce_k
-    if "k" not in sce_c:
-        sce_c["k"] = 3 if n is None else min(3, n)
-    return (
-        PowerConfig(tol=power["tol"], max_iter=power["max_iter"], seed=seed),
-        PceConfig(eps=pce_c["eps"], theta=pce_c["theta"], seed=seed),
-        SceConfig(k=sce_c["k"], seed=seed),
-    )
+        if not isinstance(doc, dict):
+            raise ValueError("config file: top level must be a JSON object")
+        unknown = sorted(set(doc) - {"seed", *_CONFIG_SECTIONS})
+        if unknown:
+            raise ValueError(f"config file: unknown sections {unknown}")
+    seed = doc.get("seed", args.seed)
+    configs = {}
+    for name, cls in _CONFIG_SECTIONS.items():
+        section = doc.get(name, {})
+        if not isinstance(section, dict):
+            raise ValueError(f"config file: section {name!r} must be a JSON object")
+        keys = [f.name for f in fields(cls) if f.name != "seed"]
+        unknown = sorted(set(section) - set(keys))
+        if unknown:
+            raise ValueError(f"config file: unknown keys {unknown} in section {name!r}")
+        values = dict(section)
+        for key in keys:
+            flag = getattr(args, f"{name}_{key}")
+            if flag is not None:
+                values[key] = flag
+        if name == "sce" and "k" not in values and n is not None:
+            values["k"] = min(SceConfig.k, n)
+        configs[name] = cls(**values, seed=seed)
+    return configs
 
 
-def _open_out(args):
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, or stdout when none is given."""
     if args.out is None:
-        return sys.stdout, False
-    return open(args.out, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 def _emit(args, text: str) -> None:
-    fh, close = _open_out(args)
-    try:
+    with _output(args) as fh:
         fh.write(text)
         if not text.endswith("\n"):
             fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def cmd_gen(args) -> int:
@@ -206,31 +208,15 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _cond_one(problem, sol, method, power_cfg, pce_cfg, sce_cfg):
-    if method == "kron":
-        return exact.kappa_kron(sol, problem.A)
-    if method == "f1":
-        return exact.kappa_f1(sol, problem.A)
-    if method == "f2":
-        return exact.kappa_f2(sol, problem.A)
-    if method == "power":
-        return power_method(sol, problem.A, power_cfg)
-    if method == "pce":
-        return pce(sol, problem.A, pce_cfg)
-    if method == "sce":
-        return sce(sol, problem.A, sce_cfg)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def cmd_cond(args) -> int:
     p = load_problem(args.input)
-    power_cfg, pce_cfg, sce_cfg = _estimator_configs(args, n=p.n)
+    configs = _estimator_configs(args, n=p.n)
     sol = solve_stls(p)
-    methods = list(COND_METHODS) if args.method == "all" else [args.method]
+    methods = list(METHODS) if args.method == "all" else [args.method]
     reports = []
     zero_solution = False
     for method in methods:
-        rep = _cond_one(p, sol, method, power_cfg, pce_cfg, sce_cfg)
+        rep = METHODS[method](sol, p.A, configs)
         try:
             rep.relative = exact.relative_from_absolute(p, sol, rep.absolute)
         except ZeroSolutionError:
@@ -239,6 +225,7 @@ def cmd_cond(args) -> int:
             diag["relative_error"] = "ZeroSolution"
             rep.diagnostics = diag
         reports.append(rep)
+    ratios = {}
     if args.method == "all":
         by_tag = {rep.method: rep.absolute for rep in reports}
         exa = by_tag["F2"]
@@ -247,25 +234,18 @@ def cmd_cond(args) -> int:
             "ratio2": by_tag["PCE"] / exa,
             "ratio3": by_tag["SCE"] / exa,
         }
-        if args.format == "csv":
-            lines = ["method,absolute,relative"]
-            for rep in reports:
-                rel = "" if rep.relative is None else repr(rep.relative)
-                lines.append(f"{rep.method},{rep.absolute!r},{rel}")
-            for name in ("ratio1", "ratio2", "ratio3"):
-                lines.append(f"{name},{ratios[name]!r},")
-            _emit(args, "\n".join(lines))
-        else:
-            doc = {"reports": [rep.to_dict() for rep in reports], "ratios": ratios}
-            _emit(args, json.dumps(doc, sort_keys=True))
-    else:
-        rep = reports[0]
-        if args.format == "csv":
+    if args.format == "csv":
+        lines = ["method,absolute,relative"]
+        for rep in reports:
             rel = "" if rep.relative is None else repr(rep.relative)
-            _emit(args, "method,absolute,relative\n"
-                  f"{rep.method},{rep.absolute!r},{rel}")
-        else:
-            _emit(args, rep.to_json())
+            lines.append(f"{rep.method},{rep.absolute!r},{rel}")
+        lines.extend(f"{name},{value!r}," for name, value in ratios.items())
+        _emit(args, "\n".join(lines))
+    elif ratios:
+        doc = {"reports": [rep.to_dict() for rep in reports], "ratios": ratios}
+        _emit(args, json.dumps(doc, sort_keys=True))
+    else:
+        _emit(args, reports[0].to_json())
     return EXIT_DEGENERATE if zero_solution else EXIT_OK
 
 
@@ -288,19 +268,15 @@ def _parse_floats(text):
 def cmd_bench_time(args) -> int:
     sizes = _parse_sizes(args.sizes)
     methods = [mth.strip() for mth in args.methods.split(",")]
-    power_cfg, pce_cfg, sce_cfg = _estimator_configs(args)
+    configs = _estimator_configs(args)
     records, summaries = run_timing_bench(
         sizes, _parse_floats(args.lambdas), _parse_floats(args.ep),
         trials=args.trials, methods=methods, seed=args.seed,
         threads=args.threads,
-        power_cfg=power_cfg, pce_cfg=pce_cfg, sce_cfg=sce_cfg,
+        power_cfg=configs["power"], pce_cfg=configs["pce"], sce_cfg=configs["sce"],
     )
-    fh, close = _open_out(args)
-    try:
+    with _output(args) as fh:
         write_bench_csv(records, fh)
-    finally:
-        if close:
-            fh.close()
     for s in summaries:
         print(
             f"# cell m={s['m']} n={s['n']} lambda={s['lambda']} e_p={s['e_p']} "
@@ -315,7 +291,7 @@ def cmd_bench_ratio(args) -> int:
     sizes = _parse_sizes(args.sizes)
     lambdas = _parse_floats(args.lambdas)
     e_ps = _parse_floats(args.ep)
-    power_cfg, pce_cfg, sce_cfg = _estimator_configs(args)
+    configs = _estimator_configs(args)
     if args.vary_initial > 0:
         if len(sizes) != 1 or len(lambdas) != 1 or len(e_ps) != 1:
             raise ValueError("--vary-initial needs a single cell")
@@ -323,26 +299,18 @@ def cmd_bench_ratio(args) -> int:
         records = run_power_spread(
             m, n, lambdas[0], e_ps[0], groups=args.trials,
             inits=args.vary_initial, seed=args.seed, threads=args.threads,
-            power_cfg=power_cfg,
+            power_cfg=configs["power"],
         )
-        fh, close = _open_out(args)
-        try:
+        with _output(args) as fh:
             write_bench_csv(records, fh)
-        finally:
-            if close:
-                fh.close()
         return EXIT_OK
     groups, summaries = run_ratio_bench(
         sizes, lambdas, e_ps, trials=args.trials, seed=args.seed,
         threads=args.threads,
-        power_cfg=power_cfg, pce_cfg=pce_cfg, sce_cfg=sce_cfg,
+        power_cfg=configs["power"], pce_cfg=configs["pce"], sce_cfg=configs["sce"],
     )
-    fh, close = _open_out(args)
-    try:
+    with _output(args) as fh:
         write_ratio_csv(groups, fh)
-    finally:
-        if close:
-            fh.close()
     for s in summaries:
         for name in ("ratio1", "ratio2", "ratio3"):
             r = s[name]

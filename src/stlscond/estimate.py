@@ -16,11 +16,15 @@ Linear systems in the shifted Gram matrix M reuse the Cholesky
 factorization carried by the solution; ``solver="cg"`` switches to a
 Jacobi-preconditioned conjugate-gradient solve (relative residual 1e-12)
 for settings where a factorization is undesirable.
+
+``METHODS`` is the one table of the six ways to evaluate the condition
+number, the three exact forms and the three estimators, by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -28,10 +32,21 @@ import scipy.optimize
 import scipy.sparse.linalg
 import scipy.special
 
-from . import numerics
+from . import exact, numerics
 from .errors import ConvergenceError, SampleTooLargeError
 from .exact import ConditionReport, check_operator_inputs
 from .problem import StlsSolution
+
+
+def _check_field_types(cfg) -> None:
+    """Reject a non-number in a config field, and a non-integer in an
+    integer field (config values may come from a user's JSON file)."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        kind = numbers.Integral if f.type == "int" else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind):
+            what = "an integer" if kind is numbers.Integral else "a number"
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +60,7 @@ class PowerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
@@ -61,6 +77,7 @@ class PceConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         if not self.theta > 0.0:
@@ -76,6 +93,7 @@ class SceConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
@@ -473,3 +491,20 @@ def sce(sol: StlsSolution, A, cfg: SceConfig, solver=None) -> ConditionReport:
     return ConditionReport(
         absolute=estimate, method="SCE", diagnostics={"k": cfg.k}
     )
+
+
+# ---------------------------------------------------------------------------
+# The six evaluations of the condition number, by name: each maps
+# (sol, A, configs) to a ConditionReport, where configs holds the
+# estimator configs under the keys "power", "pce" and "sce"; the three
+# exact forms ignore it.
+# ---------------------------------------------------------------------------
+
+METHODS = {
+    "kron": lambda sol, A, configs: exact.kappa_kron(sol, A),
+    "f1": lambda sol, A, configs: exact.kappa_f1(sol, A),
+    "f2": lambda sol, A, configs: exact.kappa_f2(sol, A),
+    "power": lambda sol, A, configs: power_method(sol, A, configs["power"]),
+    "pce": lambda sol, A, configs: pce(sol, A, configs["pce"]),
+    "sce": lambda sol, A, configs: sce(sol, A, configs["sce"]),
+}

@@ -99,11 +99,6 @@ class SpdFactorization:
         return scipy.linalg.cho_solve((self.factor, True), y)
 
 
-def solve_spd(M: SpdFactorization, y) -> np.ndarray:
-    """Solve ``M z = y`` using a prepared SPD factorization."""
-    return M.solve(y)
-
-
 def unit_sphere_sample(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly distributed point on the unit sphere in R^dim.
 

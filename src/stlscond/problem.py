@@ -108,20 +108,35 @@ class StlsSolution:
     ill_posed: bool = False
 
 
+def _uniqueness_gap(p: StlsProblem, sigma_np1: float, gap_tol=None, strict=True):
+    """The m-sized pass over A shared by the solvers and the genericity check.
+
+    Returns (sigma_hat_1, sigma_hat_n, gap) with ``gap = sigma_hat_n -
+    sigma_np1``.  When ``strict``, raises NongenericProblemError if the gap
+    is at most ``gap_tol`` (default 1e-12 * sigma_hat_1).
+    """
+    s_hat = numerics.singular_values(p.A)
+    sigma_hat_1 = float(s_hat[0])
+    sigma_hat_n = float(s_hat[-1])
+    gap = sigma_hat_n - sigma_np1
+    if gap_tol is None:
+        gap_tol = 1e-12 * sigma_hat_1
+    if strict and gap <= gap_tol:
+        raise NongenericProblemError(
+            f"uniqueness gap {gap:.3e} <= tolerance {gap_tol:.3e}"
+        )
+    return sigma_hat_1, sigma_hat_n, gap
+
+
 def check_genericity(p: StlsProblem):
     """Return (sigma_hat_n, sigma_np1, gap) without raising on a bad gap.
 
     ``gap = sigma_hat_n - sigma_np1`` must be positive for the problem to
     have a unique solution; a non-positive gap is reported, not thrown.
     """
-    sigma_hat_n = float(numerics.singular_values(p.A)[-1])
     sigma_np1 = float(numerics.singular_values(p.augmented())[-1])
-    return sigma_hat_n, sigma_np1, sigma_hat_n - sigma_np1
-
-
-def default_gap_tol(p: StlsProblem) -> float:
-    """Uniqueness threshold: 1e-12 times the largest singular value of A."""
-    return 1e-12 * float(numerics.singular_values(p.A)[0])
+    _, sigma_hat_n, gap = _uniqueness_gap(p, sigma_np1, strict=False)
+    return sigma_hat_n, sigma_np1, gap
 
 
 def solve_stls(p: StlsProblem, gap_tol: float | None = None) -> StlsSolution:
@@ -138,17 +153,8 @@ def solve_stls(p: StlsProblem, gap_tol: float | None = None) -> StlsSolution:
         Propagated from the factorization; equivalent to the above up to
         roundoff, kept separate as a diagnostic.
     """
-    s_hat = numerics.singular_values(p.A)
-    sigma_hat_1 = float(s_hat[0])
-    sigma_hat_n = float(s_hat[-1])
     sigma_np1 = float(numerics.singular_values(p.augmented())[-1])
-    gap = sigma_hat_n - sigma_np1
-    if gap_tol is None:
-        gap_tol = 1e-12 * sigma_hat_1
-    if gap <= gap_tol:
-        raise NongenericProblemError(
-            f"uniqueness gap {gap:.3e} <= tolerance {gap_tol:.3e}"
-        )
+    sigma_hat_1, sigma_hat_n, gap = _uniqueness_gap(p, sigma_np1, gap_tol)
     A = p.A
     M = A.T @ A - (sigma_np1 ** 2) * np.eye(p.n)
     fact = numerics.SpdFactorization.from_matrix(M)
@@ -180,15 +186,8 @@ def solve_stls_svd(p: StlsProblem, gap_tol: float | None = None) -> np.ndarray:
     DegenerateSingularVectorError
         If the last component of v is (numerically) zero.
     """
-    s_hat = numerics.singular_values(p.A)
-    if gap_tol is None:
-        gap_tol = 1e-12 * float(s_hat[0])
     _, s, Vt = numerics.svd(p.augmented())
-    gap = float(s_hat[-1]) - float(s[-1])
-    if gap <= gap_tol:
-        raise NongenericProblemError(
-            f"uniqueness gap {gap:.3e} <= tolerance {gap_tol:.3e}"
-        )
+    _uniqueness_gap(p, float(s[-1]), gap_tol)
     v = Vt[-1]
     if abs(v[p.n]) < 1e-14:
         raise DegenerateSingularVectorError(

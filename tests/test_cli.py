@@ -10,6 +10,7 @@ import pytest
 
 from stlscond import StlsProblem, save_problem
 from stlscond.bench import BENCH_COLUMNS, RATIO_COLUMNS
+from stlscond.estimate import METHODS
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -86,12 +87,55 @@ def test_solve_csv_format(problem_file):
 
 
 def test_cond_methods_agree(problem_file):
-    values = {}
-    for method in ("f1", "f2"):
+    reports = {}
+    for method in METHODS:
         r = run_cli("cond", "--in", str(problem_file), "--method", method)
         assert r.returncode == 0, r.stderr
-        values[method] = json.loads(r.stdout)["absolute"]
-    assert abs(values["f1"] - values["f2"]) <= 1e-8 * values["f2"]
+        reports[method] = json.loads(r.stdout)
+    f2 = reports["f2"]["absolute"]
+    for method in ("kron", "f1"):
+        assert abs(reports[method]["absolute"] - f2) <= 1e-8 * f2
+    power = reports["power"]
+    assert power["diagnostics"]["converged"] is True
+    assert abs(power["absolute"] - f2) <= 1e-6 * f2
+    bracket = reports["pce"]["diagnostics"]
+    assert bracket["alpha"] <= f2 * (1 + 1e-12)
+    assert f2 <= bracket["beta"] * (1 + 1e-12)
+    assert 0.1 < reports["sce"]["absolute"] / f2 < 10.0
+
+
+@pytest.mark.parametrize("args", [
+    ("cond", "--method", "bogus"),
+    ("bench-time", "--sizes", "12x8", "--lambdas", "1", "--ep", "0.1",
+     "--methods", "bogus"),
+    ("gen", "--m", "5", "--n", "3", "--lambda", "1", "--ep", "0.1",
+     "--format", "csv"),
+    ("solve", "--seed", "1"),
+])
+def test_unknown_method_or_option_is_usage_error(problem_file, args):
+    if args[0] in ("cond", "solve"):
+        args = (args[0], "--in", str(problem_file), *args[1:])
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stderr.strip()
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("config", [
+    {"power": {"tol": "x"}},
+    [1, 2],
+    {"sce": {"k": 1.5}},
+    {"powr": {"tol": 1e-6}},
+    {"power": {"bogus": 3}},
+])
+def test_malformed_config_is_usage_error(problem_file, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    r = run_cli("cond", "--in", str(problem_file), "--method", "power",
+                "--config", str(cfg))
+    assert r.returncode == 2
+    assert r.stderr.startswith("stlscond: invalid arguments:")
+    assert len(r.stderr.strip().splitlines()) == 1
 
 
 def test_cond_all_on_zero_solution_fixture(diagonal_file):

@@ -279,3 +279,14 @@ def test_config_validation():
         PceConfig(theta=0.0)
     with pytest.raises(ValueError):
         SceConfig(k=0)
+    with pytest.raises(ValueError):
+        PowerConfig(tol="x")
+    with pytest.raises(ValueError):
+        PowerConfig(max_iter=1.5)
+    with pytest.raises(ValueError):
+        PceConfig(theta=None)
+    with pytest.raises(ValueError):
+        SceConfig(k=1.5)
+    with pytest.raises(ValueError):
+        SceConfig(seed=True)
+    assert PowerConfig(tol=1, max_iter=np.int64(5)).max_iter == 5

@@ -7,7 +7,6 @@ from stlscond import (
     NonFiniteError,
     NotPositiveDefiniteError,
     SpdFactorization,
-    solve_spd,
     spectral_norm_dense,
     svd,
     unit_sphere_sample,
@@ -100,14 +99,14 @@ def test_svd_rejects_nonfinite():
 
 def test_solve_spd_diagonal():
     M = SpdFactorization.from_matrix(np.diag([3.75, 0.75]))
-    z = solve_spd(M, np.array([1.0, 0.0]))
+    z = M.solve(np.array([1.0, 0.0]))
     assert np.allclose(z, [4.0 / 15.0, 0.0], rtol=1e-15)
 
 
 def test_solve_spd_identity():
     M = SpdFactorization.from_matrix(np.eye(4))
     y = np.arange(1.0, 5.0)
-    assert np.array_equal(solve_spd(M, y), y)
+    assert np.array_equal(M.solve(y), y)
 
 
 def test_solve_spd_multiply_back():
