@@ -7,11 +7,12 @@ Two record types with fixed, versioned CSV schemas (schema version 1):
 
 Timing measures the condition evaluation only; problem generation and the
 solve are excluded.  Value columns are reproducible for a fixed root seed:
-per-trial seeds are derived through ``numpy.random.SeedSequence`` with the
-(cell index, trial index) spawn key.  Wall-time columns are exempt from
-reproducibility.  Trials inside a cell may run on a thread pool capped by
-the ``STLSCOND_THREADS`` environment variable (default: available cores);
-output order is by (cell, trial) regardless of completion order.
+per-trial problem and estimator seeds are derived through
+``numpy.random.SeedSequence`` with the (cell index, trial index) spawn key.
+Wall-time columns are exempt from reproducibility.  Trials inside a cell
+may run on a thread pool capped by the ``STLSCOND_THREADS`` environment
+variable (default: available cores); output order is by (cell, trial)
+regardless of completion order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,15 +116,19 @@ def worker_count(threads: int | None = None) -> int:
 def _trial(seed, key, cell, power_cfg=None, pce_cfg=None, sce_cfg=None):
     """Inputs of one trial, all seeded from the root seed and the trial key.
 
-    Returns (problem seed, configs, solved): a config left as None gets a
-    derived seed, and ``solved`` is the generated problem with its
-    solution, or None when generation or the solve fails.
+    Returns (problem seed, configs, solved): a given config supplies all
+    but its seed, which is always derived, and ``solved`` is the generated
+    problem with its solution, or None when generation or the solve fails.
     """
     pseed = derive_seed(seed, *key)
+
+    def seeded(cfg, slot):
+        return replace(cfg, seed=derive_seed(seed, *key, slot))
+
     configs = {
-        "power": power_cfg or PowerConfig(seed=derive_seed(seed, *key, 1)),
-        "pce": pce_cfg or PceConfig(seed=derive_seed(seed, *key, 2)),
-        "sce": sce_cfg or SceConfig(seed=derive_seed(seed, *key, 3)),
+        "power": seeded(power_cfg or PowerConfig(), 1),
+        "pce": seeded(pce_cfg or PceConfig(), 2),
+        "sce": seeded(sce_cfg or SceConfig(), 3),
     }
     m, n, lam, e_p = cell
     try:
@@ -315,16 +320,20 @@ def run_power_spread(
 ):
     """Distribution of power-method cost across initial vectors.
 
-    Generates ``groups`` problems; for each, runs the power method from
-    ``inits`` different random initial vectors.  Rows use the timing
-    schema: seed identifies the problem group, trial_index the initial
-    vector; value is the estimate, iterations the sweep count.  A failed
-    or unconverged run is a NaN-valued flagged row and the run continues.
+    Generates and solves ``groups`` problems; for each, runs the power
+    method from ``inits`` different random initial vectors.  Rows use the
+    timing schema: seed identifies the problem group, trial_index the
+    initial vector; value is the estimate, iterations the sweep count.  A
+    failed or unconverged run is a NaN-valued flagged row and the run
+    continues.
     """
     cells = [(m, n, lam, e_p)] * groups
+    group_inputs = _run_cells(
+        cells, 1, threads, lambda gi, cell, _: _trial(seed, (gi,), cell, power_cfg)
+    )
 
     def task(gi, cell, trial):
-        pseed, configs, solved = _trial(seed, (gi,), cell, power_cfg)
+        pseed, configs, solved = group_inputs[gi]
         value, iters, wall = float("nan"), None, 0.0
         if solved is not None:
             problem, sol = solved

@@ -1,21 +1,23 @@
 """Matrix-free and stochastic condition-number estimation.
 
-Three estimators, all driven by products with the sensitivity operator K
-and its adjoint rather than by materializing K:
+Three estimators, all driven by products with the rectangular factor W
+of K K' (W W' = K K'), a matrix-free n x (2m+n) operator, so none of them
+forms K or an m x (n+1) array:
 
-* ``power_method``  -- power iteration on K K'; the running scalar converges
-  to the squared spectral norm, so its square root is the condition number.
+* ``power_method``  -- power iteration on W W' = K K'; the running scalar
+  converges to the squared spectral norm, so its square root is the
+  condition number.
 * ``pce``           -- probabilistic estimate: a certified lower bound and a
-  probabilistic upper bound on the spectral norm of the rectangular factor,
-  tightened until their ratio is below ``1 + theta``; the midpoint is the
-  estimate.
+  probabilistic upper bound on the spectral norm of W, tightened until
+  their ratio is below ``1 + theta``; the midpoint is the estimate.
 * ``sce``           -- small-sample estimate from a few orthonormalized
-  random probes of K', rescaled by Wallis factors.
+  random probes z, using ||W'z|| = ||K'z||, rescaled by Wallis factors.
 
-Linear systems in the shifted Gram matrix M reuse the Cholesky
-factorization carried by the solution; ``solver="cg"`` switches to a
-Jacobi-preconditioned conjugate-gradient solve (relative residual 1e-12)
-for settings where a factorization is undesirable.
+``apply_KT`` and ``apply_K`` are the public products with K' and K in the
+packed m x (n+1) perturbation form [dA, db].  Solves with the shifted Gram
+matrix M reuse the Cholesky factorization carried by the solution;
+``pce(..., solver="cg")`` uses a Jacobi-preconditioned conjugate-gradient
+solve (relative residual 1e-12) instead.
 
 ``METHODS`` is the one table of the six ways to evaluate the condition
 number, the three exact forms and the three estimators, by name.
@@ -127,53 +129,25 @@ def _cg_solver(sol: StlsSolution, A: np.ndarray):
     return solve
 
 
-def _m_solver(sol: StlsSolution, A: np.ndarray, solver):
-    if solver in (None, "factor"):
-        return sol.M.solve
-    if solver == "cg":
-        return _cg_solver(sol, A)
-    raise ValueError(f"unknown solver {solver!r}; expected 'factor' or 'cg'")
-
-
 # ---------------------------------------------------------------------------
-# Products with K and K', never materializing K
+# Products with K and K' (packed m x (n+1) form) and with the factor W
 # ---------------------------------------------------------------------------
 
-def _apply_KT_impl(sol, A, y, msolve):
-    x, r = sol.x, sol.r
-    rn2 = float(r @ r)
-    z = msolve(y)
-    Az = A @ z
-    w = (2.0 * float(r @ Az) / rn2) * r - Az
-    m, n = A.shape
-    P = np.empty((m, n + 1))
-    P[:, :n] = np.outer(w, x) - np.outer(r, z)
-    P[:, n] = -w
-    return P
-
-
-def _apply_K_impl(sol, A, P, msolve):
-    x, r = sol.x, sol.r
-    rn2 = float(r @ r)
-    n = A.shape[1]
-    Ap = P[:, :n]
-    bp = P[:, n]
-    s = Ap @ x - bp
-    t = (2.0 * float(r @ s) / rn2) * (A.T @ r) - A.T @ s - Ap.T @ r
-    return msolve(t)
-
-
-def apply_KT(sol: StlsSolution, A, y, solver=None) -> np.ndarray:
+def apply_KT(sol: StlsSolution, A, y) -> np.ndarray:
     """Adjoint product: the m x (n+1) matrix whose column-major vec is K'y."""
     A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != A.shape[1]:
         raise ValueError(f"y has length {y.shape[0]}, expected {A.shape[1]}")
-    return _apply_KT_impl(sol, A, y, _m_solver(sol, A, solver))
+    x, r = sol.x, sol.r
+    z = sol.M.solve(y)
+    Az = A @ z
+    w = (2.0 * float(r @ Az) / float(r @ r)) * r - Az
+    return np.column_stack([np.outer(w, x) - np.outer(r, z), -w])
 
 
-def apply_K(sol: StlsSolution, A, P, solver=None) -> np.ndarray:
+def apply_K(sol: StlsSolution, A, P) -> np.ndarray:
     """Forward product: K applied to the perturbation packed as the
     m x (n+1) matrix [dA, db]."""
     A = np.asarray(A, dtype=float)
@@ -182,24 +156,64 @@ def apply_K(sol: StlsSolution, A, P, solver=None) -> np.ndarray:
     m, n = A.shape
     if P.shape != (m, n + 1):
         raise ValueError(f"P has shape {P.shape}, expected {(m, n + 1)}")
-    return _apply_K_impl(sol, A, P, _m_solver(sol, A, solver))
+    x, r = sol.x, sol.r
+    Ap, bp = P[:, :n], P[:, n]
+    s = Ap @ x - bp
+    t = (2.0 * float(r @ s) / float(r @ r)) * (A.T @ r) - A.T @ s - Ap.T @ r
+    return sol.M.solve(t)
+
+
+def _f2_operator(sol: StlsSolution, A: np.ndarray, msolve):
+    """The rectangular factor W of K K' (W W' = K K') as a matrix-free
+    n x (2m+n) operator,
+
+        W = M^-1 [A', ||x|| (A' - A'r r'/||r||^2), ||r|| I - A'r x'/||r||]:
+
+    products are composed from A-products, rank-one corrections and
+    M-solves, so ||W'y|| = ||K'y|| costs no m x (n+1) temporary."""
+    m, n = A.shape
+    x, r = sol.x, sol.r
+    xn = float(np.linalg.norm(x))
+    rn2 = float(r @ r)
+    rn = float(np.sqrt(rn2))
+    Ar = A.T @ r
+
+    def matvec(s):
+        s = np.asarray(s, dtype=float).ravel()
+        s1, s2, s3 = s[:m], s[m : 2 * m], s[2 * m :]
+        t = A.T @ s1
+        t += xn * (A.T @ s2 - Ar * (float(r @ s2) / rn2))
+        t += rn * (s3 - Ar * (float(x @ s3) / rn2))
+        return msolve(t)
+
+    def rmatvec(q):
+        q = np.asarray(q, dtype=float).ravel()
+        z = msolve(q)
+        Az = A @ z
+        out = np.empty(2 * m + n)
+        out[:m] = Az
+        out[m : 2 * m] = xn * (Az - r * (float(r @ Az) / rn2))
+        out[2 * m :] = rn * (z - x * (float(Ar @ z) / rn2))
+        return out
+
+    return scipy.sparse.linalg.LinearOperator(
+        (n, 2 * m + n), matvec=matvec, rmatvec=rmatvec, dtype=float
+    )
 
 
 # ---------------------------------------------------------------------------
 # Power method
 # ---------------------------------------------------------------------------
 
-def power_method(
-    sol: StlsSolution, A, cfg: PowerConfig, y0=None, solver=None
-) -> ConditionReport:
-    """Power iteration on K K'.
+def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionReport:
+    """Power iteration on K K', through its rectangular factor W.
 
-    Each sweep maps y to K applied to the normalized adjoint product K'y;
-    the recorded scalar v is the norm of the adjoint product before
-    normalization and converges to the squared condition number, so the
-    estimate is sqrt(v).  The work vector is renormalized every sweep
-    (with the scale carried into v) to prevent magnitude drift; this
-    leaves the v sequence unchanged.
+    Each sweep maps y to W applied to the normalized adjoint product W'y;
+    the recorded scalar v is the norm of W'y before normalization, which
+    equals the norm of K'y because W W' = K K', and converges to the
+    squared condition number, so the estimate is sqrt(v).  The work vector
+    is renormalized every sweep (with the scale carried into v) to prevent
+    magnitude drift; this leaves the v sequence unchanged.
 
     A run that exhausts ``max_iter`` returns its last estimate flagged
     ``converged: False`` in the diagnostics rather than raising.
@@ -207,7 +221,7 @@ def power_method(
     A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
     n = A.shape[1]
-    msolve = _m_solver(sol, A, solver)
+    op = _f2_operator(sol, A, sol.M.solve)
     if y0 is None:
         rng = np.random.default_rng(cfg.seed)
         y = rng.standard_normal(n)
@@ -226,19 +240,18 @@ def power_method(
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        P = _apply_KT_impl(sol, A, y, msolve)
-        pnorm = float(np.linalg.norm(P))
-        v = scale * pnorm
+        q = op.rmatvec(y)
+        qnorm = float(np.linalg.norm(q))
+        v = scale * qnorm
         v_trace.append(v)
-        if pnorm == 0.0:
+        if qnorm == 0.0:
             converged = True  # y is annihilated; the operator norm along it is 0
             break
         if v_prev is not None and abs(v - v_prev) < cfg.tol:
             converged = True
             break
         v_prev = v
-        P /= pnorm
-        y = _apply_K_impl(sol, A, P, msolve)
+        y = op.matvec(q / qnorm)
         scale = float(np.linalg.norm(y))
         if scale == 0.0:
             converged = True
@@ -394,45 +407,17 @@ def _current_lower(alphas, betas):
     return float(np.sqrt(max(float(mu[-1]), 0.0)))
 
 
-def _f2_operator(sol: StlsSolution, A: np.ndarray, msolve):
-    """The rectangular factor of K K' as a matrix-free operator: products
-    are composed from A-products, rank-one corrections and M-solves."""
-    m, n = A.shape
-    x, r = sol.x, sol.r
-    xn = float(np.linalg.norm(x))
-    rn2 = float(r @ r)
-    rn = float(np.sqrt(rn2))
-    Ar = A.T @ r
-
-    def matvec(s):
-        s = np.asarray(s, dtype=float).ravel()
-        s1, s2, s3 = s[:m], s[m : 2 * m], s[2 * m :]
-        t = A.T @ s1
-        t += xn * (A.T @ s2 - Ar * (float(r @ s2) / rn2))
-        t += rn * (s3 - Ar * (float(x @ s3) / rn2))
-        return msolve(t)
-
-    def rmatvec(q):
-        q = np.asarray(q, dtype=float).ravel()
-        z = msolve(q)
-        Az = A @ z
-        out = np.empty(2 * m + n)
-        out[:m] = Az
-        out[m : 2 * m] = xn * (Az - r * (float(r @ Az) / rn2))
-        out[2 * m :] = rn * (z - x * (float(Ar @ z) / rn2))
-        return out
-
-    return scipy.sparse.linalg.LinearOperator(
-        (n, 2 * m + n), matvec=matvec, rmatvec=rmatvec, dtype=float
-    )
-
-
 def pce(sol: StlsSolution, A, cfg: PceConfig, solver=None) -> ConditionReport:
     """Probabilistic condition estimate: midpoint of the spectral-norm
-    bracket of the rectangular factor, which is never materialized."""
+    bracket of the rectangular factor, which is never materialized.
+    ``solver="cg"`` solves with M by conjugate gradients instead of the
+    factorization."""
     A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
-    op = _f2_operator(sol, A, _m_solver(sol, A, solver))
+    if solver not in (None, "factor", "cg"):
+        raise ValueError(f"unknown solver {solver!r}; expected 'factor' or 'cg'")
+    msolve = _cg_solver(sol, A) if solver == "cg" else sol.M.solve
+    op = _f2_operator(sol, A, msolve)
     alpha, beta = probabilistic_spectral_norm(op, cfg)
     return ConditionReport(
         absolute=0.5 * (alpha + beta),
@@ -468,26 +453,24 @@ def _orthonormal_uniform_sample(n, k, rng):
     return Z
 
 
-def sce(sol: StlsSolution, A, cfg: SceConfig, solver=None) -> ConditionReport:
+def sce(sol: StlsSolution, A, cfg: SceConfig) -> ConditionReport:
     """Small-sample estimate from k orthonormal probes.
 
     Each probe contributes the norm of the adjoint product K'z_i (the
-    square root of the quadratic form of K K' at z_i); the root sum of
-    squares is rescaled by the ratio of Wallis factors for the sample size
-    and the solution dimension.
+    square root of the quadratic form of K K' at z_i), taken as the norm of
+    W'z_i for the rectangular factor W; the root sum of squares is rescaled
+    by the ratio of Wallis factors for the sample size and the solution
+    dimension.
     """
     A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
     n = A.shape[1]
     if cfg.k > n:
         raise SampleTooLargeError(f"sample size {cfg.k} exceeds dimension {n}")
-    msolve = _m_solver(sol, A, solver)
     rng = np.random.default_rng(cfg.seed)
     Z = _orthonormal_uniform_sample(n, cfg.k, rng)
-    total = 0.0
-    for i in range(cfg.k):
-        total += float(np.linalg.norm(_apply_KT_impl(sol, A, Z[:, i], msolve))) ** 2
-    estimate = (wallis_factor(cfg.k) / wallis_factor(n)) * float(np.sqrt(total))
+    probes = _f2_operator(sol, A, sol.M.solve).rmatmat(Z)
+    estimate = (wallis_factor(cfg.k) / wallis_factor(n)) * float(np.linalg.norm(probes))
     return ConditionReport(
         absolute=estimate, method="SCE", diagnostics={"k": cfg.k}
     )

@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from stlscond import run_power_spread, run_ratio_bench, run_timing_bench
+from stlscond import (
+    bench,
+    run_power_spread,
+    run_ratio_bench,
+    run_timing_bench,
+    solve_stls,
+)
 from stlscond.bench import (
     BENCH_COLUMNS,
     RATIO_COLUMNS,
@@ -153,6 +159,21 @@ def test_power_spread_rows():
         assert rec.method == "power"
         assert rec.trial_index in (0, 1, 2)
         assert rec.iterations >= 1
+
+
+def test_power_spread_solves_once_per_group(monkeypatch):
+    calls = []
+
+    def counting_solve(problem):
+        calls.append(problem)
+        return solve_stls(problem)
+
+    monkeypatch.setattr(bench, "solve_stls", counting_solve)
+    records = run_power_spread(
+        14, 9, 5.0, 0.1, groups=2, inits=3, seed=0, threads=1
+    )
+    assert len(records) == 6
+    assert len(calls) == 2
 
 
 def test_derive_seed_is_deterministic_and_spread():

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from stlscond import StlsProblem, save_problem
-from stlscond.bench import BENCH_COLUMNS, RATIO_COLUMNS
+from stlscond.bench import (
+    BENCH_COLUMNS,
+    RATIO_COLUMNS,
+    run_ratio_bench,
+    run_timing_bench,
+)
 from stlscond.estimate import METHODS
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -258,3 +263,29 @@ def test_bench_ratio_vary_initial(tmp_path):
     assert lines[0] == ",".join(BENCH_COLUMNS)
     assert len(lines) == 1 + 2 * 3
     assert all(line.split(",")[5] == "power" for line in lines[1:])
+
+
+def test_bench_value_columns_match_library(tmp_path):
+    # the CLI derives per-trial estimator seeds from --seed as the library
+    # does, so the value columns agree for the same root seed
+    cell = ["--sizes", "12x8", "--lambdas", "1", "--ep", "0.1", "--trials", "2",
+            "--seed", "4", "--threads", "1"]
+    out = tmp_path / "time.csv"
+    r = run_cli("bench-time", *cell, "--methods", "power,pce,sce", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    cli_values = [float(line.split(",")[6])
+                  for line in out.read_text().strip().splitlines()[1:]]
+    records, _ = run_timing_bench(
+        [(12, 8)], [1.0], [0.1], trials=2, methods=["power", "pce", "sce"],
+        seed=4, threads=1,
+    )
+    assert cli_values == pytest.approx([rec.value for rec in records], rel=1e-12)
+
+    out = tmp_path / "ratio.csv"
+    r = run_cli("bench-ratio", *cell, "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    cli_ratios = [[float(v) for v in line.split(",")[1:]]
+                  for line in out.read_text().strip().splitlines()[1:]]
+    groups, _ = run_ratio_bench([(12, 8)], [1.0], [0.1], trials=2, seed=4, threads=1)
+    lib_ratios = [[rec.ratio1, rec.ratio2, rec.ratio3] for rec in groups[0][1]]
+    assert np.allclose(cli_ratios, lib_ratios, rtol=1e-12, atol=0.0)

@@ -4,23 +4,29 @@ iteration, the probabilistic bracket, and small-sample probing."""
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stlscond import (
+    GeneratorSpec,
     PceConfig,
     PowerConfig,
     SampleTooLargeError,
     SceConfig,
+    StlsError,
     apply_K,
     apply_KT,
     build_K_dense,
+    generate,
     kappa_f2,
     kappa_kron,
     pce,
     power_method,
     probabilistic_spectral_norm,
     sce,
+    solve_stls,
 )
-from stlscond.estimate import wallis_factor
+from stlscond.estimate import _f2_operator, wallis_factor
 
 KAPPA_DIAGONAL = np.sqrt(20.0 / 9.0)
 
@@ -82,6 +88,31 @@ def test_adjoint_identity(gen_problem):
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-300)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra=st.integers(1, 6),
+    lam=st.floats(0.05, 20.0),
+    e_p=st.floats(1e-3, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_route_matches_packed_boundary(n, extra, lam, e_p, seed):
+    # the estimators' rectangular factor W (W W' = K K') against the packed
+    # public products, which the tests above tie to the dense K
+    p = generate(GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed)).problem
+    y = np.random.default_rng(seed).standard_normal(n)
+    try:
+        sol = solve_stls(p)
+        P = apply_KT(sol, p.A, y)
+    except StlsError:
+        assume(False)
+    op = _f2_operator(sol, p.A, sol.M.solve)
+    q = op.rmatvec(y)
+    assert np.linalg.norm(q) == pytest.approx(np.linalg.norm(P), rel=1e-12)
+    expected = apply_K(sol, p.A, P)
+    assert np.linalg.norm(op.matvec(q) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 # ---------------------------------------------------------------------------
 # power method
 # ---------------------------------------------------------------------------
@@ -126,13 +157,6 @@ def test_power_unconverged_is_flagged_not_raised(gen_problem):
     assert not rep.diagnostics["converged"]
     assert rep.diagnostics["iterations"] == 2
     assert rep.absolute > 0.0
-
-
-def test_power_cg_solver_matches_factorization(gen_problem):
-    p, sol = gen_problem(18, 9, 2.0, 0.3, 8)
-    a = power_method(sol, p.A, PowerConfig(seed=4)).absolute
-    b = power_method(sol, p.A, PowerConfig(seed=4), solver="cg").absolute
-    assert a == pytest.approx(b, rel=1e-8)
 
 
 def test_power_rejects_zero_start(gen_problem):
