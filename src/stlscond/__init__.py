@@ -17,6 +17,7 @@ from .bench import (
 from .errors import (
     ConvergenceError,
     DegenerateSingularVectorError,
+    MemoryBudgetError,
     NonFiniteError,
     NongenericProblemError,
     NotPositiveDefiniteError,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen, solve, cond, bench-time, bench-ratio.  Exit codes are
-stable: 0 success, 2 usage error, 3 I/O failure, 4 non-unique problem,
-5 degenerate quantity (zero residual or zero solution).
+stable: 0 success, 2 usage error (including a dense K over the memory
+budget of ``kron``), 3 I/O failure, 4 non-unique problem, 5 degenerate
+quantity (zero residual or zero solution).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .bench import (
     write_ratio_csv,
 )
 from .errors import (
+    MemoryBudgetError,
     NongenericProblemError,
     NotPositiveDefiniteError,
     ProblemFormatError,
@@ -344,6 +346,9 @@ def main(argv=None) -> int:
     except (ZeroResidualError, ZeroSolutionError) as exc:
         print(f"stlscond: degenerate problem: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except MemoryBudgetError as exc:
+        print(f"stlscond: over memory budget: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, SampleTooLargeError, json.JSONDecodeError) as exc:
         print(f"stlscond: invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE

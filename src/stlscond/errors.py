@@ -44,3 +44,7 @@ class SampleTooLargeError(StlsError):
 
 class ProblemFormatError(StlsError):
     """Problem file is malformed or dimensionally inconsistent."""
+
+
+class MemoryBudgetError(StlsError):
+    """Materializing an operator would exceed its memory budget."""

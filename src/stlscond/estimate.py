@@ -1,8 +1,9 @@
 """Matrix-free and stochastic condition-number estimation.
 
 Three estimators, all driven by products with the rectangular factor W
-of K K' (W W' = K K'), a matrix-free n x (2m+n) operator, so none of them
-forms K or an m x (n+1) array:
+of K K' (W W' = K K'), the matrix-free n x (2m+n) operator
+``exact._f2_operator`` whose materialized transpose gives ``kappa_f2``, so
+none of them forms K or an m x (n+1) array:
 
 * ``power_method``  -- power iteration on W W' = K K'; the running scalar
   converges to the squared spectral norm, so its square root is the
@@ -11,7 +12,8 @@ forms K or an m x (n+1) array:
   probabilistic upper bound on the spectral norm of W, tightened until
   their ratio is below ``1 + theta``; the midpoint is the estimate.
 * ``sce``           -- small-sample estimate from a few orthonormalized
-  random probes z, using ||W'z|| = ||K'z||, rescaled by Wallis factors.
+  random probes z, using ||W'z|| = ||K'z|| (one block adjoint product),
+  rescaled by Wallis factors.
 
 ``apply_KT`` and ``apply_K`` are the public products with K' and K in the
 packed m x (n+1) perturbation form [dA, db].  Solves with the shifted Gram
@@ -36,7 +38,7 @@ import scipy.special
 
 from . import exact, numerics
 from .errors import ConvergenceError, SampleTooLargeError
-from .exact import ConditionReport, check_operator_inputs
+from .exact import ConditionReport, _f2_operator, check_operator_inputs
 from .problem import StlsSolution
 
 
@@ -130,7 +132,7 @@ def _cg_solver(sol: StlsSolution, A: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Products with K and K' (packed m x (n+1) form) and with the factor W
+# Products with K and K' (packed m x (n+1) form)
 # ---------------------------------------------------------------------------
 
 def apply_KT(sol: StlsSolution, A, y) -> np.ndarray:
@@ -161,44 +163,6 @@ def apply_K(sol: StlsSolution, A, P) -> np.ndarray:
     s = Ap @ x - bp
     t = (2.0 * float(r @ s) / float(r @ r)) * (A.T @ r) - A.T @ s - Ap.T @ r
     return sol.M.solve(t)
-
-
-def _f2_operator(sol: StlsSolution, A: np.ndarray, msolve):
-    """The rectangular factor W of K K' (W W' = K K') as a matrix-free
-    n x (2m+n) operator,
-
-        W = M^-1 [A', ||x|| (A' - A'r r'/||r||^2), ||r|| I - A'r x'/||r||]:
-
-    products are composed from A-products, rank-one corrections and
-    M-solves, so ||W'y|| = ||K'y|| costs no m x (n+1) temporary."""
-    m, n = A.shape
-    x, r = sol.x, sol.r
-    xn = float(np.linalg.norm(x))
-    rn2 = float(r @ r)
-    rn = float(np.sqrt(rn2))
-    Ar = A.T @ r
-
-    def matvec(s):
-        s = np.asarray(s, dtype=float).ravel()
-        s1, s2, s3 = s[:m], s[m : 2 * m], s[2 * m :]
-        t = A.T @ s1
-        t += xn * (A.T @ s2 - Ar * (float(r @ s2) / rn2))
-        t += rn * (s3 - Ar * (float(x @ s3) / rn2))
-        return msolve(t)
-
-    def rmatvec(q):
-        q = np.asarray(q, dtype=float).ravel()
-        z = msolve(q)
-        Az = A @ z
-        out = np.empty(2 * m + n)
-        out[:m] = Az
-        out[m : 2 * m] = xn * (Az - r * (float(r @ Az) / rn2))
-        out[2 * m :] = rn * (z - x * (float(Ar @ z) / rn2))
-        return out
-
-    return scipy.sparse.linalg.LinearOperator(
-        (n, 2 * m + n), matvec=matvec, rmatvec=rmatvec, dtype=float
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -435,24 +399,6 @@ def wallis_factor(p: int) -> float:
     return float(np.sqrt(2.0 / (np.pi * (p - 0.5))))
 
 
-def _orthonormal_uniform_sample(n, k, rng):
-    """k vectors with Uniform(0,1) entries, orthonormalized column by
-    column with modified Gram-Schmidt."""
-    Z = rng.uniform(0.0, 1.0, size=(n, k))
-    for i in range(k):
-        v = Z[:, i]
-        for j in range(i):
-            v -= (Z[:, j] @ v) * Z[:, j]
-        nrm = float(np.linalg.norm(v))
-        while nrm < 1e-12:  # dependent draw; redraw (a.s. unreachable)
-            v = rng.uniform(0.0, 1.0, size=n)
-            for j in range(i):
-                v -= (Z[:, j] @ v) * Z[:, j]
-            nrm = float(np.linalg.norm(v))
-        Z[:, i] = v / nrm
-    return Z
-
-
 def sce(sol: StlsSolution, A, cfg: SceConfig) -> ConditionReport:
     """Small-sample estimate from k orthonormal probes.
 
@@ -468,7 +414,7 @@ def sce(sol: StlsSolution, A, cfg: SceConfig) -> ConditionReport:
     if cfg.k > n:
         raise SampleTooLargeError(f"sample size {cfg.k} exceeds dimension {n}")
     rng = np.random.default_rng(cfg.seed)
-    Z = _orthonormal_uniform_sample(n, cfg.k, rng)
+    Z = np.linalg.qr(rng.uniform(0.0, 1.0, size=(n, cfg.k)))[0]
     probes = _f2_operator(sol, A, sol.M.solve).rmatmat(Z)
     estimate = (wallis_factor(cfg.k) / wallis_factor(n)) * float(np.linalg.norm(probes))
     return ConditionReport(

@@ -8,8 +8,11 @@ mathematically equal evaluations are provided:
 * ``kappa_kron``  -- materialize K itself, an n x m(n+1) matrix;
 * ``kappa_f1``    -- spectral norm of the n x n quadratic form whose value
   equals K K';
-* ``kappa_f2``    -- spectral norm of an n x (2m+n) rectangular factor of
-  K K', assembled without any Gram product A'A.
+* ``kappa_f2``    -- spectral norm of the n x (2m+n) rectangular factor W
+  of K K' (W W' = K K'), free of any Gram product A'A.
+
+W is written once, as the matrix-free operator ``_f2_operator`` that the
+estimators also use.  ``kappa_kron`` refuses a K over ``KRON_BUDGET_BYTES``.
 
 Their mutual agreement is the main correctness oracle of this package.
 Specializations for the unscaled problem (an alternative Gram-based form)
@@ -22,9 +25,11 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg
 
 from . import numerics
 from .errors import (
+    MemoryBudgetError,
     NongenericProblemError,
     RankDeficientError,
     ZeroResidualError,
@@ -35,6 +40,10 @@ from .problem import StlsProblem, StlsSolution
 # Residual scale below which the sensitivity operator (which divides by
 # ||r||^2) is considered undefined.
 R_TOL_FACTOR = 1e-14
+
+# Largest dense K, in bytes, that ``build_K_dense`` materializes; building
+# it takes two arrays of that size.
+KRON_BUDGET_BYTES = 1 << 30
 
 
 def residual_tolerance(sol: StlsSolution, A: np.ndarray) -> float:
@@ -82,12 +91,17 @@ def build_K_dense(sol: StlsSolution, A) -> np.ndarray:
 
     Column-major vec convention: column j*m + i of K multiplies entry
     (i, j) of dA, and the trailing m columns multiply db.  Allocates
-    O(m * n^2) scalars; the matrix-free products in the estimators module
-    avoid this entirely.
+    O(m * n^2) scalars, so a K over ``KRON_BUDGET_BYTES`` raises
+    MemoryBudgetError before any allocation; the matrix-free products in the
+    estimators module avoid this entirely.
     """
     A = np.asarray(A, dtype=float)
-    check_operator_inputs(sol, A)
     m, n = A.shape
+    nbytes = 8 * n * m * (n + 1)
+    if nbytes > KRON_BUDGET_BYTES:
+        raise MemoryBudgetError(f"dense K of a {m}x{n} problem needs {nbytes >> 20} "
+                                f"MiB, over the {KRON_BUDGET_BYTES >> 20} MiB budget")
+    check_operator_inputs(sol, A)
     x, r = sol.x, sol.r
     rn2 = float(r @ r)
     # G = (2/||r||^2) A'r r' - A'
@@ -131,30 +145,54 @@ def kappa_f1(sol: StlsSolution, A) -> ConditionReport:
     )
 
 
-def f2_factor(sol: StlsSolution, A) -> np.ndarray:
-    """The n x (2m+n) rectangular factor whose spectral norm is the
-    condition number; assembled without forming A'A."""
-    A = np.asarray(A, dtype=float)
+def _f2_operator(sol: StlsSolution, A: np.ndarray, msolve):
+    """The rectangular factor W of K K' (W W' = K K') as a matrix-free
+    n x (2m+n) operator,
+
+        W = M^-1 [A', ||x|| (A' - A'r r'/||r||^2), ||r|| I - A'r x'/||r||]:
+
+    products are composed from A-products, rank-one corrections and
+    solves with M by ``msolve``, so ||W'y|| = ||K'y|| costs no m x (n+1)
+    temporary.  The adjoint takes a vector or a block of columns and hands
+    it to ``msolve`` unchanged (one solve for a block)."""
     m, n = A.shape
     x, r = sol.x, sol.r
     xn = float(np.linalg.norm(x))
-    rn = float(np.linalg.norm(r))
+    rn2 = float(r @ r)
+    rn = float(np.sqrt(rn2))
     Ar = A.T @ r
-    W = np.empty((n, 2 * m + n))
-    W[:, :m] = A.T
-    W[:, m : 2 * m] = xn * (A.T - np.outer(Ar, r) / rn**2)
-    W[:, 2 * m :] = rn * np.eye(n) - np.outer(Ar, x) / rn
-    return sol.M.solve(W)
+
+    def matvec(s):
+        s = np.asarray(s, dtype=float).ravel()
+        s1, s2, s3 = s[:m], s[m : 2 * m], s[2 * m :]
+        t = A.T @ s1
+        t += xn * (A.T @ s2 - Ar * (float(r @ s2) / rn2))
+        t += rn * (s3 - Ar * (float(x @ s3) / rn2))
+        return msolve(t)
+
+    def rmatmat(q):
+        q = np.asarray(q, dtype=float)
+        Z = msolve(q)
+        AZ = A @ Z
+        out = np.empty((2 * m + n,) + q.shape[1:])
+        out[:m] = AZ
+        out[m : 2 * m] = xn * (AZ - np.multiply.outer(r, (r @ AZ) / rn2))
+        out[2 * m :] = rn * (Z - np.multiply.outer(x, (Ar @ Z) / rn2))
+        return out
+
+    return scipy.sparse.linalg.LinearOperator(
+        (n, 2 * m + n), matvec=matvec, rmatvec=rmatmat, rmatmat=rmatmat, dtype=float)
 
 
 def kappa_f2(sol: StlsSolution, A) -> ConditionReport:
     """Absolute condition number from the rectangular factor (the route
-    recommended for numerical stability: no squaring anywhere)."""
+    recommended for numerical stability: no squaring anywhere).  W' is
+    materialized as the adjoint of ``_f2_operator`` on the identity: one
+    n x n solve with M and one A-product."""
     A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
-    return ConditionReport(
-        absolute=numerics.spectral_norm_dense(f2_factor(sol, A)), method="F2"
-    )
+    WT = _f2_operator(sol, A, sol.M.solve).rmatmat(np.eye(A.shape[1]))
+    return ConditionReport(absolute=numerics.spectral_norm_dense(WT), method="F2")
 
 
 def relative_from_absolute(p: StlsProblem, sol: StlsSolution, absolute: float) -> float:

@@ -108,22 +108,21 @@ class StlsSolution:
     ill_posed: bool = False
 
 
-def _uniqueness_gap(p: StlsProblem, sigma_np1: float, gap_tol=None, strict=True):
+def _uniqueness_gap(p: StlsProblem, sigma_np1: float, strict=True):
     """The m-sized pass over A shared by the solvers and the genericity check.
 
     Returns (sigma_hat_1, sigma_hat_n, gap) with ``gap = sigma_hat_n -
     sigma_np1``.  When ``strict``, raises NongenericProblemError if the gap
-    is at most ``gap_tol`` (default 1e-12 * sigma_hat_1).
+    is at most 1e-12 * sigma_hat_1.
     """
     s_hat = numerics.singular_values(p.A)
     sigma_hat_1 = float(s_hat[0])
     sigma_hat_n = float(s_hat[-1])
     gap = sigma_hat_n - sigma_np1
-    if gap_tol is None:
-        gap_tol = 1e-12 * sigma_hat_1
-    if strict and gap <= gap_tol:
+    tol = 1e-12 * sigma_hat_1
+    if strict and gap <= tol:
         raise NongenericProblemError(
-            f"uniqueness gap {gap:.3e} <= tolerance {gap_tol:.3e}"
+            f"uniqueness gap {gap:.3e} <= tolerance {tol:.3e}"
         )
     return sigma_hat_1, sigma_hat_n, gap
 
@@ -139,7 +138,7 @@ def check_genericity(p: StlsProblem):
     return sigma_hat_n, sigma_np1, gap
 
 
-def solve_stls(p: StlsProblem, gap_tol: float | None = None) -> StlsSolution:
+def solve_stls(p: StlsProblem) -> StlsSolution:
     """Solve via the shifted normal equations.
 
     Computes sigma_np1 from the augmented matrix, forms
@@ -148,13 +147,13 @@ def solve_stls(p: StlsProblem, gap_tol: float | None = None) -> StlsSolution:
     Raises
     ------
     NongenericProblemError
-        If sigma_hat_n - sigma_np1 <= gap_tol (default 1e-12 * sigma_hat_1).
+        If sigma_hat_n - sigma_np1 <= 1e-12 * sigma_hat_1.
     NotPositiveDefiniteError
         Propagated from the factorization; equivalent to the above up to
         roundoff, kept separate as a diagnostic.
     """
     sigma_np1 = float(numerics.singular_values(p.augmented())[-1])
-    sigma_hat_1, sigma_hat_n, gap = _uniqueness_gap(p, sigma_np1, gap_tol)
+    sigma_hat_1, sigma_hat_n, gap = _uniqueness_gap(p, sigma_np1)
     A = p.A
     M = A.T @ A - (sigma_np1 ** 2) * np.eye(p.n)
     fact = numerics.SpdFactorization.from_matrix(M)
@@ -172,7 +171,7 @@ def solve_stls(p: StlsProblem, gap_tol: float | None = None) -> StlsSolution:
     )
 
 
-def solve_stls_svd(p: StlsProblem, gap_tol: float | None = None) -> np.ndarray:
+def solve_stls_svd(p: StlsProblem) -> np.ndarray:
     """Solve via the trailing right singular vector of [A, lam*b].
 
     The unscaled problem on [A, lam*b] has solution -v[:n] / v[n] with v the
@@ -187,7 +186,7 @@ def solve_stls_svd(p: StlsProblem, gap_tol: float | None = None) -> np.ndarray:
         If the last component of v is (numerically) zero.
     """
     _, s, Vt = numerics.svd(p.augmented())
-    _uniqueness_gap(p, float(s[-1]), gap_tol)
+    _uniqueness_gap(p, float(s[-1]))
     v = Vt[-1]
     if abs(v[p.n]) < 1e-14:
         raise DegenerateSingularVectorError(

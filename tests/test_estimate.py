@@ -26,7 +26,8 @@ from stlscond import (
     sce,
     solve_stls,
 )
-from stlscond.estimate import _f2_operator, wallis_factor
+from stlscond.estimate import wallis_factor
+from stlscond.exact import _f2_operator
 
 KAPPA_DIAGONAL = np.sqrt(20.0 / 9.0)
 
@@ -94,13 +95,17 @@ def test_adjoint_identity(gen_problem):
     extra=st.integers(1, 6),
     lam=st.floats(0.05, 20.0),
     e_p=st.floats(1e-3, 0.9),
+    k=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_factor_route_matches_packed_boundary(n, extra, lam, e_p, seed):
+def test_factor_route_matches_packed_boundary(n, extra, lam, e_p, k, seed):
     # the estimators' rectangular factor W (W W' = K K') against the packed
-    # public products, which the tests above tie to the dense K
+    # public products, which the tests above tie to the dense K, and its
+    # block adjoint against the column-by-column one
     p = generate(GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed)).problem
-    y = np.random.default_rng(seed).standard_normal(n)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(n)
+    Y = rng.standard_normal((n, k))
     try:
         sol = solve_stls(p)
         P = apply_KT(sol, p.A, y)
@@ -111,6 +116,8 @@ def test_factor_route_matches_packed_boundary(n, extra, lam, e_p, seed):
     assert np.linalg.norm(q) == pytest.approx(np.linalg.norm(P), rel=1e-12)
     expected = apply_K(sol, p.A, P)
     assert np.linalg.norm(op.matvec(q) - expected) <= 1e-12 * np.linalg.norm(expected)
+    by_column = np.column_stack([op.rmatvec(Y[:, j]) for j in range(k)])
+    assert np.linalg.norm(op.rmatmat(Y) - by_column) <= 1e-12 * np.linalg.norm(by_column)
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,32 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stlscond import (
     ConditionReport,
+    GeneratorSpec,
+    MemoryBudgetError,
     RankDeficientError,
     SpdFactorization,
     StlsProblem,
+    StlsError,
     StlsSolution,
     ZeroResidualError,
     ZeroSolutionError,
     build_K_dense,
+    generate,
     kappa_f1,
     kappa_f2,
     kappa_kron,
     kappa_ols,
     kappa_tls_bg,
     relative_from_absolute,
+    save_problem,
     solve_stls,
 )
-from stlscond.exact import f2_factor
+from stlscond import bench, cli, exact
 
 KAPPA_DIAGONAL = np.sqrt(20.0 / 9.0)  # = sqrt(1.25)/0.75 = 1.4907119849998598
 
@@ -79,7 +86,9 @@ def test_f1_cross_terms_vanish_when_residual_orthogonal(diagonal_problem, diagon
 
 def test_f2_factor_shape(gen_problem):
     p, sol = gen_problem(5, 3, 1.0, 0.3, 1)
-    assert f2_factor(sol, p.A).shape == (3, 13)
+    op = exact._f2_operator(sol, p.A, sol.M.solve)
+    assert op.shape == (3, 13)
+    assert op.rmatmat(np.eye(3)).shape == (13, 3)
 
 
 def test_forms_agree_on_generated_problems(gen_problem):
@@ -98,6 +107,44 @@ def test_forms_agree_on_generated_problems(gen_problem):
         assert abs(k_kron - k_f1) <= tol * k_kron
         assert abs(k_f1 - k_f2) <= tol * k_kron
         assert abs(k_kron - k_f2) <= tol * k_kron
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra=st.integers(1, 6),
+    lam=st.floats(0.05, 20.0),
+    e_p=st.floats(1e-3, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_three_forms_agree_property(n, extra, lam, e_p, seed):
+    p = generate(GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed)).problem
+    try:
+        sol = solve_stls(p)
+        k_kron = kappa_kron(sol, p.A).absolute
+    except StlsError:
+        assume(False)
+    assert kappa_f1(sol, p.A).absolute == pytest.approx(k_kron, rel=1e-8)
+    assert kappa_f2(sol, p.A).absolute == pytest.approx(k_kron, rel=1e-8)
+
+
+def test_kron_over_budget_refused(gen_problem, tmp_path, monkeypatch, capsys):
+    # K of a 20x13 problem takes 8*13*20*14 = 29120 bytes
+    p, sol = gen_problem(20, 13, 1.0, 0.1, 5)
+    path = tmp_path / "p.json"
+    save_problem(p, path)
+    monkeypatch.setattr(exact, "KRON_BUDGET_BYTES", 29119)
+    with pytest.raises(MemoryBudgetError):
+        build_K_dense(sol, p.A)
+    with pytest.raises(MemoryBudgetError):
+        kappa_kron(sol, p.A)
+    assert np.isnan(bench._measure("kron", (p, sol), {})[0])
+    for method in ("kron", "all"):
+        assert cli.main(["cond", "--in", str(path), "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "budget" in err
+    monkeypatch.setattr(exact, "KRON_BUDGET_BYTES", 29120)
+    assert build_K_dense(sol, p.A).shape == (13, 280)
 
 
 def test_operator_against_finite_differences(gen_problem):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stlscond import (
+    DegenerateSingularVectorError,
     GeneratorSpec,
     NongenericProblemError,
     ProblemFormatError,
@@ -119,13 +120,13 @@ def test_svd_route_zero_solution_fixture(diagonal_problem):
 
 
 def test_positive_definiteness_tracks_gap(diagonal_problem):
-    # generic fixture factorizes; the nongeneric one is rejected before
-    # factorization by the gap check with any tolerance
+    # generic fixture factorizes; the nongeneric one (gap exactly 0) is
+    # rejected by the gap check before factorization
     sol = solve_stls(diagonal_problem)
     assert sol.genericity_gap > 0.0
     bad = StlsProblem(np.array([[1.0], [0.0]]), np.array([0.0, 1.0]), 1.0)
     with pytest.raises(NongenericProblemError):
-        solve_stls(bad, gap_tol=0.0)
+        solve_stls(bad)
     # and the shifted Gram matrix of the nongeneric fixture really is not
     # positive definite: a zero gap means a zero pivot
     from stlscond import NotPositiveDefiniteError, SpdFactorization, check_genericity
@@ -134,6 +135,17 @@ def test_positive_definiteness_tracks_gap(diagonal_problem):
     M = bad.A.T @ bad.A - sigma_aug**2 * np.eye(1)
     with pytest.raises(NotPositiveDefiniteError):
         SpdFactorization.from_matrix(M)
+
+
+def test_svd_route_degenerate_singular_vector():
+    # the gap (2.5e-12) clears the 1e-12 tolerance, but the trailing right
+    # singular vector of [A, b] is almost orthogonal to b (last component
+    # 5e-15), so the singular-vector route refuses
+    A = np.array([[1.0, 0.0], [0.0, 5e-6], [0.0, 0.0]])
+    p = StlsProblem(A, np.array([0.0, 1e3, 1e6]), 1.0)
+    assert check_genericity(p)[2] > 1e-12
+    with pytest.raises(DegenerateSingularVectorError):
+        solve_stls_svd(p)
 
 
 def test_ill_posed_flag_near_nongeneric():
