@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Solve a scaled total least squares problem and cross-check the two routes.
+"""Solve a scaled total least squares problem and cross-check it.
 
 The problem: find the smallest Frobenius-norm correction [E, r] of the data
 such that lam*b - r lies in the range of A + E.  A unique solution exists
 when the smallest singular value of A strictly exceeds the smallest singular
 value of the augmented matrix [A, lam*b] (the "genericity gap").
 
-Two independent solution routes:
-  * shifted normal equations  (A'A - sigma^2 I) x = A'b
-  * the trailing right singular vector of [A, lam*b], rescaled
+Both solvers read x off the trailing right singular vector of [A, lam*b]:
+  * solve_stls first compresses the data by one thin QR of [A, b] to an
+    (n+1) x n problem with the same solution,
+  * solve_stls_svd works on the uncompressed data (the oracle).
 
-They must agree; this script shows both on a synthetic problem with a known
-spectrum.
+They must agree, and x must satisfy the shifted normal equations
+(A'A - sigma^2 I) x = A'b; this script checks both on a synthetic problem
+with a known spectrum.
 """
 
 import numpy as np
@@ -41,8 +43,8 @@ print(f"interlacing bounds the gap by e_p = {spec.e_p}")
 sol = solve_stls(p)
 x_svd = solve_stls_svd(p)
 
-print(f"\nnormal-equation route:  ||x|| = {np.linalg.norm(sol.x):.12f}")
-print(f"singular-vector route:  ||x|| = {np.linalg.norm(x_svd):.12f}")
+print(f"\ncompressed route:       ||x|| = {np.linalg.norm(sol.x):.12f}")
+print(f"uncompressed route:     ||x|| = {np.linalg.norm(x_svd):.12f}")
 print(f"route difference: {np.linalg.norm(sol.x - x_svd):.3e}")
 
 print(f"\nresidual norm ||A x - b||      = {np.linalg.norm(sol.r):.6f}")

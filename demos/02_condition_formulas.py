@@ -5,9 +5,9 @@ The absolute condition number is the spectral norm of the operator K that
 maps stacked data perturbations [vec(dA); db] to the first-order solution
 change.  This script evaluates it by
 
-  * materializing K            (an n x m(n+1) matrix),
+  * materializing K            (n x (n+1)^2 on the compressed problem),
   * an n x n quadratic form    (equal to K K' after sandwiching),
-  * an n x (2m+n) factor       (no Gram products; the numerically
+  * an n x (3n+2) factor       (no Gram products; the numerically
                                 preferred route),
 
 then validates the value against finite differences: the worst perturbation

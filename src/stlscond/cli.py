@@ -2,8 +2,8 @@
 
 Subcommands: gen, solve, cond, bench-time, bench-ratio.  Exit codes are
 stable: 0 success, 2 usage error (including a dense K over the memory
-budget of ``kron``), 3 I/O failure, 4 non-unique problem, 5 degenerate
-quantity (zero residual or zero solution).
+budget of ``kron``), 3 I/O failure, 4 non-unique problem or degenerate
+singular vector, 5 degenerate quantity (zero residual or zero solution).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .bench import (
     write_ratio_csv,
 )
 from .errors import (
+    DegenerateSingularVectorError,
     MemoryBudgetError,
     NongenericProblemError,
     NotPositiveDefiniteError,
@@ -340,7 +341,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"stlscond: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NongenericProblemError, NotPositiveDefiniteError) as exc:
+    except (NongenericProblemError, NotPositiveDefiniteError, DegenerateSingularVectorError) as exc:
         print(f"stlscond: nongeneric problem: {exc}", file=sys.stderr)
         return EXIT_NONGENERIC
     except (ZeroResidualError, ZeroSolutionError) as exc:

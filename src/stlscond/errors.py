@@ -14,7 +14,7 @@ class ConvergenceError(StlsError):
 
 
 class NotPositiveDefiniteError(StlsError):
-    """A factorization hit a non-positive pivot; the matrix is not SPD."""
+    """A matrix expected to be SPD has an eigenvalue that is not positive."""
 
 
 class NongenericProblemError(StlsError):

@@ -1,9 +1,9 @@
 """Matrix-free and stochastic condition-number estimation.
 
 Three estimators, all driven by products with the rectangular factor W
-of K K' (W W' = K K'), the matrix-free n x (2m+n) operator
-``exact._f2_operator`` whose materialized transpose gives ``kappa_f2``, so
-none of them forms K or an m x (n+1) array:
+of K K' (W W' = K K'), the matrix-free n x (3n+2) operator
+``exact._f2_operator`` on the solver's compressed problem (its transpose
+gives ``kappa_f2``), so none of them reads the m x n data:
 
 * ``power_method``  -- power iteration on W W' = K K'; the running scalar
   converges to the squared spectral norm, so its square root is the
@@ -16,10 +16,9 @@ none of them forms K or an m x (n+1) array:
   rescaled by Wallis factors.
 
 ``apply_KT`` and ``apply_K`` are the public products with K' and K in the
-packed m x (n+1) perturbation form [dA, db].  Solves with the shifted Gram
-matrix M reuse the Cholesky factorization carried by the solution;
-``pce(..., solver="cg")`` uses a Jacobi-preconditioned conjugate-gradient
-solve (relative residual 1e-12) instead.
+packed m x (n+1) perturbation form [dA, db] of the original data.  A solve
+with M = V diag(d) V' is two products with V; ``pce(..., solver="cg")``
+uses Jacobi-preconditioned conjugate gradients (relative residual 1e-12).
 
 ``METHODS`` is the one table of the six ways to evaluate the condition
 number, the three exact forms and the three estimators, by name.
@@ -106,9 +105,10 @@ class SceConfig:
 # Solves with the shifted Gram matrix M
 # ---------------------------------------------------------------------------
 
-def _cg_solver(sol: StlsSolution, A: np.ndarray):
+def _cg_solver(sol: StlsSolution):
     """Conjugate-gradient solve of M z = y with a Jacobi preconditioner,
-    applying M through products with A (relative residual 1e-12)."""
+    applying M through products with the core's A."""
+    A = sol.core.A
     n = A.shape[1]
     shift = sol.sigma_np1 ** 2
 
@@ -182,10 +182,9 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
     A run that exhausts ``max_iter`` returns its last estimate flagged
     ``converged: False`` in the diagnostics rather than raising.
     """
-    A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
-    n = A.shape[1]
-    op = _f2_operator(sol, A, sol.M.solve)
+    n = len(sol.x)
+    op = _f2_operator(sol, sol.M.solve)
     if y0 is None:
         rng = np.random.default_rng(cfg.seed)
         y = rng.standard_normal(n)
@@ -312,6 +311,7 @@ def probabilistic_spectral_norm(op, cfg: PceConfig, rng=None):
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     v = numerics.unit_sphere_sample(cols, rng)
+    alpha = 0.0
     V = [v]
     U = []
     alphas: list[float] = []
@@ -333,7 +333,6 @@ def probabilistic_spectral_norm(op, cfg: PceConfig, rng=None):
                 u -= (q @ u) * q
         a = float(np.linalg.norm(u))
         if a <= 0.0:
-            alpha = _current_lower(alphas, betas)
             return alpha, alpha
         alphas.append(a)
         u = u / a
@@ -364,24 +363,16 @@ def probabilistic_spectral_norm(op, cfg: PceConfig, rng=None):
     raise AssertionError("unreachable: the loop returns at exhaustion")
 
 
-def _current_lower(alphas, betas):
-    if not alphas:
-        return 0.0
-    mu = _ritz_values(alphas, betas)
-    return float(np.sqrt(max(float(mu[-1]), 0.0)))
-
-
 def pce(sol: StlsSolution, A, cfg: PceConfig, solver=None) -> ConditionReport:
     """Probabilistic condition estimate: midpoint of the spectral-norm
     bracket of the rectangular factor, which is never materialized.
     ``solver="cg"`` solves with M by conjugate gradients instead of the
-    factorization."""
-    A = np.asarray(A, dtype=float)
+    eigendecomposition of M."""
     check_operator_inputs(sol, A)
     if solver not in (None, "factor", "cg"):
         raise ValueError(f"unknown solver {solver!r}; expected 'factor' or 'cg'")
-    msolve = _cg_solver(sol, A) if solver == "cg" else sol.M.solve
-    op = _f2_operator(sol, A, msolve)
+    msolve = _cg_solver(sol) if solver == "cg" else sol.M.solve
+    op = _f2_operator(sol, msolve)
     alpha, beta = probabilistic_spectral_norm(op, cfg)
     return ConditionReport(
         absolute=0.5 * (alpha + beta),
@@ -408,14 +399,13 @@ def sce(sol: StlsSolution, A, cfg: SceConfig) -> ConditionReport:
     by the ratio of Wallis factors for the sample size and the solution
     dimension.
     """
-    A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
-    n = A.shape[1]
+    n = len(sol.x)
     if cfg.k > n:
         raise SampleTooLargeError(f"sample size {cfg.k} exceeds dimension {n}")
     rng = np.random.default_rng(cfg.seed)
     Z = np.linalg.qr(rng.uniform(0.0, 1.0, size=(n, cfg.k)))[0]
-    probes = _f2_operator(sol, A, sol.M.solve).rmatmat(Z)
+    probes = _f2_operator(sol, sol.M.solve).rmatmat(Z)
     estimate = (wallis_factor(cfg.k) / wallis_factor(n)) * float(np.linalg.norm(probes))
     return ConditionReport(
         absolute=estimate, method="SCE", diagnostics={"k": cfg.k}

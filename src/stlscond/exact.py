@@ -5,14 +5,18 @@ sensitivity operator K that maps stacked data perturbations
 ``[vec(dA); db]`` (column-major vec) to the solution perturbation.  Three
 mathematically equal evaluations are provided:
 
-* ``kappa_kron``  -- materialize K itself, an n x m(n+1) matrix;
+* ``kappa_kron``  -- materialize K itself;
 * ``kappa_f1``    -- spectral norm of the n x n quadratic form whose value
   equals K K';
-* ``kappa_f2``    -- spectral norm of the n x (2m+n) rectangular factor W
-  of K K' (W W' = K K'), free of any Gram product A'A.
+* ``kappa_f2``    -- spectral norm of the rectangular factor W of K K'
+  (W W' = K K'), free of any Gram product A'A.
 
-W is written once, as the matrix-free operator ``_f2_operator`` that the
-estimators also use.  ``kappa_kron`` refuses a K over ``KRON_BUDGET_BYTES``.
+All three run on the solver's (n+1) x n compressed problem ``sol.core``
+(K K' depends on the data only through A'A, A'r and ||r||), where W is
+n x (3n+2) and K is n x (n+1)^2; ``build_K_dense`` alone builds the
+n x m(n+1) K of the original data.  W is written once, as the matrix-free
+operator ``_f2_operator`` the estimators use.  A K over
+``KRON_BUDGET_BYTES`` is refused.
 
 Their mutual agreement is the main correctness oracle of this package.
 Specializations for the unscaled problem (an alternative Gram-based form)
@@ -41,25 +45,34 @@ from .problem import StlsProblem, StlsSolution
 # ||r||^2) is considered undefined.
 R_TOL_FACTOR = 1e-14
 
-# Largest dense K, in bytes, that ``build_K_dense`` materializes; building
-# it takes two arrays of that size.
+# Largest dense K, in bytes, that ``build_K_dense`` and ``kappa_kron``
+# materialize.  Building K allocates no second array of its size; the SVD
+# that ``kappa_kron`` takes of it copies it once.
 KRON_BUDGET_BYTES = 1 << 30
 
 
-def residual_tolerance(sol: StlsSolution, A: np.ndarray) -> float:
-    b = A @ sol.x - sol.r
-    return R_TOL_FACTOR * (
-        np.linalg.norm(A, "fro") * np.linalg.norm(sol.x) + np.linalg.norm(b)
-    )
+def _core(sol: StlsSolution):
+    """The compressed data A_c and its residual r_c = A_c x - b_c (= Q'r)."""
+    A = sol.core.A
+    return A, A @ sol.x - sol.core.b
 
 
-def check_operator_inputs(sol: StlsSolution, A: np.ndarray) -> None:
-    """Shared preconditions for everything built on the operator K."""
+def check_operator_inputs(sol: StlsSolution, A) -> None:
+    """Shared preconditions for everything built on the operator K: ``A``
+    is the data ``sol`` solves (checked by shape), the gap is positive and
+    the residual is not numerically zero."""
+    expected = (len(sol.r), len(sol.x))
+    if np.shape(A) != expected:
+        raise ValueError(f"A has shape {np.shape(A)}, expected {expected}")
     if sol.genericity_gap <= 0.0:
         raise NongenericProblemError(
             f"uniqueness gap {sol.genericity_gap:.3e} is not positive"
         )
-    if np.linalg.norm(sol.r) <= residual_tolerance(sol, A):
+    A_c, r_c = _core(sol)
+    tol = R_TOL_FACTOR * (
+        np.linalg.norm(A_c, "fro") * np.linalg.norm(sol.x) + np.linalg.norm(sol.core.b)
+    )
+    if np.linalg.norm(r_c) <= tol:
         raise ZeroResidualError(
             "residual is numerically zero; sensitivity operator undefined"
         )
@@ -86,77 +99,77 @@ class ConditionReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def build_K_dense(sol: StlsSolution, A) -> np.ndarray:
-    """Materialize the sensitivity operator K as an n x m(n+1) matrix.
-
-    Column-major vec convention: column j*m + i of K multiplies entry
-    (i, j) of dA, and the trailing m columns multiply db.  Allocates
-    O(m * n^2) scalars, so a K over ``KRON_BUDGET_BYTES`` raises
-    MemoryBudgetError before any allocation; the matrix-free products in the
-    estimators module avoid this entirely.
-    """
-    A = np.asarray(A, dtype=float)
+def _build_K(sol: StlsSolution, A: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """K of the data A with residual r (original or core), after a budget
+    check from the shape alone.  Column j*m + i multiplies entry (i, j) of
+    dA, the trailing m columns db: with H = M^-1 ((2/||r||^2) A'r r' - A'),
+    block j is x_j H - M^-1 e_j r' and the trailing block is -H."""
     m, n = A.shape
     nbytes = 8 * n * m * (n + 1)
     if nbytes > KRON_BUDGET_BYTES:
         raise MemoryBudgetError(f"dense K of a {m}x{n} problem needs {nbytes >> 20} "
                                 f"MiB, over the {KRON_BUDGET_BYTES >> 20} MiB budget")
-    check_operator_inputs(sol, A)
-    x, r = sol.x, sol.r
-    rn2 = float(r @ r)
-    # G = (2/||r||^2) A'r r' - A'
-    G = (2.0 / rn2) * np.outer(A.T @ r, r) - A.T
-    J = np.empty((n, m * (n + 1)))
+    x = sol.x
+    H = sol.M.solve((2.0 / float(r @ r)) * np.outer(A.T @ r, r) - A.T)
+    Minv = sol.M.solve(np.eye(n))
+    K = np.empty((n, m * (n + 1)))
     for j in range(n):
-        block = J[:, j * m : (j + 1) * m]
-        np.multiply(G, x[j], out=block)
-        block[j, :] -= r
-    J[:, n * m :] = -G
-    return sol.M.solve(J)
+        block = K[:, j * m : (j + 1) * m]
+        np.multiply(H, x[j], out=block)
+        block -= np.outer(Minv[:, j], r)
+    K[:, n * m :] = -H
+    return K
+
+
+def build_K_dense(sol: StlsSolution, A) -> np.ndarray:
+    """The n x m(n+1) sensitivity operator K of the m x n data; a K over
+    ``KRON_BUDGET_BYTES`` raises MemoryBudgetError before it is allocated."""
+    A = np.asarray(A, dtype=float)
+    check_operator_inputs(sol, A)
+    return _build_K(sol, A, sol.r)
 
 
 def kappa_kron(sol: StlsSolution, A) -> ConditionReport:
-    """Absolute condition number as the spectral norm of dense K."""
-    K = build_K_dense(sol, A)
-    return ConditionReport(
-        absolute=numerics.spectral_norm_dense(K), method="KRON"
-    )
+    """Absolute condition number as the spectral norm of the dense K of the
+    compressed problem, an n x (n+1)^2 matrix with the same K K'."""
+    check_operator_inputs(sol, A)
+    K = _build_K(sol, *_core(sol))
+    return ConditionReport(absolute=numerics.spectral_norm_dense(K), method="KRON")
 
 
 def kappa_f1(sol: StlsSolution, A) -> ConditionReport:
     """Absolute condition number from the n x n quadratic form.
 
     The middle matrix is ``(1+||x||^2) A'A - A'r x' - x r'A + ||r||^2 I``;
-    sandwiched between two inverse applications of M its spectral norm is
-    the squared condition number.
+    sandwiched between two inverse applications of M it is symmetric, and
+    its largest eigenvalue is the squared condition number.
     """
-    A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
-    n = A.shape[1]
-    x, r = sol.x, sol.r
+    A, r = _core(sol)
+    x = sol.x
     Ar = A.T @ r
     B = (1.0 + float(x @ x)) * (A.T @ A)
     B -= np.outer(Ar, x)
     B -= np.outer(x, Ar)
-    B += float(r @ r) * np.eye(n)
+    B += float(r @ r) * np.eye(len(x))
     E = sol.M.solve(sol.M.solve(B).T)
     return ConditionReport(
-        absolute=float(np.sqrt(numerics.spectral_norm_dense(E))), method="F1"
+        absolute=float(np.sqrt(np.linalg.eigvalsh(E)[-1])), method="F1"
     )
 
 
-def _f2_operator(sol: StlsSolution, A: np.ndarray, msolve):
-    """The rectangular factor W of K K' (W W' = K K') as a matrix-free
-    n x (2m+n) operator,
+def _f2_operator(sol: StlsSolution, msolve):
+    """The rectangular factor W of K K' (W W' = K K') on the compressed
+    problem, as a matrix-free n x (3n+2) operator,
 
-        W = M^-1 [A', ||x|| (A' - A'r r'/||r||^2), ||r|| I - A'r x'/||r||]:
+        W = M^-1 [A', ||x|| (A' - A'r r'/||r||^2), ||r|| I - A'r x'/||r||]
 
-    products are composed from A-products, rank-one corrections and
-    solves with M by ``msolve``, so ||W'y|| = ||K'y|| costs no m x (n+1)
-    temporary.  The adjoint takes a vector or a block of columns and hands
-    it to ``msolve`` unchanged (one solve for a block)."""
+    with A = A_c and r = r_c, composed from core products, rank-one
+    corrections and solves with M by ``msolve``.  The adjoint takes a vector
+    or a block of columns and hands it to ``msolve`` unchanged."""
+    A, r = _core(sol)
     m, n = A.shape
-    x, r = sol.x, sol.r
+    x = sol.x
     xn = float(np.linalg.norm(x))
     rn2 = float(r @ r)
     rn = float(np.sqrt(rn2))
@@ -188,10 +201,9 @@ def kappa_f2(sol: StlsSolution, A) -> ConditionReport:
     """Absolute condition number from the rectangular factor (the route
     recommended for numerical stability: no squaring anywhere).  W' is
     materialized as the adjoint of ``_f2_operator`` on the identity: one
-    n x n solve with M and one A-product."""
-    A = np.asarray(A, dtype=float)
+    n x n solve with M and one product with the core's A."""
     check_operator_inputs(sol, A)
-    WT = _f2_operator(sol, A, sol.M.solve).rmatmat(np.eye(A.shape[1]))
+    WT = _f2_operator(sol, sol.M.solve).rmatmat(np.eye(len(sol.x)))
     return ConditionReport(absolute=numerics.spectral_norm_dense(WT), method="F2")
 
 
@@ -217,7 +229,7 @@ def kappa_tls_bg(p: StlsProblem, sol: StlsSolution, squared: bool = True) -> Con
     """
     if p.lam != 1.0:
         raise ValueError(f"this form applies to lam = 1 problems, got lam={p.lam}")
-    A = p.A
+    A = sol.core.A
     if sol.genericity_gap <= 0.0:
         raise NongenericProblemError(
             f"uniqueness gap {sol.genericity_gap:.3e} is not positive"

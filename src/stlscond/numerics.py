@@ -1,7 +1,9 @@
 """Dense numerical kernels used by every other module.
 
 All operations are pure functions of their inputs; nothing is modified in
-place.  The one layout convention that matters elsewhere is column-major
+place.  Decompositions use ``numpy.linalg``; scipy's LAPACK, a second BLAS
+with its own thread pool, serves only the gesvd fallback of ``svd``.  The
+one layout convention that matters elsewhere is column-major
 ``vec``: stacking a matrix column by column.  Helpers here never reshape,
 but the condition-operator code relies on that ordering throughout.
 """
@@ -57,8 +59,8 @@ def singular_values(X) -> np.ndarray:
     """Singular values only, non-increasing."""
     X = _as_matrix(X)
     try:
-        return scipy.linalg.svdvals(X)
-    except Exception:
+        return np.linalg.svd(X, compute_uv=False)
+    except np.linalg.LinAlgError:
         return svd(X)[1]
 
 
@@ -69,34 +71,34 @@ def spectral_norm_dense(X) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpdFactorization:
-    """Cholesky factorization of a symmetric positive definite matrix.
+    """Eigendecomposition ``M = V diag(d) V'`` of a symmetric positive
+    definite matrix.
 
-    Stores enough to solve ``M z = y`` for any right-hand side.  A failed
-    factorization raises :class:`NotPositiveDefiniteError`, which callers
-    use as a definiteness probe (loss of definiteness signals a uniqueness
-    violation upstream).
+    Solves ``M z = y`` as ``z = V ((V'y) / d)`` for any right-hand side.
+    ``from_matrix`` raises :class:`NotPositiveDefiniteError` when an
+    eigenvalue is not positive, which callers use as a definiteness probe
+    (loss of definiteness signals a uniqueness violation upstream).
     """
 
-    order: int
-    factor: np.ndarray  # lower triangle holds the Cholesky factor
+    V: np.ndarray  # orthogonal eigenvectors, one per column
+    d: np.ndarray  # positive eigenvalues
 
     @classmethod
     def from_matrix(cls, M) -> "SpdFactorization":
         M = _as_matrix(M)
         if M.shape[0] != M.shape[1]:
             raise ValueError(f"matrix must be square, got shape {M.shape}")
-        try:
-            c, _ = scipy.linalg.cho_factor(M, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(str(exc)) from exc
-        return cls(order=M.shape[0], factor=c)
+        d, V = np.linalg.eigh(M)
+        if not d[0] > 0.0:
+            raise NotPositiveDefiniteError(f"smallest eigenvalue {d[0]:.3e} is not positive")
+        return cls(V=V, d=d)
 
     def solve(self, y) -> np.ndarray:
         """Solve M z = y; y may be a vector or a matrix of columns."""
         y = np.asarray(y, dtype=float)
-        if y.shape[0] != self.order:
-            raise ValueError(f"right-hand side has length {y.shape[0]}, expected {self.order}")
-        return scipy.linalg.cho_solve((self.factor, True), y)
+        if y.shape[0] != len(self.d):
+            raise ValueError(f"right-hand side has length {y.shape[0]}, expected {len(self.d)}")
+        return self.V @ ((self.V.T @ y).T / self.d).T
 
 
 def unit_sphere_sample(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,12 +2,12 @@
 
 The problem is: given a tall data matrix A, right-hand side b and a positive
 scale on b, find the minimal Frobenius-norm correction of the augmented data
-that makes the scaled system consistent.  Two independent routes compute the
-solution: the normal-equations route through the shifted Gram matrix
-``M = A'A - sigma^2 I`` and the SVD route through the trailing right
-singular vector of the augmented matrix.  They agree for every problem that
-satisfies the uniqueness condition, which makes each the cross-check of the
-other.
+that makes the scaled system consistent.  ``solve_stls`` makes one thin QR
+of [A, b], the only pass over the m x n data, and reads the solution off the
+trailing right singular vector of the (n+1) x n problem of its triangular
+factor, which has the same solution (orthogonal invariance).
+``solve_stls_svd`` applies the same formula to the uncompressed data and
+serves as its oracle.
 """
 
 from __future__ import annotations
@@ -94,6 +94,9 @@ class StlsSolution:
         Factorization of A'A - sigma_np1**2 * I.
     genericity_gap : float
         sigma_hat_n - sigma_np1 (> 0 for a valid solution).
+    core : StlsProblem
+        The (n+1) x n problem Q'[A, b] = [A_c, b_c] with the same solution
+        (residual A_c x - b_c = Q'r), read by everything after the solve.
     ill_posed : bool
         True when the gap is positive but tiny relative to the largest
         singular value of A; the solution is then numerically fragile.
@@ -105,26 +108,35 @@ class StlsSolution:
     sigma_hat_n: float
     M: numerics.SpdFactorization
     genericity_gap: float
+    core: StlsProblem
     ill_posed: bool = False
 
 
-def _uniqueness_gap(p: StlsProblem, sigma_np1: float, strict=True):
-    """The m-sized pass over A shared by the solvers and the genericity check.
+def _compress(p: StlsProblem) -> StlsProblem:
+    """The (n+1) x n problem of the R factor of [A, b]: the same x and K K',
+    which depend on the data only through A'A, A'b and ||b||."""
+    R = np.linalg.qr(np.column_stack([p.A, p.b]), mode="r")
+    return StlsProblem(R[:, : p.n], R[:, p.n], p.lam)
 
-    Returns (sigma_hat_1, sigma_hat_n, gap) with ``gap = sigma_hat_n -
-    sigma_np1``.  When ``strict``, raises NongenericProblemError if the gap
-    is at most 1e-12 * sigma_hat_1.
-    """
-    s_hat = numerics.singular_values(p.A)
-    sigma_hat_1 = float(s_hat[0])
-    sigma_hat_n = float(s_hat[-1])
-    gap = sigma_hat_n - sigma_np1
-    tol = 1e-12 * sigma_hat_1
-    if strict and gap <= tol:
+
+def _singular_vector_solution(p: StlsProblem, s_hat: np.ndarray):
+    """x = -v[:n] / (lam v[n]), sigma_np1 and the gap, from the trailing
+    right singular vector v of [A, lam*b] and the singular values ``s_hat``
+    of A; raises as :func:`solve_stls` does, checking the gap first."""
+    _, s, Vt = numerics.svd(p.augmented())
+    sigma_np1 = float(s[-1])
+    gap = float(s_hat[-1]) - sigma_np1
+    tol = 1e-12 * float(s_hat[0])
+    if gap <= tol:
         raise NongenericProblemError(
             f"uniqueness gap {gap:.3e} <= tolerance {tol:.3e}"
         )
-    return sigma_hat_1, sigma_hat_n, gap
+    v = Vt[-1]
+    if abs(v[p.n]) < 1e-14:
+        raise DegenerateSingularVectorError(
+            f"trailing component of the right singular vector is {v[p.n]:.3e}"
+        )
+    return -v[: p.n] / (p.lam * v[p.n]), sigma_np1, gap
 
 
 def check_genericity(p: StlsProblem):
@@ -133,66 +145,45 @@ def check_genericity(p: StlsProblem):
     ``gap = sigma_hat_n - sigma_np1`` must be positive for the problem to
     have a unique solution; a non-positive gap is reported, not thrown.
     """
-    sigma_np1 = float(numerics.singular_values(p.augmented())[-1])
-    _, sigma_hat_n, gap = _uniqueness_gap(p, sigma_np1, strict=False)
-    return sigma_hat_n, sigma_np1, gap
+    core = _compress(p)
+    sigma_hat_n = float(numerics.singular_values(core.A)[-1])
+    sigma_np1 = float(numerics.singular_values(core.augmented())[-1])
+    return sigma_hat_n, sigma_np1, sigma_hat_n - sigma_np1
 
 
 def solve_stls(p: StlsProblem) -> StlsSolution:
-    """Solve via the shifted normal equations.
+    """Solve on the compressed problem of ``_compress``.
 
-    Computes sigma_np1 from the augmented matrix, forms
-    ``M = A'A - sigma_np1**2 * I`` and solves ``M x = A'b`` by Cholesky.
+    One SVD ``U diag(s_hat) V'`` of the core's A gives
+    ``M = A'A - sigma_np1**2 I = V diag((s_hat - sigma)(s_hat + sigma)) V'``,
+    whose smallest eigenvalue is positive exactly when the gap is.
 
     Raises
     ------
     NongenericProblemError
         If sigma_hat_n - sigma_np1 <= 1e-12 * sigma_hat_1.
-    NotPositiveDefiniteError
-        Propagated from the factorization; equivalent to the above up to
-        roundoff, kept separate as a diagnostic.
+    DegenerateSingularVectorError
+        If the decisive singular vector has a (numerically) zero last
+        component.
     """
-    sigma_np1 = float(numerics.singular_values(p.augmented())[-1])
-    sigma_hat_1, sigma_hat_n, gap = _uniqueness_gap(p, sigma_np1)
-    A = p.A
-    M = A.T @ A - (sigma_np1 ** 2) * np.eye(p.n)
-    fact = numerics.SpdFactorization.from_matrix(M)
-    x = fact.solve(A.T @ p.b)
-    r = A @ x - p.b
-    ill_posed = sigma_hat_1 > 0.0 and gap / sigma_hat_1 < ILL_POSED_GAP
+    core = _compress(p)
+    _, s_hat, Vt = numerics.svd(core.A)
+    x, sigma_np1, gap = _singular_vector_solution(core, s_hat)
     return StlsSolution(
         x=x,
-        r=r,
+        r=p.A @ x - p.b,
         sigma_np1=sigma_np1,
-        sigma_hat_n=sigma_hat_n,
-        M=fact,
+        sigma_hat_n=float(s_hat[-1]),
+        M=numerics.SpdFactorization(Vt.T, (s_hat - sigma_np1) * (s_hat + sigma_np1)),
         genericity_gap=gap,
-        ill_posed=ill_posed,
+        core=core,
+        ill_posed=gap < ILL_POSED_GAP * float(s_hat[0]),
     )
 
 
 def solve_stls_svd(p: StlsProblem) -> np.ndarray:
-    """Solve via the trailing right singular vector of [A, lam*b].
-
-    The unscaled problem on [A, lam*b] has solution -v[:n] / v[n] with v the
-    right singular vector for the smallest singular value; dividing by the
-    scale gives the solution of the scaled problem.
-
-    Raises
-    ------
-    NongenericProblemError
-        As in :func:`solve_stls`.
-    DegenerateSingularVectorError
-        If the last component of v is (numerically) zero.
-    """
-    _, s, Vt = numerics.svd(p.augmented())
-    _uniqueness_gap(p, float(s[-1]))
-    v = Vt[-1]
-    if abs(v[p.n]) < 1e-14:
-        raise DegenerateSingularVectorError(
-            f"trailing component of the right singular vector is {v[p.n]:.3e}"
-        )
-    return -v[: p.n] / (p.lam * v[p.n])
+    """:func:`solve_stls`'s x from the uncompressed [A, lam*b], its oracle."""
+    return _singular_vector_solution(p, numerics.singular_values(p.A))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +197,8 @@ def problem_to_dict(p: StlsProblem, provenance: dict | None = None) -> dict:
         "m": p.m,
         "n": p.n,
         "lambda": p.lam,
-        "A": [[float(v) for v in row] for row in p.A],
-        "b": [float(v) for v in p.b],
+        "A": p.A.tolist(),
+        "b": p.b.tolist(),
     }
     if provenance is not None:
         doc["provenance"] = provenance
@@ -234,9 +225,11 @@ def problem_from_dict(doc: dict) -> StlsProblem:
 
 
 def save_problem(p: StlsProblem, path, provenance: dict | None = None) -> None:
+    # one json.dumps runs the C encoder; json.dump would stream through the
+    # pure-Python one
+    text = json.dumps(problem_to_dict(p, provenance), sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(p, provenance), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_problem(path) -> StlsProblem:

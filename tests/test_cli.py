@@ -165,6 +165,20 @@ def test_cond_nongeneric_exit_code(tmp_path):
     assert "nongeneric" in r.stderr.lower()
 
 
+def test_degenerate_singular_vector_exit_code(tmp_path):
+    # the gap clears its tolerance, but the trailing right singular vector
+    # of [A, b] has a last component of 5e-15: no meaningful x exists
+    path = tmp_path / "degenerate.json"
+    A = np.array([[1.0, 0.0], [0.0, 5e-6], [0.0, 0.0]])
+    save_problem(StlsProblem(A, np.array([0.0, 1e3, 1e6]), 1.0), path)
+    for cmd in ("solve", "cond"):
+        r = run_cli(cmd, "--in", str(path))
+        assert r.returncode == 4
+        assert r.stdout == ""
+        assert r.stderr.startswith("stlscond: nongeneric problem:")
+        assert r.stderr.count("\n") == 1
+
+
 def test_cond_zero_residual_exit_code(tmp_path):
     rng = np.random.default_rng(3)
     A = rng.standard_normal((8, 4))

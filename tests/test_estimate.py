@@ -1,6 +1,8 @@
 """Estimator tests: operator products against the dense oracle, power
 iteration, the probabilistic bracket, and small-sample probing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -18,6 +20,7 @@ from stlscond import (
     apply_KT,
     build_K_dense,
     generate,
+    kappa_f1,
     kappa_f2,
     kappa_kron,
     pce,
@@ -111,7 +114,7 @@ def test_factor_route_matches_packed_boundary(n, extra, lam, e_p, k, seed):
         P = apply_KT(sol, p.A, y)
     except StlsError:
         assume(False)
-    op = _f2_operator(sol, p.A, sol.M.solve)
+    op = _f2_operator(sol, sol.M.solve)
     q = op.rmatvec(y)
     assert np.linalg.norm(q) == pytest.approx(np.linalg.norm(P), rel=1e-12)
     expected = apply_K(sol, p.A, P)
@@ -321,3 +324,25 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SceConfig(seed=True)
     assert PowerConfig(tol=1, max_iter=np.int64(5)).max_iter == 5
+
+
+def test_post_solve_work_allocates_no_m_sized_array(gen_problem):
+    # after the solve, the exact forms and the estimators read only the
+    # (n+1) x n compressed problem, so none of them may allocate anything
+    # near the size of the m x n data
+    p, sol = gen_problem(4000, 40, 1.0, 0.1, 3)
+    calls = {
+        "f1": lambda: kappa_f1(sol, p.A),
+        "f2": lambda: kappa_f2(sol, p.A),
+        "power": lambda: power_method(sol, p.A, PowerConfig(tol=1e-300, max_iter=20)),
+        "pce": lambda: pce(sol, p.A, PceConfig()),
+        "sce": lambda: sce(sol, p.A, SceConfig()),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.A.nbytes / 4, (name, peak / p.A.nbytes)

@@ -86,9 +86,10 @@ def test_f1_cross_terms_vanish_when_residual_orthogonal(diagonal_problem, diagon
 
 def test_f2_factor_shape(gen_problem):
     p, sol = gen_problem(5, 3, 1.0, 0.3, 1)
-    op = exact._f2_operator(sol, p.A, sol.M.solve)
-    assert op.shape == (3, 13)
-    assert op.rmatmat(np.eye(3)).shape == (13, 3)
+    # W lives on the 4 x 3 compressed problem: n x (3n+2)
+    op = exact._f2_operator(sol, sol.M.solve)
+    assert op.shape == (3, 11)
+    assert op.rmatmat(np.eye(3)).shape == (11, 3)
 
 
 def test_forms_agree_on_generated_problems(gen_problem):
@@ -129,13 +130,12 @@ def test_three_forms_agree_property(n, extra, lam, e_p, seed):
 
 
 def test_kron_over_budget_refused(gen_problem, tmp_path, monkeypatch, capsys):
-    # K of a 20x13 problem takes 8*13*20*14 = 29120 bytes
+    # K of a 20x13 problem takes 8*13*20*14 = 29120 bytes; kappa_kron builds
+    # the K of its 14x13 compressed problem, 8*13*14*14 = 20384 bytes
     p, sol = gen_problem(20, 13, 1.0, 0.1, 5)
     path = tmp_path / "p.json"
     save_problem(p, path)
-    monkeypatch.setattr(exact, "KRON_BUDGET_BYTES", 29119)
-    with pytest.raises(MemoryBudgetError):
-        build_K_dense(sol, p.A)
+    monkeypatch.setattr(exact, "KRON_BUDGET_BYTES", 20383)
     with pytest.raises(MemoryBudgetError):
         kappa_kron(sol, p.A)
     assert np.isnan(bench._measure("kron", (p, sol), {})[0])
@@ -143,6 +143,11 @@ def test_kron_over_budget_refused(gen_problem, tmp_path, monkeypatch, capsys):
         assert cli.main(["cond", "--in", str(path), "--method", method]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "budget" in err
+    monkeypatch.setattr(exact, "KRON_BUDGET_BYTES", 20384)
+    assert np.isfinite(kappa_kron(sol, p.A).absolute)
+    monkeypatch.setattr(exact, "KRON_BUDGET_BYTES", 29119)
+    with pytest.raises(MemoryBudgetError):
+        build_K_dense(sol, p.A)
     monkeypatch.setattr(exact, "KRON_BUDGET_BYTES", 29120)
     assert build_K_dense(sol, p.A).shape == (13, 280)
 
@@ -200,6 +205,7 @@ def test_relative_arithmetic_identity():
         sigma_hat_n=3.0,
         M=SpdFactorization.from_matrix(np.eye(1)),
         genericity_gap=3.0,
+        core=p,
     )
     assert relative_from_absolute(p, sol, 2.0) == pytest.approx(1.0, abs=1e-15)
 

@@ -2,21 +2,37 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stlscond import (
     DegenerateSingularVectorError,
     GeneratorSpec,
     NongenericProblemError,
     ProblemFormatError,
+    StlsError,
     StlsProblem,
     check_genericity,
     generate,
+    kappa_f2,
     load_problem,
     problem_from_dict,
+    relative_from_absolute,
     save_problem,
     solve_stls,
     solve_stls_svd,
 )
+
+
+def exact_solution(gp):
+    """The solution the generator built in: the trailing right singular
+    vector of [A, lam*b] = Y [D; 0] Z' is v = Z e_{n+1} = e_{n+1} - 2 z z_{n+1}
+    with z the right reflector, so x = -v[:n] / (lam v[n]) exactly."""
+    z = gp.right_reflector
+    n = len(z) - 1
+    v = -2.0 * z[n] * z
+    v[n] += 1.0
+    return -v[:n] / (gp.problem.lam * v[n])
 
 
 def test_validation_rejects_bad_inputs():
@@ -96,6 +112,45 @@ def test_route_equivalence_on_generated_problems():
         sol = solve_stls(gp.problem)
         x_svd = solve_stls_svd(gp.problem)
         assert np.linalg.norm(sol.x - x_svd) <= tol * (1.0 + np.linalg.norm(sol.x))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_solution_accuracy_against_generator_truth(seed):
+    # near non-uniqueness (e_p = 1e-6) x must come from the singular vector
+    # of the compressed data, not from the normal equations M x = A'b
+    gp = generate(GeneratorSpec(m=300, n=100, lam=1.0, e_p=1e-6, seed=seed))
+    x_true = exact_solution(gp)
+    x = solve_stls(gp.problem).x
+    assert np.linalg.norm(x - x_true) <= 5e-8 * np.linalg.norm(x_true)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra=st.integers(1, 6),
+    lam=st.floats(0.05, 20.0),
+    e_p=st.floats(1e-3, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_orthogonal_invariance_property(n, extra, lam, e_p, seed):
+    # x and the condition number depend on [A, b] only through A'A, A'b and
+    # ||b||, so an orthogonal Q applied to the data changes neither.  The
+    # rounding of Q @ A is a data perturbation of a few ulps, which moves x
+    # by up to ~10 kappa_rel u and kappa by up to ~1e3 kappa_rel u (largest
+    # ratios over 12000 draws from these ranges, equal before compression);
+    # the bounds allow ten times that on top of 1e-8.
+    p = generate(GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed)).problem
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((p.m, p.m)))[0]
+    rotated = StlsProblem(Q @ p.A, Q @ p.b, lam)
+    try:
+        sol = solve_stls(p)
+        k_f2 = kappa_f2(sol, p.A).absolute
+        ku = relative_from_absolute(p, sol, k_f2) * np.finfo(float).eps
+    except StlsError:
+        assume(False)
+    sol_q = solve_stls(rotated)
+    assert np.linalg.norm(sol_q.x - sol.x) <= (1e-8 + 100 * ku) * np.linalg.norm(sol.x)
+    assert kappa_f2(sol_q, rotated.A).absolute == pytest.approx(k_f2, rel=1e-8 + 1e4 * ku)
 
 
 def test_scale_coherence():
