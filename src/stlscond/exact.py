@@ -18,6 +18,9 @@ n x m(n+1) K of the original data.  W is written once, as the matrix-free
 operator ``_f2_operator`` the estimators use.  A K over
 ``KRON_BUDGET_BYTES`` is refused.
 
+Everything here runs on numpy alone: the module loads no scipy, so
+``stlscond cond --method f2`` (or f1, kron) starts without its import cost.
+
 Their mutual agreement is the main correctness oracle of this package.
 Specializations for the unscaled problem (an alternative Gram-based form)
 and for the ordinary least squares limit are included as cross-checks.
@@ -27,9 +30,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse.linalg
 
 from . import numerics
 from .errors import (
@@ -46,8 +49,9 @@ from .problem import StlsProblem, StlsSolution
 R_TOL_FACTOR = 1e-14
 
 # Largest dense K, in bytes, that ``build_K_dense`` and ``kappa_kron``
-# materialize.  Building K allocates no second array of its size; the SVD
-# that ``kappa_kron`` takes of it copies it once.
+# materialize.  Building K allocates no second array of its size, but the
+# SVD that ``kappa_kron`` takes of it copies it, so its peak is about twice
+# K: the budget bounds K, not the peak.
 KRON_BUDGET_BYTES = 1 << 30
 
 
@@ -160,7 +164,8 @@ def kappa_f1(sol: StlsSolution, A) -> ConditionReport:
 
 def _f2_operator(sol: StlsSolution, msolve):
     """The rectangular factor W of K K' (W W' = K K') on the compressed
-    problem, as a matrix-free n x (3n+2) operator,
+    problem, as a matrix-free n x (3n+2) operator with ``shape``,
+    ``matvec``, ``rmatvec`` and ``rmatmat``,
 
         W = M^-1 [A', ||x|| (A' - A'r r'/||r||^2), ||r|| I - A'r x'/||r||]
 
@@ -193,8 +198,8 @@ def _f2_operator(sol: StlsSolution, msolve):
         out[2 * m :] = rn * (Z - np.multiply.outer(x, (Ar @ Z) / rn2))
         return out
 
-    return scipy.sparse.linalg.LinearOperator(
-        (n, 2 * m + n), matvec=matvec, rmatvec=rmatmat, rmatmat=rmatmat, dtype=float)
+    return SimpleNamespace(
+        shape=(n, 2 * m + n), matvec=matvec, rmatvec=rmatmat, rmatmat=rmatmat)
 
 
 def kappa_f2(sol: StlsSolution, A) -> ConditionReport:
@@ -210,12 +215,14 @@ def kappa_f2(sol: StlsSolution, A) -> ConditionReport:
 def relative_from_absolute(p: StlsProblem, sol: StlsSolution, absolute: float) -> float:
     """Rescale an absolute condition value by data and solution norms.
 
-    relative = absolute * ||[A, lam*b]||_F / ||x||.
+    relative = absolute * ||[A, lam*b]||_F / ||x||, with the Frobenius norm
+    taken as hypot(||A||_F, lam*||b||) rather than of a copy of [A, lam*b].
     """
     xn = float(np.linalg.norm(sol.x))
     if xn <= 1e-300:
         raise ZeroSolutionError("solution is zero; relative condition undefined")
-    return float(absolute) * float(np.linalg.norm(p.augmented(), "fro")) / xn
+    data_norm = np.hypot(np.linalg.norm(p.A), p.lam * np.linalg.norm(p.b))
+    return float(absolute) * float(data_norm) / xn
 
 
 def kappa_tls_bg(p: StlsProblem, sol: StlsSolution, squared: bool = True) -> ConditionReport:

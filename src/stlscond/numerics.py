@@ -2,10 +2,12 @@
 
 All operations are pure functions of their inputs; nothing is modified in
 place.  Decompositions use ``numpy.linalg``; scipy's LAPACK, a second BLAS
-with its own thread pool, serves only the gesvd fallback of ``svd``.  The
-one layout convention that matters elsewhere is column-major
-``vec``: stacking a matrix column by column.  Helpers here never reshape,
-but the condition-operator code relies on that ordering throughout.
+with its own thread pool, serves only the gesvd fallback of ``svd``.
+``scipy.linalg`` (about 0.3 s to import) is imported inside that fallback,
+so no other path pays for it.  The one layout convention that matters
+elsewhere is column-major ``vec``: stacking a matrix column by column.
+Helpers here never reshape, but the condition-operator code relies on that
+ordering throughout.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, NonFiniteError, NotPositiveDefiniteError
 
@@ -49,6 +50,8 @@ def svd(X):
     except np.linalg.LinAlgError:
         pass
     # gesdd occasionally fails to converge; gesvd is slower but sturdier
+    import scipy.linalg
+
     try:
         return scipy.linalg.svd(X, full_matrices=False, lapack_driver="gesvd")
     except Exception as exc:

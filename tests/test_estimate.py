@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stlscond import (
+    ConvergenceError,
     GeneratorSpec,
     PceConfig,
     PowerConfig,
@@ -26,9 +27,11 @@ from stlscond import (
     pce,
     power_method,
     probabilistic_spectral_norm,
+    relative_from_absolute,
     sce,
     solve_stls,
 )
+from stlscond import estimate
 from stlscond.estimate import wallis_factor
 from stlscond.exact import _f2_operator
 
@@ -216,6 +219,26 @@ def test_bracket_oracle_coverage():
     assert upper_ok >= trials - 2
 
 
+@pytest.mark.parametrize("mu, log_target, root", [
+    # t - 1 = e^L: a root just right of the pole, one near it, one far out
+    ([1.0], -30.0, 1.0 + np.exp(-30.0)),
+    ([1.0], 0.0, 2.0),
+    ([1.0], 40.0, 1.0 + np.exp(40.0)),
+    # (t - 1)(t - 4) = 10 and t (t - 1)(t - 3) = 12
+    ([1.0, 4.0], np.log(10.0), 6.0),
+    ([0.0, 1.0, 3.0], np.log(12.0), 4.0),
+])
+def test_certified_upper_solves_characteristic_equation(mu, log_target, root):
+    t = estimate._certified_upper(np.array(mu), log_target) ** 2
+    assert t == pytest.approx(root, rel=1e-14, abs=0.0)
+
+
+def test_certified_upper_iteration_cap(monkeypatch):
+    monkeypatch.setattr(estimate, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError):
+        estimate._certified_upper(np.array([1.0, 4.0]), np.log(10.0))
+
+
 def test_pce_diagonal_brackets_exact(diagonal_problem, diagonal_solution):
     rep = pce(diagonal_solution, diagonal_problem.A, PceConfig(eps=0.001, theta=0.01))
     alpha = rep.diagnostics["alpha"]
@@ -337,6 +360,7 @@ def test_post_solve_work_allocates_no_m_sized_array(gen_problem):
         "power": lambda: power_method(sol, p.A, PowerConfig(tol=1e-300, max_iter=20)),
         "pce": lambda: pce(sol, p.A, PceConfig()),
         "sce": lambda: sce(sol, p.A, SceConfig()),
+        "relative": lambda: relative_from_absolute(p, sol, 1.0),
     }
     for name, call in calls.items():
         tracemalloc.start()

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stlscond import (
+    ConvergenceError,
     NonFiniteError,
     NotPositiveDefiniteError,
     SpdFactorization,
+    numerics,
     spectral_norm_dense,
     svd,
     unit_sphere_sample,
@@ -88,6 +91,28 @@ def test_svd_reconstruction_and_ordering():
         U, s, Vt = svd(X)
         assert spectral_norm_dense(U @ np.diag(s) @ Vt - X) <= 1e-12 * s[0]
         assert np.all(np.diff(s) <= 0)
+
+
+def _not_converged(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def test_svd_falls_back_to_gesvd(monkeypatch):
+    # numpy's gesdd failing hands the matrix to scipy's gesvd
+    X = np.random.default_rng(8).standard_normal((7, 4))
+    monkeypatch.setattr(numerics.np.linalg, "svd", _not_converged)
+    U, s, Vt = svd(X)
+    assert U.shape == (7, 4) and s.shape == (4,) and Vt.shape == (4, 4)
+    assert np.linalg.norm(U @ np.diag(s) @ Vt - X) <= 1e-12 * s[0]
+    assert np.all(np.diff(s) <= 0)
+    assert np.array_equal(numerics.singular_values(X), s)
+
+
+def test_svd_fallback_failure_is_convergence_error(monkeypatch):
+    monkeypatch.setattr(numerics.np.linalg, "svd", _not_converged)
+    monkeypatch.setattr(scipy.linalg, "svd", _not_converged)
+    with pytest.raises(ConvergenceError):
+        svd(np.eye(3))
 
 
 def test_svd_rejects_nonfinite():
