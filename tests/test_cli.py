@@ -54,23 +54,18 @@ from stlscond import cli
 code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
-NO_SCIPY = ("scipy",)
-PCE_ONLY = ("scipy.optimize", "scipy.sparse", "scipy.linalg")
 
 
-@pytest.mark.parametrize("args, banned", [
-    pytest.param((), NO_SCIPY, id="import"),
-    pytest.param(("gen", "--m", "6", "--n", "4", "--lambda", "1", "--ep", "0.1"),
-                 NO_SCIPY, id="gen"),
-    pytest.param(("solve", "--in", "{in}"), NO_SCIPY, id="solve"),
-    *[pytest.param(("cond", "--in", "{in}", "--method", m), NO_SCIPY, id=f"cond-{m}")
-      for m in ("f2", "f1", "kron", "power", "sce")],
-    *[pytest.param(("cond", "--in", "{in}", "--method", m), PCE_ONLY, id=f"cond-{m}")
-      for m in ("pce", "all")],
+@pytest.mark.parametrize("args", [
+    pytest.param((), id="import"),
+    pytest.param(("gen", "--m", "6", "--n", "4", "--lambda", "1", "--ep", "0.1"), id="gen"),
+    pytest.param(("solve", "--in", "{in}"), id="solve"),
+    *[pytest.param(("cond", "--in", "{in}", "--method", m), id=f"cond-{m}")
+      for m in ("f2", "f1", "kron", "power", "sce", "pce", "all")],
 ])
-def test_commands_import_only_the_scipy_they_use(problem_file, tmp_path, args, banned):
+def test_commands_load_no_scipy(problem_file, tmp_path, args):
     # scipy's import costs more than a small problem's whole command, so
-    # it is loaded where a method calls it, never at module level
+    # it is loaded only where a fallback or pce(solver="cg") calls it
     argv = [a.replace("{in}", str(problem_file)) for a in args]
     if argv:
         argv += ["--out", str(tmp_path / "out")]
@@ -81,7 +76,7 @@ def test_commands_import_only_the_scipy_they_use(problem_file, tmp_path, args, b
     assert r.returncode == 0, r.stderr
     code, loaded = json.loads(r.stdout)
     assert code == 0, r.stderr
-    assert not [m for m in loaded for b in banned if m == b or m.startswith(b + ".")], loaded
+    assert loaded == [], loaded
 
 
 def test_gen_writes_problem_with_provenance(tmp_path):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -237,6 +238,31 @@ def test_certified_upper_iteration_cap(monkeypatch):
     monkeypatch.setattr(estimate, "NEWTON_MAX_ITER", 1)
     with pytest.raises(ConvergenceError):
         estimate._certified_upper(np.array([1.0, 4.0]), np.log(10.0))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 11, 50, 51, 902, 1503, 20001])
+@pytest.mark.parametrize("eps", [1e-15, 1e-3, 0.1, 0.5, 0.99])
+def test_sphere_quantile_matches_beta_quantile(d, eps):
+    # v_1^2 ~ Beta(1/2, (d-1)/2) for v uniform on the unit sphere in R^d
+    ref = np.sqrt(scipy.special.betaincinv(0.5, (d - 1) / 2.0, eps))
+    assert estimate._sphere_quantile(d, eps) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("d, eps, delta", [
+    (1, 0.3, 1.0),                          # v_1 = +-1
+    (2, 0.3, np.sin(0.15 * np.pi)),         # v_1 = cos of a uniform angle
+    (3, 0.3, 0.3),                          # Archimedes: |v_1| is uniform
+    (3, 1e-300, 1e-300),                    # below the range of Beta quantiles in x
+    (5, 1e-300, 1e-300 / 1.5),              # G(y) ~ 3y/2 near 0
+])
+def test_sphere_quantile_closed_forms(d, eps, delta):
+    assert estimate._sphere_quantile(d, eps) == pytest.approx(delta, rel=1e-15, abs=0.0)
+
+
+def test_sphere_quantile_iteration_cap(monkeypatch):
+    monkeypatch.setattr(estimate, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError):
+        estimate._sphere_quantile(902, 0.5)
 
 
 def test_pce_diagonal_brackets_exact(diagonal_problem, diagonal_solution):
