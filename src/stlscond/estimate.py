@@ -3,7 +3,10 @@
 Three estimators, all driven by products with the rectangular factor W
 of K K' (W W' = K K'), the matrix-free n x (3n+2) operator
 ``exact._f2_operator`` on the solver's compressed problem (its transpose
-gives ``kappa_f2``), so none of them reads the m x n data:
+gives ``kappa_f2``), so none of them reads the m x n data.  That operator
+works in the singular bases of the core's A, where each product costs
+O(n); each estimator rotates its start vector or probes into those bases
+once, so its values are those of the unrotated W:
 
 * ``power_method``  -- power iteration on W W' = K K'; the running scalar
   converges to the squared spectral norm, so its square root is the
@@ -17,8 +20,10 @@ gives ``kappa_f2``), so none of them reads the m x n data:
 
 ``apply_KT`` and ``apply_K`` are the public products with K' and K in the
 packed m x (n+1) perturbation form [dA, db] of the original data.  A solve
-with M = V diag(d) V' is two products with V; ``pce(..., solver="cg")``
-uses Jacobi-preconditioned conjugate gradients (relative residual 1e-12).
+with M = V diag(d) V' is two products with V; in the operator's basis it
+is a division by d.  ``pce(..., solver="cg")`` instead hands the operator
+``y -> V' cg(V y)``, Jacobi-preconditioned conjugate gradients on M
+(relative residual 1e-12).
 
 scipy is imported where it is called, never at module level:
 ``scipy.sparse.linalg`` only for ``solver="cg"``.  The three estimators
@@ -182,14 +187,16 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
     equals the norm of K'y because W W' = K K', and converges to the
     squared condition number, so the estimate is sqrt(v).  The work vector
     is renormalized every sweep (with the scale carried into v) to prevent
-    magnitude drift; this leaves the v sequence unchanged.
+    magnitude drift; this leaves the v sequence unchanged.  The operator
+    works in the eigenbasis V of M, so the start vector enters as V'y0,
+    which leaves the v sequence unchanged too.
 
     A run that exhausts ``max_iter`` returns its last estimate flagged
     ``converged: False`` in the diagnostics rather than raising.
     """
     check_operator_inputs(sol, A)
     n = len(sol.x)
-    op = _f2_operator(sol, sol.M.solve)
+    op = _f2_operator(sol)
     if y0 is None:
         rng = np.random.default_rng(cfg.seed)
         y = rng.standard_normal(n)
@@ -200,7 +207,7 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
         raise ValueError("initial vector must be nonzero")
-    y = y / ynorm
+    y = sol.M.V.T @ (y / ynorm)  # into the operator's basis
     scale = 1.0
     v = 0.0
     v_prev = None
@@ -373,7 +380,14 @@ def probabilistic_spectral_norm(op, cfg: PceConfig, rng=None):
         raise ValueError(f"operator must be nonempty, got shape {op.shape}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    v = numerics.unit_sphere_sample(cols, rng)
+    return _lanczos_bracket(op, cfg, numerics.unit_sphere_sample(cols, rng))[:2]
+
+
+def _lanczos_bracket(op, cfg: PceConfig, v):
+    """:func:`probabilistic_spectral_norm` from the unit start vector
+    ``v``; returns ``(alpha, beta, steps)``, steps being the Lanczos depth
+    reached."""
+    cols = op.shape[1]
     alpha = 0.0
     V = [v]
     U = []
@@ -391,7 +405,7 @@ def probabilistic_spectral_norm(op, cfg: PceConfig, rng=None):
                 u -= (q @ u) * q
         a = float(np.linalg.norm(u))
         if a <= 0.0:
-            return alpha, alpha
+            return alpha, alpha, k
         alphas.append(a)
         u = u / a
         U.append(u)
@@ -408,12 +422,12 @@ def probabilistic_spectral_norm(op, cfg: PceConfig, rng=None):
         if b <= 0.0 or k == cols:
             # invariant subspace (almost surely contains the dominant
             # direction) or the full space: the bracket collapses
-            return alpha, alpha
+            return alpha, alpha, k
 
         log_prod += np.log(a) + np.log(b)
         beta_up = max(_certified_upper(mu, log_prod - np.log(delta)), alpha)
         if beta_up <= (1.0 + cfg.theta) * alpha:
-            return alpha, beta_up
+            return alpha, beta_up, k
 
         betas.append(b)
         V.append(w / b)
@@ -425,17 +439,29 @@ def pce(sol: StlsSolution, A, cfg: PceConfig, solver=None) -> ConditionReport:
     """Probabilistic condition estimate: midpoint of the spectral-norm
     bracket of the rectangular factor, which is never materialized.
     ``solver="cg"`` solves with M by conjugate gradients instead of the
-    eigendecomposition of M."""
+    eigendecomposition of M.  The diagnostics give the bracket and the
+    Lanczos depth it took as ``iterations``.
+
+    The operator works in rotated bases (see ``exact._f2_operator``), so
+    the start vector drawn from ``cfg.seed`` enters rotated the same way,
+    and the bracket is the one of the unrotated W."""
     check_operator_inputs(sol, A)
     if solver not in (None, "factor", "cg"):
         raise ValueError(f"unknown solver {solver!r}; expected 'factor' or 'cg'")
-    msolve = _cg_solver(sol) if solver == "cg" else sol.M.solve
+    msolve = None
+    if solver == "cg":
+        cg, V = _cg_solver(sol), sol.M.V
+
+        def msolve(y):
+            return V.T @ cg(V @ y)
+
     op = _f2_operator(sol, msolve)
-    alpha, beta = probabilistic_spectral_norm(op, cfg)
+    v = numerics.unit_sphere_sample(op.shape[1], np.random.default_rng(cfg.seed))
+    alpha, beta, steps = _lanczos_bracket(op, cfg, op.into_columns(v))
     return ConditionReport(
         absolute=0.5 * (alpha + beta),
         method="PCE",
-        diagnostics={"alpha": alpha, "beta": beta},
+        diagnostics={"alpha": alpha, "beta": beta, "iterations": steps},
     )
 
 
@@ -463,7 +489,8 @@ def sce(sol: StlsSolution, A, cfg: SceConfig) -> ConditionReport:
         raise SampleTooLargeError(f"sample size {cfg.k} exceeds dimension {n}")
     rng = np.random.default_rng(cfg.seed)
     Z = np.linalg.qr(rng.uniform(0.0, 1.0, size=(n, cfg.k)))[0]
-    probes = _f2_operator(sol, sol.M.solve).rmatmat(Z)
+    # the operator works in the eigenbasis V of M: the probes enter as V'Z
+    probes = _f2_operator(sol).rmatmat(sol.M.V.T @ Z)
     estimate = (wallis_factor(cfg.k) / wallis_factor(n)) * float(np.linalg.norm(probes))
     return ConditionReport(
         absolute=estimate, method="SCE", diagnostics={"k": cfg.k}

@@ -14,9 +14,14 @@ mathematically equal evaluations are provided:
 All three run on the solver's (n+1) x n compressed problem ``sol.core``
 (K K' depends on the data only through A'A, A'r and ||r||), where W is
 n x (3n+2) and K is n x (n+1)^2; ``build_K_dense`` alone builds the
-n x m(n+1) K of the original data.  W is written once, as the matrix-free
-operator ``_f2_operator`` the estimators use.  A K over
-``KRON_BUDGET_BYTES`` is refused.
+n x m(n+1) K of the original data.  ``kappa_f1`` and ``kappa_f2`` work in
+the singular bases of the core's A that the solver carries (U, V and
+s_hat): there the quadratic form is diagonal plus rank two and every block
+of W is diagonal plus rank one, so each is built in O(n^2) and a product
+with W costs O(n).  W is written once, as the matrix-free operator
+``_f2_operator`` the estimators use.  ``kappa_kron`` builds K in the
+original basis through solves with M, independently of that rotation.
+A K over ``KRON_BUDGET_BYTES`` is refused.
 
 Everything here runs on numpy alone: the module loads no scipy, so
 ``stlscond cond --method f2`` (or f1, kron) starts without its import cost.
@@ -141,74 +146,107 @@ def kappa_kron(sol: StlsSolution, A) -> ConditionReport:
     return ConditionReport(absolute=numerics.spectral_norm_dense(K), method="KRON")
 
 
+def _rotated(sol: StlsSolution):
+    """K K' in the eigenbasis V of M, from the solver's (n+1)-sized
+    quantities alone: h = V'x, the core residual r_c = A_c x - b_c in the
+    basis blockdiag(U, 1) as (rho, -R22), ||r_c||**2 and g = V'A_c'r_c.
+    ``U' r_c[:n] = s_hat h - c = mu c / d`` with mu = sigma_np1**2; the
+    second form has no cancellation when the residual is small."""
+    h = sol.s_hat * sol.c / sol.M.d
+    rho = sol.sigma_np1 ** 2 * sol.c / sol.M.d
+    r_t = np.append(rho, -float(sol.core.b[-1]))
+    return h, r_t, float(r_t @ r_t), sol.s_hat * rho
+
+
 def kappa_f1(sol: StlsSolution, A) -> ConditionReport:
     """Absolute condition number from the n x n quadratic form.
 
     The middle matrix is ``(1+||x||^2) A'A - A'r x' - x r'A + ||r||^2 I``;
     sandwiched between two inverse applications of M it is symmetric, and
-    its largest eigenvalue is the squared condition number.
+    its largest eigenvalue is the squared condition number.  In the
+    eigenbasis V of M it is diagonal plus rank two,
+    ``D^-1 (C - g h' - h g') D^-1`` with ``C = diag((1+||x||^2) s_hat^2 +
+    ||r||^2)``, ``g = V'A'r``, ``h = V'x`` and ``D = diag(d)``, so it is
+    built in O(n^2) with no Gram product and no solve.
     """
     check_operator_inputs(sol, A)
-    A, r = _core(sol)
-    x = sol.x
-    Ar = A.T @ r
-    B = (1.0 + float(x @ x)) * (A.T @ A)
-    B -= np.outer(Ar, x)
-    B -= np.outer(x, Ar)
-    B += float(r @ r) * np.eye(len(x))
-    E = sol.M.solve(sol.M.solve(B).T)
+    h, _, rn2, g = _rotated(sol)
+    d = sol.M.d
+    E = np.outer(g, -h)
+    E += E.T
+    E[np.diag_indices_from(E)] += (1.0 + float(h @ h)) * sol.s_hat ** 2 + rn2
+    E /= np.outer(d, d)
     return ConditionReport(
         absolute=float(np.sqrt(np.linalg.eigvalsh(E)[-1])), method="F1"
     )
 
 
-def _f2_operator(sol: StlsSolution, msolve):
+def _f2_operator(sol: StlsSolution, msolve=None):
     """The rectangular factor W of K K' (W W' = K K') on the compressed
-    problem, as a matrix-free n x (3n+2) operator with ``shape``,
-    ``matvec``, ``rmatvec`` and ``rmatmat``,
+    problem, rotated into the eigenbasis of M, as a matrix-free
+    n x (3n+2) operator with ``shape``, ``matvec``, ``rmatvec`` and
+    ``rmatmat``.  On the core (A = A_c, r = r_c)
 
-        W = M^-1 [A', ||x|| (A' - A'r r'/||r||^2), ||r|| I - A'r x'/||r||]
+        W = M^-1 [A', ||x|| (A' - A'r r'/||r||^2), ||r|| I - A'r x'/||r||];
 
-    with A = A_c and r = r_c, composed from core products, rank-one
-    corrections and solves with M by ``msolve``.  The adjoint takes a vector
-    or a block of columns and hands it to ``msolve`` unchanged."""
-    A, r = _core(sol)
-    m, n = A.shape
-    x = sol.x
-    xn = float(np.linalg.norm(x))
-    rn2 = float(r @ r)
+    the operator is ``V' W blockdiag(U1, U1, V)`` with U1 = blockdiag(U, 1),
+
+        D^-1 [[S, 0], ||x|| ([S, 0] - g r1'/||r||^2), ||r|| I - g h'/||r||],
+
+    S = diag(s_hat), D = diag(d), h = V'x, r1 = U1'r, g = V'A'r: each block
+    is diagonal plus rank one, so a product costs O(n).  Its product with
+    its adjoint is V' K K' V, so a vector y of the original basis enters as
+    V'y; ``into_columns`` takes a vector of W's column space into the
+    operator's, so a Lanczos run from it matches one on W.  ``msolve``
+    solves with V'MV = D (the default divides by d); the adjoint takes a
+    vector or a block of columns and hands it to ``msolve`` unchanged."""
+    s = sol.s_hat
+    n = len(s)
+    h, r_t, rn2, g = _rotated(sol)
+    xn = float(np.linalg.norm(h))
     rn = float(np.sqrt(rn2))
-    Ar = A.T @ r
+    if msolve is None:
+        d = sol.M.d
 
-    def matvec(s):
-        s = np.asarray(s, dtype=float).ravel()
-        s1, s2, s3 = s[:m], s[m : 2 * m], s[2 * m :]
-        t = A.T @ s1
-        t += xn * (A.T @ s2 - Ar * (float(r @ s2) / rn2))
-        t += rn * (s3 - Ar * (float(x @ s3) / rn2))
+        def msolve(y):
+            return (y.T / d).T
+
+    def matvec(v):
+        v = np.asarray(v, dtype=float).ravel()
+        v1, v2, v3 = v[: n + 1], v[n + 1 : 2 * n + 2], v[2 * n + 2 :]
+        t = s * v1[:n]
+        t += xn * (s * v2[:n] - g * (float(r_t @ v2) / rn2))
+        t += rn * v3 - g * (float(h @ v3) / rn)
         return msolve(t)
 
     def rmatmat(q):
         q = np.asarray(q, dtype=float)
         Z = msolve(q)
-        AZ = A @ Z
-        out = np.empty((2 * m + n,) + q.shape[1:])
-        out[:m] = AZ
-        out[m : 2 * m] = xn * (AZ - np.multiply.outer(r, (r @ AZ) / rn2))
-        out[2 * m :] = rn * (Z - np.multiply.outer(x, (Ar @ Z) / rn2))
+        SZ = (Z.T * s).T
+        gZ = g @ Z
+        out = np.zeros((3 * n + 2,) + q.shape[1:])
+        out[:n] = SZ
+        out[n + 1 : 2 * n + 1] = xn * SZ
+        out[n + 1 : 2 * n + 2] -= np.multiply.outer(r_t, (xn / rn2) * gZ)
+        out[2 * n + 2 :] = rn * Z - np.multiply.outer(h, gZ / rn)
         return out
 
-    return SimpleNamespace(
-        shape=(n, 2 * m + n), matvec=matvec, rmatvec=rmatmat, rmatmat=rmatmat)
+    def into_columns(v):
+        UT = sol.U.T
+        return np.concatenate([UT @ v[:n], v[n : n + 1], UT @ v[n + 1 : 2 * n + 1],
+                               v[2 * n + 1 : 2 * n + 2], sol.M.V.T @ v[2 * n + 2 :]])
+
+    return SimpleNamespace(shape=(n, 3 * n + 2), matvec=matvec, rmatvec=rmatmat,
+                           rmatmat=rmatmat, into_columns=into_columns)
 
 
 def kappa_f2(sol: StlsSolution, A) -> ConditionReport:
     """Absolute condition number from the rectangular factor (the route
-    recommended for numerical stability: no squaring anywhere).  W' is
-    materialized as the adjoint of ``_f2_operator`` on the identity: one
-    n x n solve with M and one product with the core's A."""
+    recommended for numerical stability: no squaring anywhere).  The
+    (3n+2) x n W' is materialized as the adjoint of ``_f2_operator`` on the
+    identity, in O(n^2); its largest singular value is that of W."""
     check_operator_inputs(sol, A)
-    WT = _f2_operator(sol, sol.M.solve).rmatmat(np.eye(len(sol.x)))
+    WT = _f2_operator(sol).rmatmat(np.eye(len(sol.x)))
     return ConditionReport(absolute=numerics.spectral_norm_dense(WT), method="F2")
 
 

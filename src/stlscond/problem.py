@@ -3,22 +3,26 @@
 The problem is: given a tall data matrix A, right-hand side b and a positive
 scale on b, find the minimal Frobenius-norm correction of the augmented data
 that makes the scaled system consistent.  ``solve_stls`` makes one thin QR
-of [A, b], the only pass over the m x n data, and reads the solution off the
-trailing right singular vector of the (n+1) x n problem of its triangular
-factor, which has the same solution (orthogonal invariance).
-``solve_stls_svd`` applies the same formula to the uncompressed data and
-serves as its oracle.
+of [A, b], the only pass over the m x n data, which has the same solution
+(orthogonal invariance).  Its triangular factor has the blocks R11 (n x n),
+R12 and the scalar R22; one SVD ``R11 = U diag(s_hat) V'`` and ``c = U'R12``
+reduce the rest to a secular equation in ``sigma_np1**2`` solved on
+(n+1)-vectors, which yields x, the gap and ``M = A'A - sigma_np1**2 I``
+in the eigenbasis V.  ``solve_stls_svd`` reads x off the trailing right
+singular vector of the uncompressed [A, lam*b] and serves as its oracle.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
 from .errors import (
+    ConvergenceError,
     DegenerateSingularVectorError,
     NongenericProblemError,
     ProblemFormatError,
@@ -91,12 +95,21 @@ class StlsSolution:
     sigma_hat_n : float
         Smallest singular value of A.
     M : numerics.SpdFactorization
-        Factorization of A'A - sigma_np1**2 * I.
+        ``A'A - sigma_np1**2 * I = V diag(d) V'`` with V the right singular
+        vectors of A and ``d = (s_hat - sigma_np1)(s_hat + sigma_np1)``.
     genericity_gap : float
         sigma_hat_n - sigma_np1 (> 0 for a valid solution).
     core : StlsProblem
         The (n+1) x n problem Q'[A, b] = [A_c, b_c] with the same solution
         (residual A_c x - b_c = Q'r), read by everything after the solve.
+        A_c is upper triangular, so its last row is zero.
+    U : (n, n) ndarray
+        Left singular vectors of the core's A without that zero row:
+        ``A_c[:n] = U diag(s_hat) V'``.
+    s_hat : (n,) ndarray
+        Singular values of A, non-increasing.
+    c : (n,) ndarray
+        ``U' b_c[:n]``, the core's b above its last entry in the basis U.
     ill_posed : bool
         True when the gap is positive but tiny relative to the largest
         singular value of A; the solution is then numerically fragile.
@@ -109,6 +122,9 @@ class StlsSolution:
     M: numerics.SpdFactorization
     genericity_gap: float
     core: StlsProblem
+    U: np.ndarray
+    s_hat: np.ndarray
+    c: np.ndarray
     ill_posed: bool = False
 
 
@@ -151,32 +167,152 @@ def check_genericity(p: StlsProblem):
     return sigma_hat_n, sigma_np1, sigma_hat_n - sigma_np1
 
 
+# Cap on the iterations of ``_secular_root``.  It took 4 on each of 24
+# 1000x300 Gaussian problems, and at most 20 on 4000 generated problems
+# (n < 40, e_p down to 1e-15, scales 1e-3 to 1e3), where the nearest pole
+# has a tiny weight and the root lies close to it.
+SECULAR_MAX_ITER = 100
+
+
+def _secular_root(s_hat, w, w0, tol):
+    """The smallest eigenvalue mu = sigma_np1**2 of diag(s_hat**2, 0) + z z'
+    with z = (lam c, lam R22), w = (lam c)**2 and w0 = (lam R22)**2: the
+    root in (0, s_hat[-1]**2) of the increasing secular function
+
+        F(mu) = 1 - w0 / mu + sum(w / (s_hat**2 - mu)).
+
+    Returns ``(mu, d, gap)`` with ``d = s_hat**2 - mu`` and
+    ``gap = s_hat[-1] - sqrt(mu)``; raises NongenericProblemError when the
+    gap is not above ``tol``.
+
+    As LAPACK's dlasd4 does, the unknown is tau = mu - o, the distance
+    from the origin o, the pole 0 or s_hat[-1]**2 nearer the root, and the
+    differences s_hat**2 - mu = (s_hat**2 - o) - tau are formed from the
+    exact shifted poles (s_hat - s_n)(s_hat + s_n), so d and the gap keep
+    their relative accuracy however close the root is to either pole.
+    Each step solves a two-pole model of F fitted at the iterate; a step
+    that leaves the bracket kept from the signs of F is replaced by
+    bisection.  The iteration stops where |F| is within its rounding
+    error bound.
+    """
+    n = len(s_hat)
+    sn = float(s_hat[-1])
+    sn2 = sn * sn
+    shifted = (s_hat - sn) * (s_hat + sn)  # the right poles at o = s_n**2
+
+    def secular(left, right, tau):
+        dl, dr = left - tau, right - tau
+        psi, phi = w0 / dl, float(np.sum(w / dr))
+        dF = psi / dl + float(np.sum(w / (dr * dr)))
+        return 1.0 + psi + phi, dF, psi, phi
+
+    # gap > tol exactly when F is positive at mu = (s_n - tol)**2
+    tau_tol = -tol * (2.0 * sn - tol)
+    if not (sn > tol and secular(-sn2, shifted, tau_tol)[0] > 0.0):
+        raise NongenericProblemError(f"uniqueness gap is at most the tolerance {tol:.3e}")
+    if w0 == 0.0:
+        # b_c lies in the range of A_c: the zero-weight pole 0 is the root
+        return 0.0, s_hat * s_hat, sn
+    if secular(-sn2, shifted, -0.5 * sn2)[0] >= 0.0:
+        left, right, lo, hi = 0.0, s_hat * s_hat, 0.0, 0.5 * sn2
+        tau = hi
+    else:
+        left, right, lo, hi = -sn2, shifted, -0.5 * sn2, tau_tol
+        tau = lo
+    p_l, p_r = left, float(right[-1])  # one of them is the origin, 0
+    w_near = float(np.sum(w[right == p_r]))
+    eps = np.finfo(float).eps
+    fixed_near, F_prev = False, 0.0
+    for _ in range(SECULAR_MAX_ITER):
+        F, dF, psi, phi = secular(left, right, tau)
+        if F < 0.0:
+            lo = tau
+        elif F > 0.0:
+            hi = tau
+        if abs(F) <= eps * ((n + 4) * (1.0 + phi - psi) + abs(tau) * dF):
+            break
+        # the fitted equation C + s/(p_l - t) + S/(p_r - t) = 0 matches F
+        # and F' at tau.  Either the left weight is exact (w0 = s, the
+        # right slope fitted into S) or, after a step that shrank |F| by
+        # less than 10x without crossing the root, the weight of the
+        # nearest right pole is (its near-zero weight makes the first form
+        # creep towards it), as dlaed4 switches.  With p_l p_r = 0 the
+        # equation is C t**2 - B t + K = 0, whose two roots are formed
+        # without cancellation, so a root next to the origin keeps its
+        # relative accuracy however far the iterate is from it.
+        if F * F_prev > 0.0 and abs(F) > 0.1 * abs(F_prev):
+            fixed_near = not fixed_near
+        F_prev = F
+        d1, d2 = p_l - tau, p_r - tau
+        if fixed_near:
+            S = w_near
+            s = (dF - S / (d2 * d2)) * d1 * d1
+        else:
+            s = w0
+            S = (dF - s / (d1 * d1)) * d2 * d2
+        C = F - s / d1 - S / d2
+        B = C * (p_l + p_r) + s + S
+        K = s * p_r + S * p_l
+        q = 0.5 * (B + math.copysign(math.sqrt(max(B * B - 4.0 * C * K, 0.0)), B))
+        new = 0.5 * (lo + hi)
+        for t in ((K / q) if q != 0.0 else None, (q / C) if C != 0.0 else None):
+            if t is not None and lo < t < hi:
+                new = t
+                break
+        if new == tau:
+            break
+        tau = new
+    else:
+        raise ConvergenceError(f"secular equation for sigma_np1 did not converge "
+                               f"in {SECULAR_MAX_ITER} steps")
+    if left == 0.0:
+        mu = tau
+        return mu, s_hat * s_hat - tau, sn - math.sqrt(mu)
+    mu = sn2 + tau
+    return mu, shifted - tau, -tau / (sn + math.sqrt(mu))
+
+
 def solve_stls(p: StlsProblem) -> StlsSolution:
     """Solve on the compressed problem of ``_compress``.
 
-    One SVD ``U diag(s_hat) V'`` of the core's A gives
-    ``M = A'A - sigma_np1**2 I = V diag((s_hat - sigma)(s_hat + sigma)) V'``,
-    whose smallest eigenvalue is positive exactly when the gap is.
+    With ``R11 = U diag(s_hat) V'`` (one SVD) and ``c = U'R12``, the
+    squared smallest singular value of [A, lam*b] is the root of the
+    secular equation of ``_secular_root``.  It gives
+    ``M = A'A - sigma_np1**2 I = V diag(d) V'`` and the solution of
+    ``M x = A'b`` in that eigenbasis, ``x = V (s_hat c / d)``.
 
     Raises
     ------
     NongenericProblemError
         If sigma_hat_n - sigma_np1 <= 1e-12 * sigma_hat_1.
     DegenerateSingularVectorError
-        If the decisive singular vector has a (numerically) zero last
-        component.
+        If the trailing component 1/sqrt(1 + lam**2 ||x||**2) of the
+        decisive singular vector is below 1e-14.
     """
     core = _compress(p)
-    _, s_hat, Vt = numerics.svd(core.A)
-    x, sigma_np1, gap = _singular_vector_solution(core, s_hat)
+    n = p.n
+    U, s_hat, Vt = numerics.svd(core.A[:n])
+    tol = 1e-12 * float(s_hat[0])
+    c = U.T @ core.b[:n]
+    lam_c = p.lam * c
+    mu, d, gap = _secular_root(s_hat, lam_c * lam_c, (p.lam * float(core.b[n])) ** 2, tol)
+    x = Vt.T @ (s_hat * c / d)
+    trailing = 1.0 / math.hypot(1.0, p.lam * float(np.linalg.norm(x)))
+    if trailing < 1e-14:
+        raise DegenerateSingularVectorError(
+            f"trailing component of the right singular vector is {trailing:.3e}"
+        )
     return StlsSolution(
         x=x,
         r=p.A @ x - p.b,
-        sigma_np1=sigma_np1,
+        sigma_np1=math.sqrt(mu),
         sigma_hat_n=float(s_hat[-1]),
-        M=numerics.SpdFactorization(Vt.T, (s_hat - sigma_np1) * (s_hat + sigma_np1)),
+        M=numerics.SpdFactorization(Vt.T, d),
         genericity_gap=gap,
         core=core,
+        U=U,
+        s_hat=s_hat,
+        c=c,
         ill_posed=gap < ILL_POSED_GAP * float(s_hat[0]),
     )
 

@@ -8,6 +8,7 @@ import pytest
 
 from stlscond import (
     bench,
+    pce,
     run_power_spread,
     run_ratio_bench,
     run_timing_bench,
@@ -58,6 +59,21 @@ def test_timing_bench_value_reproducibility():
     for a, b in zip(first, second):
         assert (a.method, a.trial_index, a.seed) == (b.method, b.trial_index, b.seed)
         assert a.value == b.value  # wall time is exempt, values are not
+
+
+def test_pce_records_carry_lanczos_depth():
+    # the iterations column holds pce's Lanczos depth, as the library
+    # reports it for the same trial
+    records, _ = run_timing_bench(
+        [(14, 9)], [5.0], [0.1], trials=2, methods=["pce"], seed=11, threads=1
+    )
+    buf = io.StringIO()
+    write_bench_csv(records, buf)
+    buf.seek(0)
+    for trial, rec in enumerate(read_bench_csv(buf)):
+        _, configs, (problem, sol) = bench._trial(11, (0, trial), (14, 9, 5.0, 0.1))
+        expected = pce(sol, problem.A, configs["pce"]).diagnostics["iterations"]
+        assert rec.iterations == expected >= 1
 
 
 def test_timing_bench_rejects_unknown_method():

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from stlscond import StlsProblem, save_problem
+from stlscond import StlsProblem, load_problem, save_problem, solve_stls
 from stlscond.bench import (
     BENCH_COLUMNS,
     RATIO_COLUMNS,
@@ -113,6 +113,8 @@ def test_solve_reports_solution(problem_file):
     assert len(doc["x"]) == 13
     assert doc["genericity_gap"] > 0.0
     assert doc["sigma_hat_n"] > doc["sigma_np1"]
+    r_norm = np.linalg.norm(solve_stls(load_problem(problem_file)).r)
+    assert doc["residual_norm"] == pytest.approx(r_norm, rel=1e-14)
 
 
 def test_solve_csv_format(problem_file):

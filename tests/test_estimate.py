@@ -2,6 +2,7 @@
 iteration, the probabilistic bracket, and small-sample probing."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,11 +119,14 @@ def test_factor_route_matches_packed_boundary(n, extra, lam, e_p, k, seed):
         P = apply_KT(sol, p.A, y)
     except StlsError:
         assume(False)
-    op = _f2_operator(sol, sol.M.solve)
-    q = op.rmatvec(y)
+    # W works in the eigenbasis V of M: its product with its adjoint is
+    # V' K K' V, so y enters as V'y and W W'V'y leaves as V'K K'y
+    op = _f2_operator(sol)
+    V = sol.M.V
+    q = op.rmatvec(V.T @ y)
     assert np.linalg.norm(q) == pytest.approx(np.linalg.norm(P), rel=1e-12)
     expected = apply_K(sol, p.A, P)
-    assert np.linalg.norm(op.matvec(q) - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.linalg.norm(V @ op.matvec(q) - expected) <= 1e-12 * np.linalg.norm(expected)
     by_column = np.column_stack([op.rmatvec(Y[:, j]) for j in range(k)])
     assert np.linalg.norm(op.rmatmat(Y) - by_column) <= 1e-12 * np.linalg.norm(by_column)
 
@@ -286,6 +290,26 @@ def test_pce_accuracy_on_large_problem(gen_problem):
     rep = pce(sol, p.A, PceConfig(seed=2))
     assert abs(rep.absolute - exact) <= (0.01 / 2.0 + 1e-6) * exact
     assert rep.diagnostics["alpha"] <= exact * (1.0 + 1e-10)
+
+
+def test_pce_reports_lanczos_depth(gen_problem, monkeypatch):
+    # iterations is the number of bidiagonalization steps: one product
+    # with the operator each
+    p, sol = gen_problem(60, 40, 5.0, 0.1, 6)
+    calls = []
+
+    def counted(sol, msolve=None):
+        op = _f2_operator(sol, msolve)
+
+        def matvec(v):
+            calls.append(1)
+            return op.matvec(v)
+
+        return SimpleNamespace(**{**vars(op), "matvec": matvec})
+
+    monkeypatch.setattr(estimate, "_f2_operator", counted)
+    rep = pce(sol, p.A, PceConfig(seed=2))
+    assert rep.diagnostics["iterations"] == len(calls) >= 1
 
 
 def test_pce_cg_solver_agrees(gen_problem):

@@ -87,7 +87,7 @@ def test_f1_cross_terms_vanish_when_residual_orthogonal(diagonal_problem, diagon
 def test_f2_factor_shape(gen_problem):
     p, sol = gen_problem(5, 3, 1.0, 0.3, 1)
     # W lives on the 4 x 3 compressed problem: n x (3n+2)
-    op = exact._f2_operator(sol, sol.M.solve)
+    op = exact._f2_operator(sol)
     assert op.shape == (3, 11)
     assert op.rmatmat(np.eye(3)).shape == (11, 3)
 
@@ -129,6 +129,38 @@ def test_three_forms_agree_property(n, extra, lam, e_p, seed):
     assert kappa_f2(sol, p.A).absolute == pytest.approx(k_kron, rel=1e-8)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra=st.integers(1, 6),
+    lam=st.floats(0.05, 20.0),
+    e_p=st.floats(1e-3, 0.9),
+    c=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scaling_property(n, extra, lam, e_p, c, seed):
+    # (A, b) -> c (A, b) keeps x, scales sigma_np1 by c and the absolute
+    # condition number by 1/c, and keeps the relative one.  Rounding c A is
+    # a data perturbation of an ulp, bounded as in the orthogonal
+    # invariance property of test_problem.py.
+    p = generate(GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed)).problem
+    scaled = StlsProblem(c * p.A, c * p.b, lam)
+    try:
+        sol = solve_stls(p)
+        kappas = [f(sol, p.A).absolute for f in (kappa_kron, kappa_f1, kappa_f2)]
+        ku = relative_from_absolute(p, sol, kappas[2]) * np.finfo(float).eps
+    except StlsError:
+        assume(False)
+    sol_c = solve_stls(scaled)
+    assert np.linalg.norm(sol_c.x - sol.x) <= (1e-8 + 100 * ku) * np.linalg.norm(sol.x)
+    assert sol_c.sigma_np1 == pytest.approx(c * sol.sigma_np1, rel=1e-12)
+    for f, k in zip((kappa_kron, kappa_f1, kappa_f2), kappas):
+        k_c = f(sol_c, scaled.A).absolute
+        assert k_c == pytest.approx(k / c, rel=1e-8 + 1e4 * ku)
+        assert relative_from_absolute(scaled, sol_c, k_c) == pytest.approx(
+            relative_from_absolute(p, sol, k), rel=1e-8 + 1e4 * ku)
+
+
 def test_kron_over_budget_refused(gen_problem, tmp_path, monkeypatch, capsys):
     # K of a 20x13 problem takes 8*13*20*14 = 29120 bytes; kappa_kron builds
     # the K of its 14x13 compressed problem, 8*13*14*14 = 20384 bytes
@@ -139,10 +171,17 @@ def test_kron_over_budget_refused(gen_problem, tmp_path, monkeypatch, capsys):
     with pytest.raises(MemoryBudgetError):
         kappa_kron(sol, p.A)
     assert np.isnan(bench._measure("kron", (p, sol), {})[0])
-    for method in ("kron", "all"):
-        assert cli.main(["cond", "--in", str(path), "--method", method]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "budget" in err
+    assert cli.main(["cond", "--in", str(path), "--method", "kron"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "budget" in err
+    # all skips kron, with the reason, and prints the other five methods
+    assert cli.main(["cond", "--in", str(path), "--method", "all"]) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert [rep["method"] for rep in doc["reports"]] == ["F1", "F2", "POWER", "PCE", "SCE"]
+    assert set(doc["ratios"]) == {"ratio1", "ratio2", "ratio3"}
+    assert list(doc["skipped"]) == ["kron"] and "budget" in doc["skipped"]["kron"]
+    assert err.startswith("stlscond: skipped kron:") and err.count("\n") == 1
     monkeypatch.setattr(exact, "KRON_BUDGET_BYTES", 20384)
     assert np.isfinite(kappa_kron(sol, p.A).absolute)
     monkeypatch.setattr(exact, "KRON_BUDGET_BYTES", 29119)
@@ -206,6 +245,9 @@ def test_relative_arithmetic_identity():
         M=SpdFactorization.from_matrix(np.eye(1)),
         genericity_gap=3.0,
         core=p,
+        U=np.eye(1),
+        s_hat=np.array([3.0]),
+        c=np.zeros(1),
     )
     assert relative_from_absolute(p, sol, 2.0) == pytest.approx(1.0, abs=1e-15)
 

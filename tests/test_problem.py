@@ -116,12 +116,50 @@ def test_route_equivalence_on_generated_problems():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_solution_accuracy_against_generator_truth(seed):
-    # near non-uniqueness (e_p = 1e-6) x must come from the singular vector
-    # of the compressed data, not from the normal equations M x = A'b
+    # near non-uniqueness (e_p = 1e-6) x solves M x = A'b in the exact
+    # eigenbasis of M that the SVD of the compressed A gives, with d from
+    # the secular root, never through a Gram product A'A
     gp = generate(GeneratorSpec(m=300, n=100, lam=1.0, e_p=1e-6, seed=seed))
     x_true = exact_solution(gp)
     x = solve_stls(gp.problem).x
     assert np.linalg.norm(x - x_true) <= 5e-8 * np.linalg.norm(x_true)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    extra=st.integers(1, 30),
+    lam=st.floats(0.05, 20.0),
+    e_p=st.sampled_from([1e-2, 1e-4, 1e-6, 1e-8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_error_within_condition_bound_property(n, extra, lam, e_p, seed):
+    # ||x - x_true|| / ||x_true|| <= c kappa_rel u against generator truth.
+    # The largest ratio over 3000 draws from these ranges was 1.5 (3.9
+    # with x from the singular vector of [A, lam*b]); c = 10 allows
+    # some margin above that.
+    gp = generate(GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed))
+    try:
+        sol = solve_stls(gp.problem)
+        k_rel = relative_from_absolute(gp.problem, sol, kappa_f2(sol, gp.problem.A).absolute)
+    except StlsError:
+        assume(False)
+    x_true = exact_solution(gp)
+    err = np.linalg.norm(sol.x - x_true) / np.linalg.norm(x_true)
+    assert err <= 10.0 * k_rel * np.finfo(float).eps
+
+
+def test_sigma_matches_svd_with_small_residual():
+    # b = A x0 + 1e-10 noise: sigma_np1 is about 1e-10 of ||A||, which the
+    # secular root keeps to full relative accuracy
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((60, 20))
+        b = A @ rng.standard_normal(20) + 1e-10 * rng.standard_normal(60)
+        p = StlsProblem(A, b, 1.0)
+        sigma_svd = check_genericity(p)[1]
+        assert sigma_svd < 1e-9
+        assert solve_stls(p).sigma_np1 == pytest.approx(sigma_svd, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
