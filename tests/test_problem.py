@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stlscond import (
+    ConvergenceError,
     DegenerateSingularVectorError,
     GeneratorSpec,
     NongenericProblemError,
@@ -22,6 +23,7 @@ from stlscond import (
     solve_stls,
     solve_stls_svd,
 )
+from stlscond import problem
 
 
 def exact_solution(gp):
@@ -160,6 +162,14 @@ def test_sigma_matches_svd_with_small_residual():
         sigma_svd = check_genericity(p)[1]
         assert sigma_svd < 1e-9
         assert solve_stls(p).sigma_np1 == pytest.approx(sigma_svd, rel=1e-12)
+
+
+def test_secular_root_iteration_cap(monkeypatch):
+    p = generate(GeneratorSpec(m=30, n=10, lam=1.0, e_p=0.1, seed=0)).problem
+    solve_stls(p)
+    monkeypatch.setattr(problem, "SECULAR_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError):
+        solve_stls(p)
 
 
 @settings(max_examples=40, deadline=None)

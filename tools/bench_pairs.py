@@ -5,18 +5,21 @@
         --workload estimate-gauss --seeds 21-30 --out BENCH_9.json
 
 For each seed, runs ``DIR/perfbench/run.py --workload W --seed S
---seconds 20 --trace 0`` in both checkouts, one after the other.  The side
-that runs first alternates from pair to pair: on a small host the first
-run of a back-to-back pair can read slower, whichever commit it is.
+--seconds T --trace 0`` in both checkouts, one after the other, with T the
+``run_seconds`` of the change's BENCHMARK.json.  The side that runs first
+alternates from pair to pair: on a small host the first run of a
+back-to-back pair can read slower, whichever commit it is.
 
 Prints, per end-to-end metric, each side's median and quartiles over the
 pairs and the number of pairs the change won (ties count for neither),
-with the direction of "better" taken from the change's BENCHMARK.json.
+with the direction of "better" taken from the same file.
 
 ``--out`` keeps every result line, each run's ``#`` lines (the host line
 among them) and both checkouts' ``git rev-parse HEAD`` in one JSON file.
 A file that already holds runs of the same two commits gains or replaces
-the entry of this workload, so one file can hold every workload.
+the entry of this workload, so one file can hold every workload; a file
+that holds runs of another pair of commits is left as it is, and the tool
+exits 2 before running anything.
 """
 
 from __future__ import annotations
@@ -57,6 +60,20 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
             "result": json.loads(lines[-1])}
 
 
+def open_out(path: str, shas: dict) -> dict:
+    """The document ``--out`` extends: the file's, if it records the same
+    two commits, or a new one if there is no file.  Raises ValueError when
+    the file records another pair, so earlier runs are never dropped."""
+    if not os.path.exists(path):
+        return {"sha": shas, "workloads": {}}
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if doc.get("sha") != shas:
+        raise ValueError(f"{path} records {doc.get('sha')}, not {shas}; "
+                         f"name another --out file")
+    return doc
+
+
 def summarize(pairs: list[dict], better: dict) -> dict:
     out = {}
     for metric, direction in better.items():
@@ -77,13 +94,21 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="inclusive range A-B, or one seed")
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--out", default=None, help="JSON file to write or extend")
     args = ap.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     shas = {side: head_sha(root) for side, root in roots.items()}
     with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    doc = None
+    if args.out:
+        try:
+            doc = open_out(args.out, shas)
+        except ValueError as err:
+            print(f"bench_pairs: {err}", file=sys.stderr)
+            return 2
 
     pairs = []
     for i, seed in enumerate(parse_seeds(args.seeds)):
@@ -91,12 +116,12 @@ def main(argv=None) -> int:
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             print(f"# seed {seed}: {side}", file=sys.stderr, flush=True)
-            pair[side] = run_once(roots[side], args.workload, seed, args.seconds)
+            pair[side] = run_once(roots[side], args.workload, seed, seconds)
         pairs.append(pair)
 
     summary = summarize(pairs, better)
     print(f"{args.workload}: parent {shas['parent'][:12]}  change {shas['change'][:12]}  "
-          f"{len(pairs)} pairs, {args.seconds:g} s runs")
+          f"{len(pairs)} pairs, {seconds:g} s runs")
     print(f"{'metric':<14} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} wins")
     for metric, s in summary.items():
         cells = [f"{s[side]['median']:.4g} [{s[side]['q1']:.4g}, {s[side]['q3']:.4g}]"
@@ -107,14 +132,8 @@ def main(argv=None) -> int:
         correct = all(p[side]["result"]["correct"] for p in pairs)
         print(f"{side}: correct={correct} failed ops={failed}")
 
-    if args.out:
-        doc = {}
-        if os.path.exists(args.out):
-            with open(args.out, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        if doc.get("sha") != shas:
-            doc = {"sha": shas, "workloads": {}}
-        doc["workloads"][args.workload] = {"seconds": args.seconds, "summary": summary,
+    if doc is not None:
+        doc["workloads"][args.workload] = {"seconds": seconds, "summary": summary,
                                            "pairs": pairs}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
