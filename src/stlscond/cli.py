@@ -2,8 +2,9 @@
 
 Subcommands: gen, solve, cond, bench-time, bench-ratio.  Exit codes are
 stable: 0 success, 2 usage error (including a dense K over the memory
-budget of ``kron``), 3 I/O failure, 4 non-unique problem or degenerate
-singular vector, 5 degenerate quantity (zero residual or zero solution).
+budget of ``kron``), 3 I/O failure, 4 non-unique problem, degenerate
+singular vector or a numerical iteration that did not converge, 5
+degenerate quantity (zero residual or zero solution).
 ``cond --method all`` skips ``kron`` over its memory budget instead of
 failing, and names it with the reason under "skipped" (JSON) and on stderr.
 """
@@ -27,6 +28,7 @@ from .bench import (
     write_ratio_csv,
 )
 from .errors import (
+    ConvergenceError,
     DegenerateSingularVectorError,
     MemoryBudgetError,
     NongenericProblemError,
@@ -357,6 +359,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (NongenericProblemError, NotPositiveDefiniteError, DegenerateSingularVectorError) as exc:
         print(f"stlscond: nongeneric problem: {exc}", file=sys.stderr)
+        return EXIT_NONGENERIC
+    except ConvergenceError as exc:
+        print(f"stlscond: did not converge: {exc}", file=sys.stderr)
         return EXIT_NONGENERIC
     except (ZeroResidualError, ZeroSolutionError) as exc:
         print(f"stlscond: degenerate problem: {exc}", file=sys.stderr)

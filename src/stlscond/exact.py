@@ -16,12 +16,16 @@ All three run on the solver's (n+1) x n compressed problem ``sol.core``
 n x (3n+2) and K is n x (n+1)^2; ``build_K_dense`` alone builds the
 n x m(n+1) K of the original data.  ``kappa_f1`` and ``kappa_f2`` work in
 the singular bases of the core's A that the solver carries (U, V and
-s_hat): there the quadratic form is diagonal plus rank two and every block
-of W is diagonal plus rank one, so each is built in O(n^2) and a product
-with W costs O(n).  W is written once, as the matrix-free operator
-``_f2_operator`` the estimators use.  ``kappa_kron`` builds K in the
-original basis through solves with M, independently of that rotation.
-A K over ``KRON_BUDGET_BYTES`` is refused.
+s_hat): there the quadratic form is diagonal plus rank two, and an O(n)
+orthogonal reduction takes W to an n x (n+1) diagonal plus rank one, whose
+Jordan-Wielandt form is diagonal plus rank two.  Both top eigenvalues come
+from ``numerics.top_eigenvalue_diag_rank2`` on n-vectors, so neither form
+allocates an n x n array: each costs O(n) per bisection step after the
+solve.  W is written once, as the matrix-free operator ``_f2_operator``
+the estimators use (O(n) per product).  ``kappa_kron`` builds K in the
+original basis through solves with M, independently of that rotation, and
+takes its norm from the n x n Gram matrix K K'.  A K over
+``KRON_BUDGET_BYTES`` is refused.
 
 Everything here runs on numpy alone: the module loads no scipy, so
 ``stlscond cond --method f2`` (or f1, kron) starts without its import cost.
@@ -54,9 +58,9 @@ from .problem import StlsProblem, StlsSolution
 R_TOL_FACTOR = 1e-14
 
 # Largest dense K, in bytes, that ``build_K_dense`` and ``kappa_kron``
-# materialize.  Building K allocates no second array of its size, but the
-# SVD that ``kappa_kron`` takes of it copies it, so its peak is about twice
-# K: the budget bounds K, not the peak.
+# materialize.  Building K allocates no second array of its size, and
+# ``kappa_kron`` takes ||K|| from the n x n Gram matrix K K' (an SVD of K
+# would copy it), so the peak stays at about K: the budget bounds both.
 KRON_BUDGET_BYTES = 1 << 30
 
 
@@ -77,11 +81,12 @@ def check_operator_inputs(sol: StlsSolution, A) -> None:
         raise NongenericProblemError(
             f"uniqueness gap {sol.genericity_gap:.3e} is not positive"
         )
-    A_c, r_c = _core(sol)
+    # ||A_c||_F is ||s_hat||: the core's A is a strided view, and its norm
+    # would copy it
     tol = R_TOL_FACTOR * (
-        np.linalg.norm(A_c, "fro") * np.linalg.norm(sol.x) + np.linalg.norm(sol.core.b)
+        np.linalg.norm(sol.s_hat) * np.linalg.norm(sol.x) + np.linalg.norm(sol.core.b)
     )
-    if np.linalg.norm(r_c) <= tol:
+    if np.linalg.norm(_core(sol)[1]) <= tol:
         raise ZeroResidualError(
             "residual is numerically zero; sensitivity operator undefined"
         )
@@ -140,10 +145,13 @@ def build_K_dense(sol: StlsSolution, A) -> np.ndarray:
 
 def kappa_kron(sol: StlsSolution, A) -> ConditionReport:
     """Absolute condition number as the spectral norm of the dense K of the
-    compressed problem, an n x (n+1)^2 matrix with the same K K'."""
+    compressed problem, an n x (n+1)^2 matrix with the same K K'.  The norm
+    is the square root of the top eigenvalue of K K', which needs no copy
+    of K."""
     check_operator_inputs(sol, A)
     K = _build_K(sol, *_core(sol))
-    return ConditionReport(absolute=numerics.spectral_norm_dense(K), method="KRON")
+    top = float(np.linalg.eigvalsh(K @ K.T)[-1])
+    return ConditionReport(absolute=float(np.sqrt(top)), method="KRON")
 
 
 def _rotated(sol: StlsSolution):
@@ -166,19 +174,17 @@ def kappa_f1(sol: StlsSolution, A) -> ConditionReport:
     its largest eigenvalue is the squared condition number.  In the
     eigenbasis V of M it is diagonal plus rank two,
     ``D^-1 (C - g h' - h g') D^-1`` with ``C = diag((1+||x||^2) s_hat^2 +
-    ||r||^2)``, ``g = V'A'r``, ``h = V'x`` and ``D = diag(d)``, so it is
-    built in O(n^2) with no Gram product and no solve.
+    ||r||^2)``, ``g = V'A'r``, ``h = V'x`` and ``D = diag(d)``, whose top
+    eigenvalue ``numerics.top_eigenvalue_diag_rank2`` finds from the
+    n-vectors ``C/d^2``, ``g/d`` and ``h/d`` alone: no n x n array, no Gram
+    product and no solve.
     """
     check_operator_inputs(sol, A)
     h, _, rn2, g = _rotated(sol)
     d = sol.M.d
-    E = np.outer(g, -h)
-    E += E.T
-    E[np.diag_indices_from(E)] += (1.0 + float(h @ h)) * sol.s_hat ** 2 + rn2
-    E /= np.outer(d, d)
-    return ConditionReport(
-        absolute=float(np.sqrt(np.linalg.eigvalsh(E)[-1])), method="F1"
-    )
+    C = (1.0 + float(h @ h)) * sol.s_hat ** 2 + rn2
+    top = numerics.top_eigenvalue_diag_rank2(C / (d * d), g / d, h / d)
+    return ConditionReport(absolute=float(np.sqrt(top)), method="F1")
 
 
 def _f2_operator(sol: StlsSolution, msolve=None):
@@ -242,12 +248,49 @@ def _f2_operator(sol: StlsSolution, msolve=None):
 
 def kappa_f2(sol: StlsSolution, A) -> ConditionReport:
     """Absolute condition number from the rectangular factor (the route
-    recommended for numerical stability: no squaring anywhere).  The
-    (3n+2) x n W' is materialized as the adjoint of ``_f2_operator`` on the
-    identity, in O(n^2); its largest singular value is that of W."""
+    recommended for numerical stability: no squaring anywhere).
+
+    In ``_f2_operator``'s bases ``W = D^-1 (B0 - g q')`` with
+    ``B0 = [[S, 0], ||x|| [S, 0], ||r|| I]`` and
+    ``q = (0, ||x|| r1/||r||^2, h/||r||)``.  The rows of B0 are orthogonal
+    with norms ``sqrt(C)`` (C as in ``kappa_f1``), so completing
+    ``Q0 = diag(C)^-1/2 B0`` to an orthogonal matrix takes W to the
+    n x (n+1) ``G = [diag(gamma), 0] - u w'`` with the same singular
+    values: ``gamma = sqrt(C)/d``, ``u = g/d`` and ``w = (Q0 q, ||q_perp||)``,
+    q_perp being q less its projection on the rows of Q0.  The largest
+    singular value of G is the top eigenvalue of its Jordan-Wielandt form
+    ``[[0, G], [G', 0]]``, which the rotation pairing e_i with f_i turns
+    into diagonal plus rank two with the poles ``gamma``, ``-gamma`` and 0;
+    ``numerics.top_eigenvalue_diag_rank2`` takes it in O(n) memory.
+    """
     check_operator_inputs(sol, A)
-    WT = _f2_operator(sol).rmatmat(np.eye(len(sol.x)))
-    return ConditionReport(absolute=numerics.spectral_norm_dense(WT), method="F2")
+    s = sol.s_hat
+    n = len(s)
+    h, r_t, rn2, g = _rotated(sol)
+    d = sol.M.d
+    xn = float(np.linalg.norm(h))
+    rn = float(np.sqrt(rn2))
+    sqrt_C = np.sqrt((1.0 + xn * xn) * s * s + rn2)
+    # q = (0, q2, q3) by W's column blocks; Q0 q = (||x|| S q2[:n] + ||r|| q3) / sqrt(C)
+    q2 = (xn / rn2) * r_t
+    q3 = h / rn
+    Q0q = (xn * s * q2[:n] + rn * q3) / sqrt_C
+    # q_perp = q - Q0'Q0 q = q - B0' p, block by block
+    p = Q0q / sqrt_C
+    perp2 = q2.copy()
+    perp2[:n] -= xn * s * p
+    q_perp = float(np.sqrt(np.sum((s * p) ** 2) + perp2 @ perp2
+                           + np.sum((q3 - rn * p) ** 2)))
+    # [[0, G], [G', 0]] on the basis (e_i + f_i)/sqrt2, (e_i - f_i)/sqrt2, f_{n+1}
+    gamma = sqrt_C / d
+    u = np.sqrt(0.5) * (g / d)
+    w = np.sqrt(0.5) * Q0q
+    top = numerics.top_eigenvalue_diag_rank2(
+        np.concatenate([gamma, -gamma, [0.0]]),
+        np.concatenate([u, u, [0.0]]),
+        np.concatenate([w, -w, [q_perp]]),
+    )
+    return ConditionReport(absolute=top, method="F2")
 
 
 def relative_from_absolute(p: StlsProblem, sol: StlsSolution, absolute: float) -> float:

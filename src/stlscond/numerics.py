@@ -104,6 +104,100 @@ class SpdFactorization:
         return self.V @ ((self.V.T @ y).T / self.d).T
 
 
+def top_eigenvalue_diag_rank2(L, x, y) -> float:
+    """Largest eigenvalue of ``E = diag(L) - (x y' + y x')`` in O(n) memory
+    and O(n) work per bisection step.
+
+    As LAPACK's dstebz does for a tridiagonal matrix, the bracket
+    ``[max_i E_ii, max L + 2 ||x|| ||y||]`` is bisected on the number of
+    eigenvalues of E above a trial lam.  Haynsworth's inertia additivity,
+    applied to ``[[diag(L) - lam, P], [P', J]]`` with ``P = [x, y]`` and
+    ``J = [[0, 1], [1, 0]]``, gives that number as
+
+        #{L_i > lam} + n_+(T) - 1,   T = J - P' (diag(L) - lam)^-1 P,
+
+    where T is 2 x 2.  T is scaled by the distance delta from lam to the
+    nearest pole L_j, which keeps its inertia and every ratio
+    ``delta / (L_i - lam)`` in [-1, 1], so nothing overflows however close
+    lam comes to a pole.  The term of L_j would cancel in det(T) (it is
+    rank one); it is left out exactly and only its products with the other
+    terms are formed, so det(T) keeps its sign next to a pole.  For that,
+    each run of equal poles is first rotated (an orthogonal similarity that
+    keeps diag(L)) so that only its first entry carries both weights.  A
+    pole of zero weight contributes nothing and needs no deflation.  A
+    trial lam that is a pole is moved to the next float above it.  The loop
+    ends when the midpoint equals an endpoint and returns the lower one,
+    which is max_i E_ii itself when E has no eigenvalue above that.
+    """
+    L = np.asarray(L, dtype=float).ravel()
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    n = len(L)
+    if not n == len(x) == len(y) >= 1:
+        raise ValueError(f"need equal nonzero lengths, got {n}, {len(x)}, {len(y)}")
+    order = np.argsort(L)
+    L, x, y = L[order], x[order], y[order]
+    lo = float(np.max(L - 2.0 * x * y))
+    hi = float(L[-1]) + 2.0 * float(np.linalg.norm(x)) * float(np.linalg.norm(y))
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise NonFiniteError("diagonal or rank-two terms are not finite")
+    starts = np.flatnonzero(np.r_[True, L[1:] != L[:-1]])
+    lengths = np.diff(np.r_[starts, n])
+    if (lengths > 1).any():
+        # a run C of equal poles keeps (|x_C|, x_C'y_C / |x_C|) on its first
+        # entry and (0, norm of the part of y_C orthogonal to x_C) on its
+        # second; L[order] above made x and y copies
+        xx = np.add.reduceat(x * x, starts)
+        xy = np.add.reduceat(x * y, starts)
+        coef = np.divide(xy, xx, out=np.zeros_like(xy), where=xx > 0.0)
+        y_perp = y - np.repeat(coef, lengths) * x
+        rest = np.sqrt(np.add.reduceat(y_perp * y_perp, starts))
+        nx = np.sqrt(xx)
+        first = np.divide(xy, nx, out=np.zeros_like(xy), where=nx > 0.0)
+        runs = lengths > 1
+        in_run = np.repeat(runs, lengths)
+        x[in_run] = 0.0
+        y[in_run] = 0.0
+        x[starts[runs]] = nx[runs]
+        y[starts[runs]] = first[runs]
+        y[starts[runs] + 1] = rest[runs]
+    weights = np.stack([x * x, x * y, y * y])
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        lam = mid
+        k = int(np.searchsorted(L, lam, side="right"))  # L[:k] <= lam < L[k:]
+        while k and L[k - 1] == lam:
+            lam = float(np.nextafter(lam, np.inf))
+            k = int(np.searchsorted(L, lam, side="right"))
+        if lam >= hi:
+            return lo
+        # j: first entry of the run of the nearest pole
+        if k < n and (k == 0 or L[k] - lam <= lam - L[k - 1]):
+            j, delta = k, L[k] - lam
+        else:
+            j, delta = int(np.searchsorted(L, L[k - 1], side="left")), lam - L[k - 1]
+        w = delta / (L - lam)
+        wj = w[j]
+        w[j] = 0.0
+        a, b, c = weights @ w
+        xj, yj = x[j], y[j]
+        cross = wj * float(np.square(xj * y - yj * x) @ w)
+        # det(delta T) = a c - (b - delta)**2 with L_j's own term taken out
+        det = cross + 2.0 * delta * wj * xj * yj + a * c - (b - delta) ** 2
+        if det < 0.0:
+            positive = 1
+        elif a + c + wj * (xj * xj + yj * yj) < 0.0:
+            positive = 2 if det > 0.0 else 1
+        else:
+            positive = 0
+        if n - k + positive > 1:
+            lo = lam
+        else:
+            hi = lam
+
+
 def unit_sphere_sample(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly distributed point on the unit sphere in R^dim.
 

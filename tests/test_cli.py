@@ -214,6 +214,19 @@ def test_degenerate_singular_vector_exit_code(tmp_path):
         assert r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("cmd", ["solve", "cond"])
+def test_convergence_failure_exit_code(problem_file, monkeypatch, capsys, cmd):
+    # a secular iteration cut off after one step raises ConvergenceError,
+    # which ends in exit 4 and one stderr line, not a traceback
+    from stlscond import cli, problem
+
+    monkeypatch.setattr(problem, "SECULAR_MAX_ITER", 1)
+    assert cli.main([cmd, "--in", str(problem_file)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("stlscond: did not converge:") and err.count("\n") == 1
+
+
 def test_cond_zero_residual_exit_code(tmp_path):
     rng = np.random.default_rng(3)
     A = rng.standard_normal((8, 4))

@@ -5,6 +5,10 @@ finite-difference oracle that re-solves perturbed problems from scratch.
 """
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +37,7 @@ from stlscond import (
     save_problem,
     solve_stls,
 )
-from stlscond import bench, cli, exact
+from stlscond import bench, cli, exact, numerics
 
 KAPPA_DIAGONAL = np.sqrt(20.0 / 9.0)  # = sqrt(1.25)/0.75 = 1.4907119849998598
 
@@ -90,6 +94,46 @@ def test_f2_factor_shape(gen_problem):
     op = exact._f2_operator(sol)
     assert op.shape == (3, 11)
     assert op.rmatmat(np.eye(3)).shape == (11, 3)
+
+
+def dense_referee(sol):
+    """kappa_f1 and kappa_f2 by the dense routes the O(n) ones replaced:
+    eigvalsh of the n x n rotated f1 matrix, and the largest singular value
+    of the (3n+2) x n W' that ``_f2_operator`` gives on the identity."""
+    h, _, rn2, g = exact._rotated(sol)
+    d = sol.M.d
+    E = np.outer(g, -h)
+    E += E.T
+    E[np.diag_indices_from(E)] += (1.0 + float(h @ h)) * sol.s_hat ** 2 + rn2
+    E /= np.outer(d, d)
+    f1 = float(np.sqrt(np.linalg.eigvalsh(E)[-1]))
+    f2 = float(numerics.singular_values(exact._f2_operator(sol).rmatmat(np.eye(len(d))))[0])
+    return f1, f2
+
+
+@pytest.mark.parametrize("e_p", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("lam", [0.05, 1.0, 5.0])
+def test_forms_match_dense_referee(gen_problem, e_p, lam):
+    for m, n, seed in ((12, 6, 0), (40, 25, 1), (40, 25, 2)):
+        p, sol = gen_problem(m, n, lam, e_p, seed)
+        f1, f2 = dense_referee(sol)
+        assert kappa_f1(sol, p.A).absolute == pytest.approx(f1, rel=1e-12, abs=0.0)
+        assert kappa_f2(sol, p.A).absolute == pytest.approx(f2, rel=1e-12, abs=0.0)
+
+
+def test_f1_f2_allocate_no_square_array(gen_problem):
+    # 8 n^2 / 4 bytes: a quarter of one n x n array
+    n = 300
+    p, sol = gen_problem(400, n, 1.0, 0.1, 0)
+    for form in (kappa_f1, kappa_f2):
+        form(sol, p.A)
+        tracemalloc.start()
+        try:
+            form(sol, p.A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 4, form.__name__
 
 
 def test_forms_agree_on_generated_problems(gen_problem):
@@ -189,6 +233,49 @@ def test_kron_over_budget_refused(gen_problem, tmp_path, monkeypatch, capsys):
         build_K_dense(sol, p.A)
     monkeypatch.setattr(exact, "KRON_BUDGET_BYTES", 29120)
     assert build_K_dense(sol, p.A).shape == (13, 280)
+
+
+def test_kron_peak_memory_is_about_K(gen_problem):
+    # tracemalloc sees numpy's arrays but not LAPACK's work space, so it
+    # bounds what the Python side allocates next to K
+    m, n = 200, 150
+    p, sol = gen_problem(m, n, 1.0, 0.1, 0)
+    k_bytes = 8 * n * (n + 1) ** 2
+    tracemalloc.start()
+    try:
+        kappa_kron(sol, p.A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * k_bytes
+
+
+_KRON_RSS_SCRIPT = """
+from stlscond import GeneratorSpec, generate, kappa_kron, solve_stls
+def status_kib(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field))
+small = generate(GeneratorSpec(m=12, n=8, lam=1.0, e_p=0.1, seed=0)).problem
+kappa_kron(solve_stls(small), small.A)
+p = generate(GeneratorSpec(m=200, n=150, lam=1.0, e_p=0.1, seed=0)).problem
+sol = solve_stls(p)
+rss = status_kib("VmRSS:")
+kappa_kron(sol, p.A)
+print((status_kib("VmHWM:") - rss) * 1024 / (8 * 150 * 151**2))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_kron_peak_rss_is_about_K():
+    # the whole process, LAPACK included: an SVD of K copied it (2.2 K);
+    # the Gram route reads about 1.05 K.  VmHWM, unlike ru_maxrss, starts
+    # afresh at exec, so the parent's size does not leak into the reading;
+    # a warm-up call maps the library code the measured call runs
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    r = subprocess.run([sys.executable, "-c", _KRON_RSS_SCRIPT], capture_output=True,
+                       text=True, env=env, check=True)
+    assert float(r.stdout) <= 1.5
 
 
 def test_operator_against_finite_differences(gen_problem):

@@ -1,8 +1,12 @@
 """Kernel tests with independent oracles for the SVD and the spectral norm."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlscond import (
     ConvergenceError,
@@ -175,6 +179,90 @@ def test_spectral_norm_transpose_invariant():
         a = spectral_norm_dense(X)
         b = spectral_norm_dense(X.T)
         assert abs(a - b) <= 1e-12 * max(a, 1e-300)
+
+
+def _signed(magnitude):
+    return st.tuples(magnitude, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+_POLE = st.one_of(st.just(0.0), _signed(st.floats(1e-3, 4.0)))
+_WEIGHT = st.one_of(st.just(0.0), _signed(st.floats(1e-3, 4.0)))
+
+
+@st.composite
+def diag_rank2_problems(draw):
+    """(L, x, y): poles drawn from a pool of at most four values (so runs of
+    equal poles are common), 0 among them, of both signs; weights zero or of
+    either sign; L scaled by 10^k and x, y by 10^(k/2), k in [-8, 8], so E
+    spans 1e-8 to 1e8."""
+    n = draw(st.integers(1, 10))
+    pool = draw(st.lists(_POLE, min_size=1, max_size=4))
+    L = np.array([draw(st.sampled_from(pool)) for _ in range(n)])
+    x = np.array(draw(st.lists(_WEIGHT, min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(_WEIGHT, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        y = draw(st.sampled_from([1.0, -1.0, 0.5])) * x  # x and y parallel
+    k = draw(st.integers(-8, 8))
+    return 10.0 ** k * L, 10.0 ** (k / 2) * x, 10.0 ** (k / 2) * y
+
+
+@st.composite
+def midpoint_on_pole_problems(draw):
+    """(L, x, y) whose first bisection midpoint is the pole c exactly: the
+    pole c carries x = y = t (a power of two), the others no weight and lie
+    below c - 2 t**2, so the bracket is [c - 2 t**2, c + 2 t**2]."""
+    t = 2.0 ** draw(st.integers(-4, 4))
+    c = draw(st.integers(-8, 8)) * 2.0 ** draw(st.integers(-3, 3))
+    below = draw(st.lists(st.floats(1.0, 8.0), max_size=5))
+    L = np.array([c] + [c - 2.0 * t * t - v for v in below])
+    x = np.zeros(len(L))
+    x[0] = t
+    return L, x, x.copy()
+
+
+def _check_top_eigenvalue(L, x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = numerics.top_eigenvalue_diag_rank2(L, x, y)
+    assert np.isfinite(value)
+    ev = np.linalg.eigvalsh(np.diag(L) - np.outer(x, y) - np.outer(y, x))
+    assert abs(value - ev[-1]) <= 1e-13 * max(abs(ev[0]), abs(ev[-1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(diag_rank2_problems())
+def test_top_eigenvalue_diag_rank2_matches_eigvalsh(problem):
+    _check_top_eigenvalue(*problem)
+
+
+@settings(max_examples=60, deadline=None)
+@given(midpoint_on_pole_problems())
+def test_top_eigenvalue_diag_rank2_midpoint_on_pole(problem):
+    L, x, y = problem
+    lo = np.max(L - 2.0 * x * y)
+    hi = L.max() + 2.0 * np.linalg.norm(x) * np.linalg.norm(y)
+    assert 0.5 * (lo + hi) == L[0]
+    _check_top_eigenvalue(L, x, y)
+
+
+@pytest.mark.parametrize("L, x, y, expected", [
+    ([10.0], [1.0], [1.0], 8.0),               # first midpoint is the pole 10
+    ([0.0], [1.0], [1.0], -2.0),               # ... the pole 0
+    ([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.0),  # a run, parallel weights
+    ([3.0, 1.0], [0.0, 0.0], [0.0, 0.0], 3.0),  # no weight at all
+    ([0.0], [0.0], [0.0], 0.0),
+])
+def test_top_eigenvalue_diag_rank2_closed_forms(L, x, y, expected):
+    value = numerics.top_eigenvalue_diag_rank2(L, x, y)
+    E = np.diag(L) - np.outer(x, y) - np.outer(y, x)
+    assert abs(value - expected) <= 4 * np.finfo(float).eps * np.linalg.norm(E, 2)
+
+
+def test_top_eigenvalue_diag_rank2_rejects_bad_input():
+    with pytest.raises(ValueError):
+        numerics.top_eigenvalue_diag_rank2([1.0, 2.0], [1.0], [1.0, 2.0])
+    with pytest.raises(NonFiniteError):
+        numerics.top_eigenvalue_diag_rank2([1.0, np.nan], [1.0, 0.0], [1.0, 0.0])
 
 
 def test_unit_sphere_dim1_is_sign():
