@@ -121,13 +121,14 @@ def top_eigenvalue_diag_rank2(L, x, y) -> float:
     ``delta / (L_i - lam)`` in [-1, 1], so nothing overflows however close
     lam comes to a pole.  The term of L_j would cancel in det(T) (it is
     rank one); it is left out exactly and only its products with the other
-    terms are formed, so det(T) keeps its sign next to a pole.  For that,
-    each run of equal poles is first rotated (an orthogonal similarity that
-    keeps diag(L)) so that only its first entry carries both weights.  A
-    pole of zero weight contributes nothing and needs no deflation.  A
-    trial lam that is a pole is moved to the next float above it.  The loop
-    ends when the midpoint equals an endpoint and returns the lower one,
-    which is max_i E_ii itself when E has no eigenvalue above that.
+    terms are formed, so det(T) keeps its sign next to a pole.  Equal poles
+    need no care beyond that: two or more of them at c put an eigenvalue of
+    E at or above c, so a count that rounding spoils next to c moves the
+    result by no more than rounding.  A pole of zero weight contributes
+    nothing and needs no deflation.  A trial lam that is a pole is moved to
+    the next float above it.  The loop ends when the midpoint equals an
+    endpoint and returns the lower one, which is max_i E_ii itself when E
+    has no eigenvalue above that.
     """
     L = np.asarray(L, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
@@ -141,26 +142,6 @@ def top_eigenvalue_diag_rank2(L, x, y) -> float:
     hi = float(L[-1]) + 2.0 * float(np.linalg.norm(x)) * float(np.linalg.norm(y))
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise NonFiniteError("diagonal or rank-two terms are not finite")
-    starts = np.flatnonzero(np.r_[True, L[1:] != L[:-1]])
-    lengths = np.diff(np.r_[starts, n])
-    if (lengths > 1).any():
-        # a run C of equal poles keeps (|x_C|, x_C'y_C / |x_C|) on its first
-        # entry and (0, norm of the part of y_C orthogonal to x_C) on its
-        # second; L[order] above made x and y copies
-        xx = np.add.reduceat(x * x, starts)
-        xy = np.add.reduceat(x * y, starts)
-        coef = np.divide(xy, xx, out=np.zeros_like(xy), where=xx > 0.0)
-        y_perp = y - np.repeat(coef, lengths) * x
-        rest = np.sqrt(np.add.reduceat(y_perp * y_perp, starts))
-        nx = np.sqrt(xx)
-        first = np.divide(xy, nx, out=np.zeros_like(xy), where=nx > 0.0)
-        runs = lengths > 1
-        in_run = np.repeat(runs, lengths)
-        x[in_run] = 0.0
-        y[in_run] = 0.0
-        x[starts[runs]] = nx[runs]
-        y[starts[runs]] = first[runs]
-        y[starts[runs] + 1] = rest[runs]
     weights = np.stack([x * x, x * y, y * y])
     while True:
         mid = 0.5 * (lo + hi)
@@ -173,11 +154,8 @@ def top_eigenvalue_diag_rank2(L, x, y) -> float:
             k = int(np.searchsorted(L, lam, side="right"))
         if lam >= hi:
             return lo
-        # j: first entry of the run of the nearest pole
-        if k < n and (k == 0 or L[k] - lam <= lam - L[k - 1]):
-            j, delta = k, L[k] - lam
-        else:
-            j, delta = int(np.searchsorted(L, L[k - 1], side="left")), lam - L[k - 1]
+        j = k if k < n and (k == 0 or L[k] - lam <= lam - L[k - 1]) else k - 1
+        delta = abs(L[j] - lam)
         w = delta / (L - lam)
         wj = w[j]
         w[j] = 0.0
