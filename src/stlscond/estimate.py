@@ -1,14 +1,16 @@
 """Matrix-free and stochastic condition-number estimation.
 
-Three estimators, all driven by products with the rectangular factor W
-of K K' (W W' = K K'), the matrix-free n x (3n+2) operator
-``exact._f2_operator`` on the solver's compressed problem (its transpose
-gives ``kappa_f2``), so none of them reads the m x n data.  That operator
-works in the singular bases of the core's A, where each product costs
+Three estimators, all driven by the solver's compressed problem, so none
+of them reads the m x n data.  ``pce`` and ``sce`` take products with the
+rectangular factor W of K K' (W W' = K K'), the matrix-free n x (3n+2)
+operator ``exact._f2_operator`` (its transpose gives ``kappa_f2``);
+``power_method`` sweeps K K' itself, which in the eigenbasis of M is
+diagonal plus rank two (``exact._f1_terms``, the form of ``kappa_f1``).
+Both work in the singular bases of the core's A, where each product costs
 O(n); each estimator rotates its start vector or probes into those bases
-once, so its values are those of the unrotated W:
+once, so its values are those of the unrotated operators:
 
-* ``power_method``  -- power iteration on W W' = K K'; the running scalar
+* ``power_method``  -- power iteration on K K'; the running scalar
   converges to the squared spectral norm, so its square root is the
   condition number.
 * ``pce``           -- probabilistic estimate: a certified lower bound and a
@@ -180,23 +182,24 @@ def apply_K(sol: StlsSolution, A, P) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionReport:
-    """Power iteration on K K', through its rectangular factor W.
+    """Power iteration on K K', in the eigenbasis V of M.
 
-    Each sweep maps y to W applied to the normalized adjoint product W'y;
-    the recorded scalar v is the norm of W'y before normalization, which
-    equals the norm of K'y because W W' = K K', and converges to the
-    squared condition number, so the estimate is sqrt(v).  The work vector
-    is renormalized every sweep (with the scale carried into v) to prevent
-    magnitude drift; this leaves the v sequence unchanged.  The operator
-    works in the eigenbasis V of M, so the start vector enters as V'y0,
-    which leaves the v sequence unchanged too.
+    There ``V'KK'V = diag(L) - (a b' + b a')`` is diagonal plus rank two
+    (``exact._f1_terms``), so a sweep ``Ey = L y - a (b'y) - b (a'y)``
+    costs O(n).  The recorded scalar v is what a sweep through the
+    rectangular factor W (W W' = K K') records, the norm of W'y before
+    normalization, here ``sqrt(y'Ey)``; it converges to the squared
+    condition number, so the estimate is sqrt(v).  The work vector is
+    renormalized every sweep (with the scale carried into v) to prevent
+    magnitude drift; this leaves the v sequence unchanged.  The start
+    vector enters as V'y0, which leaves the v sequence unchanged too.
 
     A run that exhausts ``max_iter`` returns its last estimate flagged
     ``converged: False`` in the diagnostics rather than raising.
     """
     check_operator_inputs(sol, A)
     n = len(sol.x)
-    op = _f2_operator(sol)
+    L, a, b = exact._f1_terms(sol)
     if y0 is None:
         rng = np.random.default_rng(cfg.seed)
         y = rng.standard_normal(n)
@@ -215,8 +218,8 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        q = op.rmatvec(y)
-        qnorm = float(np.linalg.norm(q))
+        Ey = L * y - a * float(b @ y) - b * float(a @ y)
+        qnorm = math.sqrt(max(float(y @ Ey), 0.0))  # ||W'y||
         v = scale * qnorm
         v_trace.append(v)
         if qnorm == 0.0:
@@ -226,12 +229,12 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
             converged = True
             break
         v_prev = v
-        y = op.matvec(q / qnorm)
-        scale = float(np.linalg.norm(y))
-        if scale == 0.0:
+        eynorm = float(np.linalg.norm(Ey))
+        if eynorm == 0.0:
             converged = True
             break
-        y = y / scale
+        scale = eynorm / qnorm  # ||W (W'y / ||W'y||)||
+        y = Ey / eynorm
     return ConditionReport(
         absolute=float(np.sqrt(v)),
         method="POWER",
@@ -256,17 +259,6 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
 NEWTON_MAX_ITER = 50
 
 
-def _ritz_values(alphas, betas):
-    """Eigenvalues (ascending) of the k x k Gram tridiagonal built from the
-    bidiagonalization coefficients, k being the Lanczos depth."""
-    k = len(alphas)
-    d = np.array(
-        [alphas[j] ** 2 + (betas[j - 1] ** 2 if j > 0 else 0.0) for j in range(k)]
-    )
-    e = np.array([alphas[j] * betas[j] for j in range(k - 1)])
-    return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-
-
 def _certified_upper(mu, log_target):
     """Root t* > max(mu) of sum(log(t - mu_i)) = log_target, returned as
     sqrt(t*).  The left side is the log of the monic characteristic
@@ -284,10 +276,10 @@ def _certified_upper(mu, log_target):
     for _ in range(NEWTON_MAX_ITER):
         es = np.exp(s)
         w = es + c  # t - mu
-        h = float(np.sum(np.log(w))) - log_target
+        h = float(np.log(w).sum()) - log_target
         if h <= 0.0:
             break
-        step = h / float(np.sum(es / w))
+        step = h / float((es / w).sum())
         s -= step
         if step <= 1e-14 * max(1.0, abs(s)):
             break
@@ -386,38 +378,53 @@ def probabilistic_spectral_norm(op, cfg: PceConfig, rng=None):
 def _lanczos_bracket(op, cfg: PceConfig, v):
     """:func:`probabilistic_spectral_norm` from the unit start vector
     ``v``; returns ``(alpha, beta, steps)``, steps being the Lanczos depth
-    reached."""
-    cols = op.shape[1]
+    reached.
+
+    The bases are kept as row-stacked arrays, grown by doubling, and each
+    new vector is reorthogonalized against them in two block passes.  The
+    Ritz values are those of the Gram tridiagonal ``B'B`` of the upper
+    bidiagonal B of the alphas and betas, whose diagonal and off-diagonal
+    grow by one entry a step."""
+    rows, cols = op.shape
     alpha = 0.0
-    V = [v]
-    U = []
-    alphas: list[float] = []
-    betas: list[float] = []
+    room = min(cols, 16)
+    U = np.empty((room, rows))
+    V = np.empty((room, cols))
+    V[0] = v
+    diag = np.zeros(cols)  # alpha_j**2 + beta_(j-1)**2
+    off = np.zeros(cols)  # alpha_j beta_j
+    b = 0.0
     log_prod = 0.0
     delta = _sphere_quantile(cols, cfg.eps)
 
     for k in range(1, cols + 1):
-        u = np.asarray(op.matvec(V[-1]), dtype=float).ravel()
-        if k > 1:
-            u = u - betas[-1] * U[-1]
-        for _ in range(2):
-            for q in U:
-                u -= (q @ u) * q
+        j = k - 1
+        if k == room < cols:  # V[k] is written at the end of this step
+            room = min(2 * room, cols)
+            U = np.concatenate([U, np.empty((room - len(U), rows))])
+            V = np.concatenate([V, np.empty((room - len(V), cols))])
+        u = np.asarray(op.matvec(V[j]), dtype=float).ravel()
+        if j:
+            u = u - b * U[j - 1]
+            for _ in range(2):
+                u -= (U[:j] @ u) @ U[:j]
         a = float(np.linalg.norm(u))
-        if a <= 0.0:
-            return alpha, alpha, k
-        alphas.append(a)
-        u = u / a
-        U.append(u)
-
-        w = np.asarray(op.rmatvec(u), dtype=float).ravel() - a * V[-1]
-        for _ in range(2):
-            for q in V:
-                w -= (q @ w) * q
-        b = float(np.linalg.norm(w))
-
-        mu = _ritz_values(alphas, betas)
+        diag[j] += a * a
+        T = np.zeros((k, k))
+        T.flat[:: k + 1] = diag[:k]
+        T.flat[k :: k + 1] = off[:j]  # the subdiagonal, which eigvalsh reads
+        mu = np.linalg.eigvalsh(T)
         alpha = float(np.sqrt(max(float(mu[-1]), 0.0)))
+        if a <= 0.0:
+            # W v_k lies in the span of the earlier u: the v span is
+            # invariant, and the last beta, already in T, completes it
+            return alpha, alpha, k
+        U[j] = u / a
+
+        w = np.asarray(op.rmatvec(U[j]), dtype=float).ravel() - a * V[j]
+        for _ in range(2):
+            w -= (V[:k] @ w) @ V[:k]
+        b = float(np.linalg.norm(w))
 
         if b <= 0.0 or k == cols:
             # invariant subspace (almost surely contains the dominant
@@ -429,8 +436,9 @@ def _lanczos_bracket(op, cfg: PceConfig, v):
         if beta_up <= (1.0 + cfg.theta) * alpha:
             return alpha, beta_up, k
 
-        betas.append(b)
-        V.append(w / b)
+        V[k] = w / b
+        diag[k] = b * b
+        off[j] = a * b
 
     raise AssertionError("unreachable: the loop returns at exhaustion")
 

@@ -180,11 +180,17 @@ def kappa_f1(sol: StlsSolution, A) -> ConditionReport:
     product and no solve.
     """
     check_operator_inputs(sol, A)
+    top = numerics.top_eigenvalue_diag_rank2(*_f1_terms(sol))
+    return ConditionReport(absolute=float(np.sqrt(top)), method="F1")
+
+
+def _f1_terms(sol: StlsSolution):
+    """``V'KK'V = diag(L) - (a b' + b a')`` as the n-vectors (L, a, b):
+    ``L = C/d**2``, ``a = g/d`` and ``b = h/d`` (see ``kappa_f1``)."""
     h, _, rn2, g = _rotated(sol)
     d = sol.M.d
     C = (1.0 + float(h @ h)) * sol.s_hat ** 2 + rn2
-    top = numerics.top_eigenvalue_diag_rank2(C / (d * d), g / d, h / d)
-    return ConditionReport(absolute=float(np.sqrt(top)), method="F1")
+    return C / (d * d), g / d, h / d
 
 
 def _f2_operator(sol: StlsSolution, msolve=None):

@@ -8,10 +8,25 @@ so no other path pays for it.  The one layout convention that matters
 elsewhere is column-major ``vec``: stacking a matrix column by column.
 Helpers here never reshape, but the condition-operator code relies on that
 ordering throughout.
+
+This module is the one owner of the BLAS thread count.  ``svd``,
+``singular_values`` and ``augmented_qr_r`` run on one OpenBLAS thread when
+the smaller side of their matrix (for the last, of A in ``[A, b]``) is at
+most ``SERIAL_BLAS_MAX_N``.  At those sizes a second thread slows the
+factorization (1000x300 on two cores: QR 12 ms on one thread against
+17 ms on two, SVD 20.5 against 23.4 ms), and one thread makes their
+results independent of the caller's thread count.  Larger factorizations
+keep the count the caller set.  ``serial_blas`` changes the count of
+numpy's own OpenBLAS through its ``scipy_openblas`` C interface, looked up
+on first use, and does nothing where numpy ships no such library.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +41,84 @@ def _as_matrix(X) -> np.ndarray:
     if not np.isfinite(X).all():
         raise NonFiniteError("matrix contains NaN or Inf entries")
     return X
+
+
+# Largest min(rows, cols) of a factorization run on one BLAS thread.  On a
+# 2-core host a second thread slows the QR and the SVD at 1000x300, breaks
+# even on the SVD at 1000x400, and speeds the 4000x500 SVD (56 against
+# 64 ms); see README "Reproducibility and threads".
+SERIAL_BLAS_MAX_N = 400
+
+_blas_lock = threading.Lock()
+_blas_depth = 0  # callers inside serial_blas
+_blas_saved = 1  # the count to restore when the last of them leaves
+
+
+def _find_openblas(libdir):
+    """(get, set) of the thread count of the scipy_openblas library in
+    ``libdir``, or None when there is no such library or symbol."""
+    import ctypes
+    import glob
+
+    for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of numpy's OpenBLAS thread count, or None; looked up once."""
+    return _find_openblas(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                       "numpy.libs"))
+
+
+@contextlib.contextmanager
+def serial_blas():
+    """Run the body on one OpenBLAS thread and restore the count after.
+
+    The count is process-wide, so nested and concurrent callers share one
+    change: the first to enter saves the count and sets it to one, the last
+    to leave restores it."""
+    global _blas_depth, _blas_saved
+    funcs = _openblas_threads()
+    if funcs is None:
+        yield
+        return
+    get, set_ = funcs
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            if _blas_saved != 1:
+                set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0 and _blas_saved != 1:
+                set_(_blas_saved)
+
+
+def _threads_for(X):
+    return serial_blas() if min(X.shape) <= SERIAL_BLAS_MAX_N else contextlib.nullcontext()
+
+
+def augmented_qr_r(A, b) -> np.ndarray:
+    """R factor of the thin QR of ``[A, b]``, for a tall A and finite
+    entries.  The thread rule goes by A, so a solve with
+    n <= SERIAL_BLAS_MAX_N runs every factorization on one thread."""
+    A = np.asarray(A, dtype=float)
+    with _threads_for(A):
+        return np.linalg.qr(np.column_stack([A, b]), mode="r")
 
 
 def svd(X):
@@ -46,7 +139,8 @@ def svd(X):
     """
     X = _as_matrix(X)
     try:
-        return np.linalg.svd(X, full_matrices=False)
+        with _threads_for(X):
+            return np.linalg.svd(X, full_matrices=False)
     except np.linalg.LinAlgError:
         pass
     # gesdd occasionally fails to converge; gesvd is slower but sturdier
@@ -62,7 +156,8 @@ def singular_values(X) -> np.ndarray:
     """Singular values only, non-increasing."""
     X = _as_matrix(X)
     try:
-        return np.linalg.svd(X, compute_uv=False)
+        with _threads_for(X):
+            return np.linalg.svd(X, compute_uv=False)
     except np.linalg.LinAlgError:
         return svd(X)[1]
 

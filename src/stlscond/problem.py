@@ -131,7 +131,7 @@ class StlsSolution:
 def _compress(p: StlsProblem) -> StlsProblem:
     """The (n+1) x n problem of the R factor of [A, b]: the same x and K K',
     which depend on the data only through A'A, A'b and ||b||."""
-    R = np.linalg.qr(np.column_stack([p.A, p.b]), mode="r")
+    R = numerics.augmented_qr_r(p.A, p.b)
     return StlsProblem(R[:, : p.n], R[:, p.n], p.lam)
 
 
@@ -350,13 +350,14 @@ def problem_from_dict(doc: dict) -> StlsProblem:
         b = doc["b"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError(f"missing or malformed field: {exc}") from exc
-    if len(A_rows) != m or any(len(row) != n for row in A_rows):
+    if (not isinstance(A_rows, list) or len(A_rows) != m
+            or any(not isinstance(row, list) or len(row) != n for row in A_rows)):
         raise ProblemFormatError(f"A must be {m} rows of {n} entries")
-    if len(b) != m:
-        raise ProblemFormatError(f"b must have {m} entries, got {len(b)}")
+    if not isinstance(b, list) or len(b) != m:
+        raise ProblemFormatError(f"b must be a list of {m} entries")
     try:
         return StlsProblem(np.array(A_rows, dtype=float), np.array(b, dtype=float), lam)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ProblemFormatError(str(exc)) from exc
 
 
@@ -372,6 +373,8 @@ def load_problem(path) -> StlsProblem:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ProblemFormatError(f"not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ProblemFormatError("not valid JSON: nested too deeply") from None
     return problem_from_dict(doc)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,7 +48,7 @@ def _fake_checkouts(tmp_path, monkeypatch, shas):
     monkeypatch.setattr(bench_pairs, "head_sha", lambda root: shas[os.path.basename(root)])
     runs = []
 
-    def run_once(root, workload, seed, seconds):
+    def run_once(root, workload, seed, seconds, trace=0):
         runs.append(seconds)
         return {"comments": ["# host"],
                 "result": {"metrics": {"op_p50_s": {"value": 1.0}}, "failed": 0, "correct": True}}
@@ -80,3 +81,36 @@ def test_out_file_of_other_commits_is_refused(tmp_path, monkeypatch, capsys):
     assert out.read_text() == recorded and runs == []
     err = capsys.readouterr().err
     assert "p0" in err and "c0" in err and "p1" in err and "c1" in err
+
+
+def test_trace_runs_are_summarized_by_their_layers(tmp_path, monkeypatch):
+    # --trace 1 is handed to run.py, the summary takes the per-layer
+    # metrics and their directions, and the entry sits beside the untraced one
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 20, "end_to_end": [{"name": "op_p50_s", "better": "lower"}],
+         "per_layer": [{"name": "estimate.pce_s", "better": "lower"},
+                       {"name": "bench.pool_busy_frac", "better": "higher"}]}))
+    monkeypatch.setattr(bench_pairs, "head_sha", lambda root: os.path.basename(root))
+    argvs = []
+
+    def fake_run(argv, **kwargs):
+        argvs.append(argv)
+        pce_s = 2.0 if os.path.join("parent", "perfbench") in argv[1] else 1.0
+        line = json.dumps({"correct": True, "failed": 0, "metrics": {
+            "estimate.pce_s": {"value": pce_s}, "bench.pool_busy_frac": {"value": 0.5}}})
+        return SimpleNamespace(returncode=0, stdout="# host\n" + line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = str(tmp_path / "pairs.json")
+    dirs = [f"--parent={tmp_path / 'parent'}", f"--change={tmp_path / 'change'}"]
+    assert bench_pairs.main(dirs + ["--workload", "w1", "--seeds", "1-3", "--trace", "1",
+                                    f"--out={out}"]) == 0
+    assert len(argvs) == 6 and all(a[a.index("--trace") + 1] == "1" for a in argvs)
+    with open(out, encoding="utf-8") as fh:
+        entry = json.load(fh)["workloads"]["w1 --trace 1"]
+    assert entry["trace"] == 1
+    assert entry["summary"]["estimate.pce_s"]["change_wins"] == 3
+    assert entry["summary"]["bench.pool_busy_frac"]["better"] == "higher"
+    assert entry["summary"]["bench.pool_busy_frac"]["change_wins"] == 0

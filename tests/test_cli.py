@@ -285,6 +285,23 @@ def test_malformed_problem_is_io_error(tmp_path):
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize("cmd", ["solve", "cond"])
+@pytest.mark.parametrize("text", [
+    pytest.param(json.dumps({"m": 3, "n": 1, "lambda": 1.0, "A": [1.0, 2.0, 3.0],
+                             "b": [0.0, 0.0, 1.0]}), id="flat-A"),
+    pytest.param(json.dumps({"m": 3, "n": 1, "lambda": 1.0, "A": [[1.0], [2.0], [3.0]],
+                             "b": 5}), id="scalar-b"),
+    pytest.param("[" * 200_000, id="deep-nesting"),
+])
+def test_malformed_problem_structure_is_io_error(tmp_path, cmd, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    r = run_cli(cmd, "--in", str(path))
+    assert r.returncode == 3
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("stlscond: problem file error:")
+
+
 def test_unknown_subcommand_is_usage_error():
     r = run_cli("frobnicate")
     assert r.returncode == 2

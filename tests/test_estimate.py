@@ -19,6 +19,7 @@ from stlscond import (
     SampleTooLargeError,
     SceConfig,
     StlsError,
+    StlsProblem,
     apply_K,
     apply_KT,
     build_K_dense,
@@ -183,6 +184,47 @@ def test_power_rejects_zero_start(gen_problem):
         power_method(sol, p.A, PowerConfig(), y0=np.zeros(4))
 
 
+def _power_through_factor(sol, cfg):
+    """Referee: the power iteration on W W' = K K' through the products of
+    the rectangular factor W, recording ||W'y|| with the scale carried."""
+    op = _f2_operator(sol)
+    y = np.random.default_rng(cfg.seed).standard_normal(len(sol.x))
+    y = sol.M.V.T @ (y / np.linalg.norm(y))
+    scale, v_prev, trace = 1.0, None, []
+    for it in range(1, cfg.max_iter + 1):
+        q = op.rmatvec(y)
+        qnorm = float(np.linalg.norm(q))
+        trace.append(scale * qnorm)
+        if v_prev is not None and abs(trace[-1] - v_prev) < cfg.tol:
+            return it, trace
+        v_prev = trace[-1]
+        y = op.matvec(q / qnorm)
+        scale = float(np.linalg.norm(y))
+        y = y / scale
+    return cfg.max_iter, trace
+
+
+@pytest.mark.parametrize("m, n, lam, e_p, seed, tol", [
+    (60, 40, 1.0, 0.1, 1, 1e-8),
+    (60, 40, 5.0, 1e-3, 2, 1e-8),
+    (120, 80, 20.0, 1e-6, 3, 1e-8),
+    (80, 50, 0.5, 0.3, 4, 1e-8),
+    # kappa near 1e4, v near 1e8: tol is set 1e-12 relative to v, since an
+    # absolute 1e-8 lies below the spacing of floats near v and leaves the
+    # stopping sweep to rounding
+    (200, 150, 0.05, 1e-3, 5, 1e-4),
+])
+def test_power_matches_iteration_through_the_factor(gen_problem, m, n, lam, e_p, seed, tol):
+    p, sol = gen_problem(m, n, lam, e_p, seed)
+    cfg = PowerConfig(tol=tol, seed=seed)
+    rep = power_method(sol, p.A, cfg)
+    iterations, trace = _power_through_factor(sol, cfg)
+    assert rep.diagnostics["iterations"] == iterations
+    assert np.allclose(rep.diagnostics["v_trace"], trace, rtol=1e-12, atol=0.0)
+    if tol == 1e-4:
+        assert rep.absolute > 5e3
+
+
 # ---------------------------------------------------------------------------
 # probabilistic spectral-norm bracket
 # ---------------------------------------------------------------------------
@@ -276,6 +318,41 @@ def test_pce_diagonal_brackets_exact(diagonal_problem, diagonal_solution):
     assert alpha <= KAPPA_DIAGONAL * (1.0 + 1e-10)
     assert beta >= KAPPA_DIAGONAL * (1.0 - 1e-10)
     assert alpha <= rep.absolute <= beta
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_pce_scalar_dimension_is_exact(m):
+    # n = 1: the second Lanczos vector of the 1-dimensional side vanishes,
+    # and the last beta completes the exact norm
+    rng = np.random.default_rng(m)
+    p = StlsProblem(rng.standard_normal((m, 1)), rng.standard_normal(m), 1.0)
+    sol = solve_stls(p)
+    exact = kappa_f2(sol, p.A).absolute
+    rep = pce(sol, p.A, PceConfig(seed=m))
+    assert rep.diagnostics["alpha"] == pytest.approx(exact, rel=1e-12)
+    assert rep.diagnostics["beta"] == pytest.approx(exact, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra=st.integers(1, 6),
+    lam=st.floats(0.05, 20.0),
+    e_p=st.floats(1e-3, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pce_bracket_contains_exact_property(n, extra, lam, e_p, seed):
+    # alpha is certified; beta fails with probability at most eps, taken
+    # tiny here so that a failure points at the code
+    p = generate(GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed)).problem
+    try:
+        sol = solve_stls(p)
+        exact = kappa_f2(sol, p.A).absolute
+    except StlsError:
+        assume(False)
+    rep = pce(sol, p.A, PceConfig(eps=1e-12, seed=seed))
+    assert rep.diagnostics["alpha"] <= exact * (1.0 + 1e-12)
+    assert rep.diagnostics["beta"] >= exact * (1.0 - 1e-12)
 
 
 def test_pce_defaults_match_protocol():

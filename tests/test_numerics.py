@@ -289,3 +289,90 @@ def test_unit_sphere_mean_near_zero():
 def test_unit_sphere_rejects_bad_dim():
     with pytest.raises(ValueError):
         unit_sphere_sample(0, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the BLAS thread count
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of numpy's OpenBLAS thread count; the count is put back
+    after the test."""
+    funcs = numerics._openblas_threads()
+    if funcs is None:
+        pytest.skip("numpy ships no scipy_openblas library here")
+    get, set_ = funcs
+    before = get()
+    yield get, set_
+    set_(before)
+
+
+def test_serial_blas_restores_count(blas_threads):
+    get, set_ = blas_threads
+    set_(2)
+    with numerics.serial_blas():
+        assert get() == 1
+        with numerics.serial_blas():
+            assert get() == 1
+        assert get() == 1
+    assert get() == 2
+    with pytest.raises(RuntimeError):
+        with numerics.serial_blas():
+            raise RuntimeError("inside")
+    assert get() == 2
+
+
+def test_serial_blas_under_a_thread_pool(blas_threads):
+    # more workers than cores and a short switch interval, so entries and
+    # exits interleave; a lost update of the depth would leave the count
+    # at 1 or restore it while a worker is still inside
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    get, set_ = blas_threads
+    set_(2)
+    X = np.random.default_rng(3).standard_normal((60, 40))
+
+    def task(i):
+        with numerics.serial_blas():
+            numerics.singular_values(X + i)
+            return get()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            inside = list(pool.map(task, range(200), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert inside == [1] * 200
+    assert get() == 2
+    assert numerics._blas_depth == 0
+
+
+def test_serial_blas_without_library_does_nothing(blas_threads, monkeypatch, tmp_path):
+    get, set_ = blas_threads
+    (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
+    assert numerics._find_openblas(str(tmp_path)) is None
+    assert numerics._find_openblas(str(tmp_path / "missing")) is None
+    monkeypatch.setattr(numerics, "_openblas_threads", lambda: None)
+    set_(2)
+    with numerics.serial_blas():
+        assert get() == 2
+    assert get() == 2
+
+
+@pytest.mark.parametrize("shape", [(300, 200), (500, 400)])
+def test_small_solves_do_not_depend_on_the_thread_count(blas_threads, shape):
+    from stlscond import StlsProblem, solve_stls
+
+    get, set_ = blas_threads
+    rng = np.random.default_rng(11)
+    p = StlsProblem(rng.standard_normal(shape), rng.standard_normal(shape[0]), 1.0)
+    xs = []
+    for count in (1, 2):
+        set_(count)
+        xs.append(solve_stls(p).x)
+        assert get() == count
+    assert np.array_equal(xs[0], xs[1])

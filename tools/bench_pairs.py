@@ -5,19 +5,22 @@
         --workload estimate-gauss --seeds 21-30 --out BENCH_9.json
 
 For each seed, runs ``DIR/perfbench/run.py --workload W --seed S
---seconds T --trace 0`` in both checkouts, one after the other, with T the
-``run_seconds`` of the change's BENCHMARK.json.  The side that runs first
+--seconds T --trace X`` in both checkouts, one after the other, with T the
+``run_seconds`` of the change's BENCHMARK.json and X the ``--trace`` given
+here (default 0).  The side that runs first
 alternates from pair to pair: on a small host the first run of a
 back-to-back pair can read slower, whichever commit it is.
 
-Prints, per end-to-end metric, each side's median and quartiles over the
-pairs and the number of pairs the change won (ties count for neither),
-with the direction of "better" taken from the same file.
+Prints, per end-to-end metric (per-layer metric with ``--trace 1``), each
+side's median and quartiles over the pairs and the number of pairs the
+change won (ties count for neither), with the direction of "better" taken
+from the same file.
 
 ``--out`` keeps every result line, each run's ``#`` lines (the host line
 among them) and both checkouts' ``git rev-parse HEAD`` in one JSON file.
 A file that already holds runs of the same two commits gains or replaces
-the entry of this workload, so one file can hold every workload; a file
+the entry of this workload (``W --trace 1`` for traced runs), so one file
+can hold every workload, traced and not; a file
 that holds runs of another pair of commits is left as it is, and the tool
 exits 2 before running anything.
 """
@@ -48,10 +51,10 @@ def head_sha(root: str) -> str:
     return proc.stdout.strip()
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One perfbench run: its ``#`` lines and its parsed result line."""
     argv = [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines or lines[-1].startswith("#"):
@@ -94,13 +97,17 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="inclusive range A-B, or one seed")
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                    help="1: traced runs, summarized by their per-layer metrics")
     ap.add_argument("--out", default=None, help="JSON file to write or extend")
     args = ap.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     shas = {side: head_sha(root) for side, root in roots.items()}
     with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    better = {m["name"]: m["better"]
+              for m in bench["per_layer" if args.trace else "end_to_end"]}
+    entry = f"{args.workload} --trace 1" if args.trace else args.workload
     seconds = bench["run_seconds"]
     doc = None
     if args.out:
@@ -116,25 +123,26 @@ def main(argv=None) -> int:
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             print(f"# seed {seed}: {side}", file=sys.stderr, flush=True)
-            pair[side] = run_once(roots[side], args.workload, seed, seconds)
+            pair[side] = run_once(roots[side], args.workload, seed, seconds, args.trace)
         pairs.append(pair)
 
     summary = summarize(pairs, better)
-    print(f"{args.workload}: parent {shas['parent'][:12]}  change {shas['change'][:12]}  "
+    print(f"{entry}: parent {shas['parent'][:12]}  change {shas['change'][:12]}  "
           f"{len(pairs)} pairs, {seconds:g} s runs")
-    print(f"{'metric':<14} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} wins")
+    width = max(len(metric) for metric in summary)
+    print(f"{'metric':<{width}} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} wins")
     for metric, s in summary.items():
         cells = [f"{s[side]['median']:.4g} [{s[side]['q1']:.4g}, {s[side]['q3']:.4g}]"
                  for side in ("parent", "change")]
-        print(f"{metric:<14} {cells[0]:>34} {cells[1]:>34} {s['change_wins']}/{s['pairs']}")
+        print(f"{metric:<{width}} {cells[0]:>34} {cells[1]:>34} {s['change_wins']}/{s['pairs']}")
     for side in ("parent", "change"):
         failed = sum(p[side]["result"]["failed"] for p in pairs)
         correct = all(p[side]["result"]["correct"] for p in pairs)
         print(f"{side}: correct={correct} failed ops={failed}")
 
     if doc is not None:
-        doc["workloads"][args.workload] = {"seconds": seconds, "summary": summary,
-                                           "pairs": pairs}
+        doc["workloads"][entry] = {"seconds": seconds, "trace": args.trace,
+                                   "summary": summary, "pairs": pairs}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
