@@ -292,10 +292,11 @@ def test_malformed_problem_is_io_error(tmp_path):
     pytest.param(json.dumps({"m": 3, "n": 1, "lambda": 1.0, "A": [[1.0], [2.0], [3.0]],
                              "b": 5}), id="scalar-b"),
     pytest.param("[" * 200_000, id="deep-nesting"),
+    pytest.param(b"\xff\xfe{", id="not-utf8"),
 ])
 def test_malformed_problem_structure_is_io_error(tmp_path, cmd, text):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     r = run_cli(cmd, "--in", str(path))
     assert r.returncode == 3
     assert "Traceback" not in r.stderr
