@@ -22,7 +22,7 @@ from stlscond.bench import read_bench_csv, write_bench_csv, write_ratio_csv
 # timing: the materialized operator versus the rectangular factor
 records, summaries = run_timing_bench(
     sizes=[(100, 70)], lambdas=[0.05, 5.0], e_ps=[0.1],
-    trials=5, methods=["kron", "f2"], seed=0, threads=1,
+    trials=5, methods=["kron", "f2"], seed=0,
 )
 print("timing summary (seconds):")
 for s in summaries:
@@ -44,7 +44,7 @@ print("first row:", records[0])
 
 # estimator accuracy ratios against the exact value
 groups, ratio_summaries = run_ratio_bench(
-    sizes=[(60, 40)], lambdas=[5.0], e_ps=[0.1], trials=10, seed=0, threads=1,
+    sizes=[(60, 40)], lambdas=[5.0], e_ps=[0.1], trials=10, seed=0,
 )
 print("\naccuracy ratios over 10 trials (estimator / exact):")
 for s in ratio_summaries:

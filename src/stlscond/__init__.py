@@ -46,7 +46,6 @@ from .estimate import (
     apply_KT,
     pce,
     power_method,
-    probabilistic_spectral_norm,
     sce,
 )
 from .generate import GeneratedProblem, GeneratorSpec, generate

@@ -9,17 +9,15 @@ Timing measures the condition evaluation only; problem generation and the
 solve are excluded.  Value columns are reproducible for a fixed root seed:
 per-trial problem and estimator seeds are derived through
 ``numpy.random.SeedSequence`` with the (cell index, trial index) spawn key.
-Wall-time columns are exempt from reproducibility.  Trials inside a cell
-may run on a thread pool capped by the ``STLSCOND_THREADS`` environment
-variable (default: available cores); output order is by (cell, trial)
-regardless of completion order.
+Wall-time columns are exempt from reproducibility.  Trials run one at a
+time, so each wall time is one method's alone, as the timing comparison
+needs; output order is by (cell, trial).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -37,6 +35,8 @@ BENCH_COLUMNS = [
     "value", "wall_time_seconds", "iterations", "trial_index",
 ]
 RATIO_COLUMNS = ["trial_index", "ratio1", "ratio2", "ratio3"]
+# the exact reference and the estimators of ratio1..ratio3, in that order
+RATIO_METHODS = ("f2", "power", "pce", "sce")
 
 
 @dataclass
@@ -104,13 +104,11 @@ def derive_seed(root: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def worker_count(threads: int | None = None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("STLSCOND_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def estimator_ratios(values) -> dict:
+    """``{"ratio1": power/f2, "ratio2": pce/f2, "ratio3": sce/f2}`` from a
+    mapping of method name to absolute condition number."""
+    exact = values[RATIO_METHODS[0]]
+    return {f"ratio{i}": values[mth] / exact for i, mth in enumerate(RATIO_METHODS[1:], 1)}
 
 
 def _trial(seed, key, cell, power_cfg=None, pce_cfg=None, sce_cfg=None):
@@ -152,21 +150,17 @@ def _measure(method, solved, configs):
     return value, diag.get("iterations")
 
 
-def _run_cells(cells, trials, threads, task):
-    """Run task(cell_idx, cell, trial) over all (cell, trial) pairs on a
-    bounded thread pool; results ordered by (cell, trial)."""
+def _run_cells(cells, trials, task, threads=1):
+    """task(cell_idx, cell, trial) over all (cell, trial) pairs, results
+    ordered by (cell, trial)."""
     jobs = [(ci, cell, t) for ci, cell in enumerate(cells) for t in range(trials)]
-    results = {}
-    workers = worker_count(threads)
-    if workers == 1:
-        for ci, cell, t in jobs:
-            results[(ci, t)] = task(ci, cell, t)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(task, ci, cell, t): (ci, t) for ci, cell, t in jobs}
-            for fut, key in futures.items():
-                results[key] = fut.result()
-    return [results[(ci, t)] for ci in range(len(cells)) for t in range(trials)]
+    if threads <= 1:
+        return [task(*job) for job in jobs]
+    # Only perfbench's grid-small, which measures the pool itself, asks for
+    # more than one worker; concurrent trials on shared cores distort the
+    # per-method wall times the timing table compares.
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda job: task(*job), jobs))
 
 
 def _cells(sizes, lambdas, e_ps):
@@ -185,7 +179,7 @@ def run_timing_bench(
     trials,
     methods,
     seed=0,
-    threads=None,
+    threads=1,
     power_cfg=None,
     pce_cfg=None,
     sce_cfg=None,
@@ -218,7 +212,7 @@ def run_timing_bench(
             rows.append(BenchRecord(*cell, pseed, mth, value, wall, iterations, trial))
         return rows
 
-    per_trial = _run_cells(cells, trials, threads, task)
+    per_trial = _run_cells(cells, trials, task, threads)
     records = [rec for rows in per_trial for rec in rows]
     summaries = summarize_timing(records)
     return records, summaries
@@ -258,40 +252,32 @@ def run_ratio_bench(
     e_ps,
     trials,
     seed=0,
-    threads=None,
     power_cfg=None,
     pce_cfg=None,
     sce_cfg=None,
 ):
     """Estimator-to-exact accuracy ratios over a grid of generated problems.
 
-    The exact reference is the rectangular-factor value.  A failed or
-    unconverged estimator leaves a NaN in its ratio (a flagged row); the
-    run continues.  Returns (groups, summaries) where groups is a list of
-    (cell_info, [RatioRecord]) in cell order and trial_index counts within
-    each cell.
+    The values are those of :func:`run_timing_bench` over
+    ``RATIO_METHODS``, the exact reference being the rectangular-factor
+    value.  A failed or unconverged estimator leaves a NaN in its ratio (a
+    flagged row); the run continues.  Returns (groups, summaries) where
+    groups is a list of (cell_info, [RatioRecord]) in cell order and
+    trial_index counts within each cell.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    cells = _cells(sizes, lambdas, e_ps)
-
-    def task(ci, cell, trial):
-        _, configs, solved = _trial(
-            seed, (ci, trial), cell, power_cfg, pce_cfg, sce_cfg
-        )
-        ratios = [float("nan")] * 3
-        if solved is not None:
-            exa, _ = _measure("f2", solved, configs)
-            for slot, mth in enumerate(("power", "pce", "sce")):
-                ratios[slot] = _measure(mth, solved, configs)[0] / exa
-        return RatioRecord(trial, *ratios)
-
-    per_trial = _run_cells(cells, trials, threads, task)
+    records, _ = run_timing_bench(
+        sizes, lambdas, e_ps, trials, RATIO_METHODS, seed,
+        power_cfg=power_cfg, pce_cfg=pce_cfg, sce_cfg=sce_cfg,
+    )
+    k = len(RATIO_METHODS)
+    per_trial = [
+        RatioRecord(rows[0].trial_index, **estimator_ratios({r.method: r.value for r in rows}))
+        for rows in (records[i : i + k] for i in range(0, len(records), k))
+    ]
     groups = []
-    for ci, cell in enumerate(cells):
-        recs = per_trial[ci * trials : (ci + 1) * trials]
+    for ci, cell in enumerate(_cells(sizes, lambdas, e_ps)):
         info = {"m": cell[0], "n": cell[1], "lambda": cell[2], "e_p": cell[3]}
-        groups.append((info, recs))
+        groups.append((info, per_trial[ci * trials : (ci + 1) * trials]))
     return groups, summarize_ratios(groups)
 
 
@@ -315,9 +301,7 @@ def summarize_ratios(groups):
     return summaries
 
 
-def run_power_spread(
-    m, n, lam, e_p, groups, inits, seed=0, threads=None, power_cfg=None
-):
+def run_power_spread(m, n, lam, e_p, groups, inits, seed=0, power_cfg=None):
     """Distribution of power-method cost across initial vectors.
 
     Generates and solves ``groups`` problems; for each, runs the power
@@ -328,9 +312,7 @@ def run_power_spread(
     continues.
     """
     cells = [(m, n, lam, e_p)] * groups
-    group_inputs = _run_cells(
-        cells, 1, threads, lambda gi, cell, _: _trial(seed, (gi,), cell, power_cfg)
-    )
+    group_inputs = [_trial(seed, (gi,), cell, power_cfg) for gi, cell in enumerate(cells)]
 
     def task(gi, cell, trial):
         pseed, configs, solved = group_inputs[gi]
@@ -349,7 +331,7 @@ def run_power_spread(
             wall = time.perf_counter() - t0
         return BenchRecord(*cell, pseed, "power", value, wall, iters, trial)
 
-    return _run_cells(cells, inits, threads, task)
+    return _run_cells(cells, inits, task)
 
 
 # ---------------------------------------------------------------------------

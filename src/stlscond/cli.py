@@ -3,8 +3,9 @@
 Subcommands: gen, solve, cond, bench-time, bench-ratio.  Exit codes are
 stable: 0 success, 2 usage error (including a dense K over the memory
 budget of ``kron``), 3 I/O failure, 4 non-unique problem, degenerate
-singular vector or a numerical iteration that did not converge, 5
-degenerate quantity (zero residual or zero solution).
+singular vector, a numerical iteration that did not converge or a
+quantity out of the double range, 5 degenerate quantity (zero residual
+or zero solution).
 ``cond --method all`` skips ``kron`` over its memory budget instead of
 failing, and names it with the reason under "skipped" (JSON) and on stderr.
 """
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import exact
 from .bench import (
+    estimator_ratios,
     run_power_spread,
     run_ratio_bench,
     run_timing_bench,
@@ -32,6 +34,7 @@ from .errors import (
     DegenerateSingularVectorError,
     MemoryBudgetError,
     NongenericProblemError,
+    NonFiniteError,
     NotPositiveDefiniteError,
     ProblemFormatError,
     SampleTooLargeError,
@@ -97,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bt.add_argument("--trials", type=int, default=1)
     p_bt.add_argument("--methods", default="kron,f2",
                       help="comma-separated subset of " + ",".join(METHODS))
-    p_bt.add_argument("--threads", type=int, default=None,
-                      help="worker threads (default: STLSCOND_THREADS or cores)")
     _estimator_options(p_bt)
     _common_options(p_bt)
     p_bt.set_defaults(func=cmd_bench_time)
@@ -108,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_br.add_argument("--lambdas", required=True)
     p_br.add_argument("--ep", required=True)
     p_br.add_argument("--trials", type=int, default=1)
-    p_br.add_argument("--threads", type=int, default=None)
     p_br.add_argument("--vary-initial", type=int, default=0, metavar="N",
                       help="instead of ratios, run the power method from N initial "
                            "vectors on each of --trials problem groups (single cell); "
@@ -223,6 +223,7 @@ def cmd_cond(args) -> int:
     sol = solve_stls(p)
     methods = list(METHODS) if args.method == "all" else [args.method]
     reports = []
+    values = {}
     skipped = {}
     zero_solution = False
     for method in methods:
@@ -242,15 +243,8 @@ def cmd_cond(args) -> int:
             diag["relative_error"] = "ZeroSolution"
             rep.diagnostics = diag
         reports.append(rep)
-    ratios = {}
-    if args.method == "all":
-        by_tag = {rep.method: rep.absolute for rep in reports}
-        exa = by_tag["F2"]
-        ratios = {
-            "ratio1": by_tag["POWER"] / exa,
-            "ratio2": by_tag["PCE"] / exa,
-            "ratio3": by_tag["SCE"] / exa,
-        }
+        values[method] = rep.absolute
+    ratios = estimator_ratios(values) if args.method == "all" else {}
     if args.format == "csv":
         lines = ["method,absolute,relative"]
         for rep in reports:
@@ -291,7 +285,6 @@ def cmd_bench_time(args) -> int:
     records, summaries = run_timing_bench(
         sizes, _parse_floats(args.lambdas), _parse_floats(args.ep),
         trials=args.trials, methods=methods, seed=args.seed,
-        threads=args.threads,
         power_cfg=configs["power"], pce_cfg=configs["pce"], sce_cfg=configs["sce"],
     )
     with _output(args) as fh:
@@ -317,7 +310,7 @@ def cmd_bench_ratio(args) -> int:
         m, n = sizes[0]
         records = run_power_spread(
             m, n, lambdas[0], e_ps[0], groups=args.trials,
-            inits=args.vary_initial, seed=args.seed, threads=args.threads,
+            inits=args.vary_initial, seed=args.seed,
             power_cfg=configs["power"],
         )
         with _output(args) as fh:
@@ -325,7 +318,6 @@ def cmd_bench_ratio(args) -> int:
         return EXIT_OK
     groups, summaries = run_ratio_bench(
         sizes, lambdas, e_ps, trials=args.trials, seed=args.seed,
-        threads=args.threads,
         power_cfg=configs["power"], pce_cfg=configs["pce"], sce_cfg=configs["sce"],
     )
     with _output(args) as fh:
@@ -362,6 +354,9 @@ def main(argv=None) -> int:
         return EXIT_NONGENERIC
     except ConvergenceError as exc:
         print(f"stlscond: did not converge: {exc}", file=sys.stderr)
+        return EXIT_NONGENERIC
+    except NonFiniteError as exc:
+        print(f"stlscond: out of floating-point range: {exc}", file=sys.stderr)
         return EXIT_NONGENERIC
     except (ZeroResidualError, ZeroSolutionError) as exc:
         print(f"stlscond: degenerate problem: {exc}", file=sys.stderr)

@@ -336,11 +336,11 @@ def _sphere_quantile(d, eps):
     return y
 
 
-def probabilistic_spectral_norm(op, cfg: PceConfig, rng=None):
+def _lanczos_bracket(op, cfg: PceConfig, v):
     """Bracket the spectral norm of a linear operator.
 
     Runs a Golub-Kahan bidiagonalization with full reorthogonalization from
-    a uniform unit-sphere start vector.  After each step:
+    the unit start vector ``v``, uniform on the sphere.  After each step:
 
     * ``alpha`` is the largest Ritz value of the projection -- a certified
       lower bound on the norm;
@@ -353,32 +353,10 @@ def probabilistic_spectral_norm(op, cfg: PceConfig, rng=None):
 
     The iteration deepens until ``beta <= (1 + theta) * alpha`` or the
     space is exhausted, in which case both bounds equal the exact norm.
-
-    Parameters
-    ----------
-    op : object with ``shape``, ``matvec`` and ``rmatvec``
-        Such as ``exact._f2_operator`` or any scipy linear operator (dense
-        arrays can be wrapped with ``scipy.sparse.linalg.aslinearoperator``).
-    cfg : PceConfig
-    rng : numpy Generator, optional
-        Defaults to a fresh generator seeded from ``cfg.seed``.
-
-    Returns
-    -------
-    (alpha, beta) : floats with alpha <= beta.
-    """
-    rows, cols = op.shape
-    if rows < 1 or cols < 1:
-        raise ValueError(f"operator must be nonempty, got shape {op.shape}")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    return _lanczos_bracket(op, cfg, numerics.unit_sphere_sample(cols, rng))[:2]
-
-
-def _lanczos_bracket(op, cfg: PceConfig, v):
-    """:func:`probabilistic_spectral_norm` from the unit start vector
-    ``v``; returns ``(alpha, beta, steps)``, steps being the Lanczos depth
-    reached.
+    ``op`` has ``shape``, ``matvec`` and ``rmatvec``, such as
+    ``exact._f2_operator`` or a scipy linear operator.  Returns
+    ``(alpha, beta, steps)`` with alpha <= beta, steps being the Lanczos
+    depth reached.
 
     The bases are kept as row-stacked arrays, grown by doubling, and each
     new vector is reorthogonalized against them in two block passes.  The

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import (
     ConvergenceError,
     DegenerateSingularVectorError,
     NongenericProblemError,
+    NonFiniteError,
     ProblemFormatError,
 )
 
@@ -135,26 +137,6 @@ def _compress(p: StlsProblem) -> StlsProblem:
     return StlsProblem(R[:, : p.n], R[:, p.n], p.lam)
 
 
-def _singular_vector_solution(p: StlsProblem, s_hat: np.ndarray):
-    """x = -v[:n] / (lam v[n]), sigma_np1 and the gap, from the trailing
-    right singular vector v of [A, lam*b] and the singular values ``s_hat``
-    of A; raises as :func:`solve_stls` does, checking the gap first."""
-    _, s, Vt = numerics.svd(p.augmented())
-    sigma_np1 = float(s[-1])
-    gap = float(s_hat[-1]) - sigma_np1
-    tol = 1e-12 * float(s_hat[0])
-    if gap <= tol:
-        raise NongenericProblemError(
-            f"uniqueness gap {gap:.3e} <= tolerance {tol:.3e}"
-        )
-    v = Vt[-1]
-    if abs(v[p.n]) < 1e-14:
-        raise DegenerateSingularVectorError(
-            f"trailing component of the right singular vector is {v[p.n]:.3e}"
-        )
-    return -v[: p.n] / (p.lam * v[p.n]), sigma_np1, gap
-
-
 def check_genericity(p: StlsProblem):
     """Return (sigma_hat_n, sigma_np1, gap) without raising on a bad gap.
 
@@ -183,7 +165,9 @@ def _secular_root(s_hat, w, w0, tol):
 
     Returns ``(mu, d, gap)`` with ``d = s_hat**2 - mu`` and
     ``gap = s_hat[-1] - sqrt(mu)``; raises NongenericProblemError when the
-    gap is not above ``tol``.
+    gap is not above ``tol``, and NonFiniteError when ``s_hat[-1]**2``
+    underflows, which the caller's scaling leaves only for data whose
+    A and lam b differ in scale by more than about 1e154.
 
     As LAPACK's dlasd4 does, the unknown is tau = mu - o, the distance
     from the origin o, the pole 0 or s_hat[-1]**2 nearer the root, and the
@@ -208,6 +192,9 @@ def _secular_root(s_hat, w, w0, tol):
 
     # gap > tol exactly when F is positive at mu = (s_n - tol)**2
     tau_tol = -tol * (2.0 * sn - tol)
+    if sn > tol and sn2 < np.finfo(float).tiny:
+        raise NonFiniteError("the smallest singular value of A is below 1e-154 of the "
+                             "data's scale, so its square underflows")
     if not (sn > tol and secular(-sn2, shifted, tau_tol)[0] > 0.0):
         raise NongenericProblemError(f"uniqueness gap is at most the tolerance {tol:.3e}")
     if w0 == 0.0:
@@ -295,8 +282,16 @@ def solve_stls(p: StlsProblem) -> StlsSolution:
     tol = 1e-12 * float(s_hat[0])
     c = U.T @ core.b[:n]
     lam_c = p.lam * c
-    mu, d, gap = _secular_root(s_hat, lam_c * lam_c, (p.lam * float(core.b[n])) ** 2, tol)
-    x = Vt.T @ (s_hat * c / d)
+    lam_r22 = p.lam * float(core.b[n])
+    # The secular equation squares s_hat, lam c and lam R22.  Scaled by the
+    # power of two that brings the largest of them near 1, which is exact,
+    # its squares neither overflow nor underflow, whatever the data's units.
+    e = math.frexp(max(float(s_hat[0]), float(np.max(np.abs(lam_c))), abs(lam_r22)))[1]
+    s_e, c_e, z_e = np.ldexp(s_hat, -e), np.ldexp(lam_c, -e), math.ldexp(lam_r22, -e)
+    mu, d, gap = _secular_root(s_e, c_e * c_e, z_e * z_e, math.ldexp(tol, -e))
+    x = Vt.T @ (s_e * np.ldexp(c, -e) / d)
+    sigma_np1 = math.ldexp(math.sqrt(mu), e)
+    d, gap = np.ldexp(d, 2 * e), math.ldexp(gap, e)
     trailing = 1.0 / math.hypot(1.0, p.lam * float(np.linalg.norm(x)))
     if trailing < 1e-14:
         raise DegenerateSingularVectorError(
@@ -305,7 +300,7 @@ def solve_stls(p: StlsProblem) -> StlsSolution:
     return StlsSolution(
         x=x,
         r=p.A @ x - p.b,
-        sigma_np1=math.sqrt(mu),
+        sigma_np1=sigma_np1,
         sigma_hat_n=float(s_hat[-1]),
         M=numerics.SpdFactorization(Vt.T, d),
         genericity_gap=gap,
@@ -318,8 +313,23 @@ def solve_stls(p: StlsProblem) -> StlsSolution:
 
 
 def solve_stls_svd(p: StlsProblem) -> np.ndarray:
-    """:func:`solve_stls`'s x from the uncompressed [A, lam*b], its oracle."""
-    return _singular_vector_solution(p, numerics.singular_values(p.A))[0]
+    """:func:`solve_stls`'s x from the uncompressed [A, lam*b], its oracle:
+    x = -v[:n] / (lam v[n]) from the trailing right singular vector v.
+    Raises as :func:`solve_stls` does, checking the gap first."""
+    s_hat = numerics.singular_values(p.A)
+    _, s, Vt = numerics.svd(p.augmented())
+    gap = float(s_hat[-1]) - float(s[-1])
+    tol = 1e-12 * float(s_hat[0])
+    if gap <= tol:
+        raise NongenericProblemError(
+            f"uniqueness gap {gap:.3e} <= tolerance {tol:.3e}"
+        )
+    v = Vt[-1]
+    if abs(v[p.n]) < 1e-14:
+        raise DegenerateSingularVectorError(
+            f"trailing component of the right singular vector is {v[p.n]:.3e}"
+        )
+    return -v[: p.n] / (p.lam * v[p.n])
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +353,15 @@ def problem_to_dict(p: StlsProblem, provenance: dict | None = None) -> dict:
 
 def problem_from_dict(doc: dict) -> StlsProblem:
     try:
-        m = int(doc["m"])
-        n = int(doc["n"])
-        lam = float(doc["lambda"])
-        A_rows = doc["A"]
-        b = doc["b"]
-    except (KeyError, TypeError, ValueError) as exc:
+        m, n, lam = doc["m"], doc["n"], doc["lambda"]
+        A_rows, b = doc["A"], doc["b"]
+    except (KeyError, TypeError) as exc:
         raise ProblemFormatError(f"missing or malformed field: {exc}") from exc
+    # JSON true/false load as Python bools, which are ints; no field is one
+    for key, value, kind in (("m", m, Integral), ("n", n, Integral), ("lambda", lam, Real)):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            what = "an integer" if kind is Integral else "a number"
+            raise ProblemFormatError(f"{key} must be {what}, got {value!r}")
     if (not isinstance(A_rows, list) or len(A_rows) != m
             or any(not isinstance(row, list) or len(row) != n for row in A_rows)):
         raise ProblemFormatError(f"A must be {m} rows of {n} entries")
@@ -357,7 +369,8 @@ def problem_from_dict(doc: dict) -> StlsProblem:
         raise ProblemFormatError(f"b must be a list of {m} entries")
     try:
         return StlsProblem(np.array(A_rows, dtype=float), np.array(b, dtype=float), lam)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer literal beyond the float range
         raise ProblemFormatError(str(exc)) from exc
 
 

@@ -247,7 +247,7 @@ def test_criterion_6_small_sample_statistics():
 def test_criterion_7_timing_ordering_nongating():
     records, summaries = run_timing_bench(
         [(200, 150)], [5.0], [0.1], trials=3, methods=["kron", "f2"],
-        seed=0, threads=1,
+        seed=0,
     )
     means = {s["method"]: s["mean_wall_time"] for s in summaries}
     ratio = means["kron"] / means["f2"]

@@ -22,7 +22,6 @@ from stlscond.bench import (
     derive_seed,
     read_bench_csv,
     read_ratio_csv,
-    worker_count,
     write_bench_csv,
     write_ratio_csv,
 )
@@ -31,7 +30,7 @@ from stlscond.estimate import PowerConfig
 
 def test_timing_bench_record_counts():
     records, summaries = run_timing_bench(
-        [(12, 8)], [1.0], [0.1], trials=2, methods=["f2", "sce"], seed=0, threads=1
+        [(12, 8)], [1.0], [0.1], trials=2, methods=["f2", "sce"], seed=0
     )
     assert len(records) == 4
     assert all(rec.wall_time_seconds >= 0.0 for rec in records)
@@ -41,7 +40,7 @@ def test_timing_bench_record_counts():
 
 def test_timing_bench_single_record():
     records, _ = run_timing_bench(
-        [(10, 6)], [5.0], [0.1], trials=1, methods=["f2"], seed=3, threads=1
+        [(10, 6)], [5.0], [0.1], trials=1, methods=["f2"], seed=3
     )
     assert len(records) == 1
     rec = records[0]
@@ -65,7 +64,7 @@ def test_pce_records_carry_lanczos_depth():
     # the iterations column holds pce's Lanczos depth, as the library
     # reports it for the same trial
     records, _ = run_timing_bench(
-        [(14, 9)], [5.0], [0.1], trials=2, methods=["pce"], seed=11, threads=1
+        [(14, 9)], [5.0], [0.1], trials=2, methods=["pce"], seed=11
     )
     buf = io.StringIO()
     write_bench_csv(records, buf)
@@ -78,12 +77,12 @@ def test_pce_records_carry_lanczos_depth():
 
 def test_timing_bench_rejects_unknown_method():
     with pytest.raises(ValueError):
-        run_timing_bench([(10, 6)], [1.0], [0.1], trials=1, methods=["qr"], threads=1)
+        run_timing_bench([(10, 6)], [1.0], [0.1], trials=1, methods=["qr"])
 
 
 def test_bench_csv_roundtrip():
     records, _ = run_timing_bench(
-        [(10, 6)], [1.0], [0.1], trials=2, methods=["f2", "power"], seed=5, threads=1
+        [(10, 6)], [1.0], [0.1], trials=2, methods=["f2", "power"], seed=5
     )
     records.append(
         BenchRecord(10, 6, 1.0, 0.1, 99, "power", float("nan"), 0.01, None, 2)
@@ -108,7 +107,7 @@ def test_bench_csv_roundtrip():
 
 def test_ratio_bench_groups_and_summaries():
     groups, summaries = run_ratio_bench(
-        [(16, 10)], [5.0], [0.1], trials=3, seed=1, threads=1
+        [(16, 10)], [5.0], [0.1], trials=3, seed=1
     )
     assert len(groups) == 1
     info, recs = groups[0]
@@ -127,7 +126,7 @@ def test_ratio_bench_accuracy_at_reference_size():
     # power tracks the exact value to machine precision, the bracket
     # midpoint is certified to theta/2 = 0.005
     groups, _ = run_ratio_bench(
-        [(200, 150)], [5.0], [0.1], trials=3, seed=0, threads=1
+        [(200, 150)], [5.0], [0.1], trials=3, seed=0
     )
     for rec in groups[0][1]:
         assert abs(rec.ratio1 - 1.0) <= 1e-4
@@ -137,7 +136,7 @@ def test_ratio_bench_accuracy_at_reference_size():
 
 def test_ratio_bench_flags_unconverged_power():
     groups, _ = run_ratio_bench(
-        [(16, 10)], [1.0], [0.1], trials=1, seed=2, threads=1,
+        [(16, 10)], [1.0], [0.1], trials=1, seed=2,
         power_cfg=PowerConfig(tol=1e-30, max_iter=1, seed=0),
     )
     rec = groups[0][1][0]
@@ -147,7 +146,7 @@ def test_ratio_bench_flags_unconverged_power():
 
 def test_ratio_csv_roundtrip():
     groups, _ = run_ratio_bench(
-        [(12, 8)], [1.0], [0.1], trials=2, seed=4, threads=1
+        [(12, 8)], [1.0], [0.1], trials=2, seed=4
     )
     buf = io.StringIO()
     write_ratio_csv(groups, buf)
@@ -166,7 +165,7 @@ def test_ratio_csv_roundtrip():
 
 def test_power_spread_rows():
     records = run_power_spread(
-        14, 9, 5.0, 0.1, groups=2, inits=3, seed=0, threads=1
+        14, 9, 5.0, 0.1, groups=2, inits=3, seed=0
     )
     assert len(records) == 6
     seeds = {rec.seed for rec in records}
@@ -186,7 +185,7 @@ def test_power_spread_solves_once_per_group(monkeypatch):
 
     monkeypatch.setattr(bench, "solve_stls", counting_solve)
     records = run_power_spread(
-        14, 9, 5.0, 0.1, groups=2, inits=3, seed=0, threads=1
+        14, 9, 5.0, 0.1, groups=2, inits=3, seed=0
     )
     assert len(records) == 6
     assert len(calls) == 2
@@ -198,17 +197,9 @@ def test_derive_seed_is_deterministic_and_spread():
     assert len(seen) == 100
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("STLSCOND_THREADS", "3")
-    assert worker_count() == 3
-    assert worker_count(threads=2) == 2
-    monkeypatch.delenv("STLSCOND_THREADS")
-    assert worker_count() >= 1
-
-
 def test_timing_summary_statistics():
     records, summaries = run_timing_bench(
-        [(12, 8)], [1.0], [0.1], trials=4, methods=["f2"], seed=9, threads=1
+        [(12, 8)], [1.0], [0.1], trials=4, methods=["f2"], seed=9
     )
     s = summaries[0]
     times = np.array([rec.wall_time_seconds for rec in records])

@@ -1,14 +1,20 @@
 """End-to-end CLI tests through subprocess: exit codes, formats, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stlscond import StlsProblem, load_problem, save_problem, solve_stls
+from stlscond import StlsProblem, cli, load_problem, save_problem, solve_stls
 from stlscond.bench import (
     BENCH_COLUMNS,
     RATIO_COLUMNS,
@@ -227,6 +233,17 @@ def test_convergence_failure_exit_code(problem_file, monkeypatch, capsys, cmd):
     assert err.startswith("stlscond: did not converge:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cmd", ["solve", "cond"])
+def test_out_of_range_exit_code(tmp_path, capsys, cmd):
+    path = tmp_path / "range.json"
+    A = np.array([[1.0, 0.5], [0.0, 2.0], [1.0, 1.0], [0.3, -1.0]])
+    save_problem(StlsProblem(A, np.array([1e300, 0.0, 2.0, -1.0]), 1.5), path)
+    assert cli.main([cmd, "--in", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("stlscond: out of floating-point range:") and err.count("\n") == 1
+
+
 def test_cond_zero_residual_exit_code(tmp_path):
     rng = np.random.default_rng(3)
     A = rng.standard_normal((8, 4))
@@ -292,6 +309,14 @@ def test_malformed_problem_is_io_error(tmp_path):
     pytest.param(json.dumps({"m": 3, "n": 1, "lambda": 1.0, "A": [[1.0], [2.0], [3.0]],
                              "b": 5}), id="scalar-b"),
     pytest.param("[" * 200_000, id="deep-nesting"),
+    pytest.param(json.dumps({"m": 3.9, "n": 1, "lambda": 1.0, "A": [[1.0], [2.0], [3.0]],
+                             "b": [0.0, 0.0, 1.0]}), id="float-m"),
+    pytest.param(json.dumps({"m": 3, "n": True, "lambda": 1.0, "A": [[1.0], [2.0], [3.0]],
+                             "b": [0.0, 0.0, 1.0]}), id="bool-n"),
+    pytest.param(json.dumps({"m": 3, "n": 1, "lambda": True, "A": [[1.0], [2.0], [3.0]],
+                             "b": [0.0, 0.0, 1.0]}), id="bool-lambda"),
+    pytest.param('{"m": 3, "n": 1, "lambda": 1.0, "A": [[1' + "0" * 400 + '], [2.0], [3.0]], '
+                 '"b": [0.0, 0.0, 1.0]}', id="integer-beyond-float"),
     pytest.param(b"\xff\xfe{", id="not-utf8"),
 ])
 def test_malformed_problem_structure_is_io_error(tmp_path, cmd, text):
@@ -303,6 +328,70 @@ def test_malformed_problem_structure_is_io_error(tmp_path, cmd, text):
     assert r.stderr.startswith("stlscond: problem file error:")
 
 
+VALID_DOC = {"m": 4, "n": 2, "lambda": 1.5,
+             "A": [[1.0, 0.5], [0.0, 2.0], [1.0, 1.0], [0.3, -1.0]],
+             "b": [1.0, 0.0, 2.0, -1.0]}
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=12,
+)
+# sizes that int() or float() would turn into a count
+SIZE_VALUES = st.sampled_from([True, False, 4.0, 2.0, 3.9, "4", None, 0, -4, 10**400])
+DEEP = "__deep__"
+
+
+@st.composite
+def malformed_problem_texts(draw):
+    """The JSON text of VALID_DOC after one mutation."""
+    doc = copy.deepcopy(VALID_DOC)
+    key = draw(st.sampled_from(sorted(doc)))
+    kind = draw(st.sampled_from(
+        ["field", "size", "delete", "entry", "row", "flat", "deep", "top"]))
+    if kind == "field":
+        doc[key] = draw(JSON_VALUES)
+    elif kind == "size":
+        doc[draw(st.sampled_from(["m", "n"]))] = draw(SIZE_VALUES | JSON_VALUES)
+    elif kind == "delete":
+        del doc[key]
+    elif kind == "entry":
+        value = draw(JSON_VALUES)
+        if draw(st.booleans()):
+            doc["A"][draw(st.integers(0, 3))][draw(st.integers(0, 1))] = value
+        else:
+            doc["b"][draw(st.integers(0, 3))] = value
+    elif kind == "row":
+        doc["A"][draw(st.integers(0, 3))] = draw(st.lists(st.floats(-2.0, 2.0), max_size=4))
+    elif kind == "flat":
+        doc["A"] = [v for row in doc["A"] for v in row]
+    elif kind == "deep":
+        doc[key] = DEEP
+    else:
+        doc = draw(JSON_VALUES)
+    text = json.dumps(doc)
+    depth = draw(st.integers(1, 5000))
+    return text.replace(json.dumps(DEEP), "[" * depth + "1" + "]" * depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=malformed_problem_texts())
+def test_malformed_problem_files_exit_with_a_documented_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for cmd in ("solve", "cond"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([cmd, "--in", path])
+            assert code in (0, 2, 3, 4, 5), (cmd, code, err.getvalue())
+
+
 def test_unknown_subcommand_is_usage_error():
     r = run_cli("frobnicate")
     assert r.returncode == 2
@@ -311,8 +400,7 @@ def test_unknown_subcommand_is_usage_error():
 def test_bench_time_emits_csv(tmp_path):
     out = tmp_path / "bench.csv"
     r = run_cli("bench-time", "--sizes", "12x8", "--lambdas", "1", "--ep", "0.1",
-                "--trials", "2", "--methods", "kron,f2", "--seed", "1",
-                "--threads", "1", "--out", str(out))
+                "--trials", "2", "--methods", "kron,f2", "--seed", "1", "--out", str(out))
     assert r.returncode == 0, r.stderr
     lines = out.read_text().strip().splitlines()
     assert lines[0] == ",".join(BENCH_COLUMNS)
@@ -323,7 +411,7 @@ def test_bench_time_emits_csv(tmp_path):
 def test_bench_ratio_emits_csv(tmp_path):
     out = tmp_path / "ratios.csv"
     r = run_cli("bench-ratio", "--sizes", "12x8", "--lambdas", "5", "--ep", "0.1",
-                "--trials", "2", "--seed", "1", "--threads", "1", "--out", str(out))
+                "--trials", "2", "--seed", "1", "--out", str(out))
     assert r.returncode == 0, r.stderr
     lines = out.read_text().strip().splitlines()
     assert lines[0] == ",".join(RATIO_COLUMNS)
@@ -336,8 +424,7 @@ def test_bench_ratio_emits_csv(tmp_path):
 def test_bench_ratio_vary_initial(tmp_path):
     out = tmp_path / "spread.csv"
     r = run_cli("bench-ratio", "--sizes", "12x8", "--lambdas", "5", "--ep", "0.1",
-                "--trials", "2", "--vary-initial", "3", "--seed", "1",
-                "--threads", "1", "--out", str(out))
+                "--trials", "2", "--vary-initial", "3", "--seed", "1", "--out", str(out))
     assert r.returncode == 0, r.stderr
     lines = out.read_text().strip().splitlines()
     assert lines[0] == ",".join(BENCH_COLUMNS)
@@ -349,7 +436,7 @@ def test_bench_value_columns_match_library(tmp_path):
     # the CLI derives per-trial estimator seeds from --seed as the library
     # does, so the value columns agree for the same root seed
     cell = ["--sizes", "12x8", "--lambdas", "1", "--ep", "0.1", "--trials", "2",
-            "--seed", "4", "--threads", "1"]
+            "--seed", "4"]
     out = tmp_path / "time.csv"
     r = run_cli("bench-time", *cell, "--methods", "power,pce,sce", "--out", str(out))
     assert r.returncode == 0, r.stderr
@@ -357,7 +444,7 @@ def test_bench_value_columns_match_library(tmp_path):
                   for line in out.read_text().strip().splitlines()[1:]]
     records, _ = run_timing_bench(
         [(12, 8)], [1.0], [0.1], trials=2, methods=["power", "pce", "sce"],
-        seed=4, threads=1,
+        seed=4,
     )
     assert cli_values == pytest.approx([rec.value for rec in records], rel=1e-12)
 
@@ -366,6 +453,6 @@ def test_bench_value_columns_match_library(tmp_path):
     assert r.returncode == 0, r.stderr
     cli_ratios = [[float(v) for v in line.split(",")[1:]]
                   for line in out.read_text().strip().splitlines()[1:]]
-    groups, _ = run_ratio_bench([(12, 8)], [1.0], [0.1], trials=2, seed=4, threads=1)
+    groups, _ = run_ratio_bench([(12, 8)], [1.0], [0.1], trials=2, seed=4)
     lib_ratios = [[rec.ratio1, rec.ratio2, rec.ratio3] for rec in groups[0][1]]
     assert np.allclose(cli_ratios, lib_ratios, rtol=1e-12, atol=0.0)

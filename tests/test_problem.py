@@ -10,6 +10,7 @@ from stlscond import (
     DegenerateSingularVectorError,
     GeneratorSpec,
     NongenericProblemError,
+    NonFiniteError,
     ProblemFormatError,
     StlsError,
     StlsProblem,
@@ -162,6 +163,30 @@ def test_sigma_matches_svd_with_small_residual():
         sigma_svd = check_genericity(p)[1]
         assert sigma_svd < 1e-9
         assert solve_stls(p).sigma_np1 == pytest.approx(sigma_svd, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_solve_in_any_units(scale):
+    # the secular equation runs on squares scaled by a power of two, so data
+    # anywhere in the double range solves to the same x; unscaled, the
+    # squares overflowed above 1e154 and divided by an underflowed zero
+    # below 1e-162
+    p = generate(GeneratorSpec(m=6, n=3, lam=1.5, e_p=0.1, seed=0)).problem
+    sol = solve_stls(p)
+    scaled = solve_stls(StlsProblem(scale * p.A, scale * p.b, p.lam))
+    assert np.allclose(scaled.x, sol.x, rtol=1e-13, atol=0.0)
+    assert scaled.sigma_np1 == pytest.approx(scale * sol.sigma_np1, rel=1e-13)
+    assert scaled.genericity_gap == pytest.approx(scale * sol.genericity_gap, rel=1e-12)
+
+
+def test_solve_refuses_scales_beyond_the_double_range():
+    # lam b 1e300 times larger than A: A's singular values squared, in the
+    # data's scale, underflow
+    p = generate(GeneratorSpec(m=6, n=3, lam=1.5, e_p=0.1, seed=0)).problem
+    b = p.b.copy()
+    b[0] = 1e300
+    with pytest.raises(NonFiniteError):
+        solve_stls(StlsProblem(p.A, b, p.lam))
 
 
 def test_secular_root_iteration_cap(monkeypatch):
