@@ -47,8 +47,8 @@ def mp_referee(p):
 def test_against_mpmath_referee(m, n, lam, e_p):
     # Worst ratios over 80 problems (these shapes and two more, seeds 0-3):
     # x error 0.55 kappa_rel u, sigma error 0.97 u sigma_1, and 1.7
-    # kappa_rel u for each of kron, f1 and f2, whose errors agree to 1e-8
-    # relative: the computed x and sigma, not the formula, set them.
+    # kappa_rel u for each of kron, f1 and f2, whose errors agree in their
+    # leading digits: the computed x and sigma, not the formula, set them.
     for seed in range(2):
         p = generate(GeneratorSpec(m=m, n=n, lam=lam, e_p=e_p, seed=seed)).problem
         x, sigma, kappa, sigma_1, data_norm = mp_referee(p)
