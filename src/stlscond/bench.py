@@ -311,6 +311,8 @@ def run_power_spread(m, n, lam, e_p, groups, inits, seed=0, power_cfg=None):
     failed or unconverged run is a NaN-valued flagged row and the run
     continues.
     """
+    if groups < 1 or inits < 1:
+        raise ValueError(f"groups and inits must be >= 1, got {groups} and {inits}")
     cells = [(m, n, lam, e_p)] * groups
     group_inputs = [_trial(seed, (gi,), cell, power_cfg) for gi, cell in enumerate(cells)]
 

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .estimate import METHODS, PceConfig, PowerConfig, SceConfig
 from .generate import GeneratorSpec, generate
-from .problem import load_problem, problem_to_dict, solve_stls
+from .problem import load_problem, problem_to_dict, read_json, solve_stls
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -140,8 +140,10 @@ def _estimator_configs(args, n: int | None = None) -> dict:
     """
     doc = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        try:
+            doc = read_json(args.config)
+        except ValueError as exc:
+            raise ValueError(f"config file: not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValueError("config file: top level must be a JSON object")
         unknown = sorted(set(doc) - {"seed", *_CONFIG_SECTIONS})
@@ -364,7 +366,7 @@ def main(argv=None) -> int:
     except MemoryBudgetError as exc:
         print(f"stlscond: over memory budget: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, SampleTooLargeError, json.JSONDecodeError) as exc:
+    except (ValueError, SampleTooLargeError) as exc:
         print(f"stlscond: invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

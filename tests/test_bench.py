@@ -191,6 +191,13 @@ def test_power_spread_solves_once_per_group(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("groups, inits", [(0, 3), (-1, 3), (2, 0)])
+def test_power_spread_rejects_empty_tables(groups, inits):
+    # an empty table would read as a run that measured nothing
+    with pytest.raises(ValueError, match="must be >= 1"):
+        run_power_spread(14, 9, 5.0, 0.1, groups=groups, inits=inits, seed=0)
+
+
 def test_derive_seed_is_deterministic_and_spread():
     assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
     seen = {derive_seed(7, i, j) for i in range(10) for j in range(10)}

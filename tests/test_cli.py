@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stlscond import StlsProblem, cli, load_problem, save_problem, solve_stls
+from stlscond import (
+    ProblemFormatError,
+    StlsProblem,
+    cli,
+    load_problem,
+    problem_from_dict,
+    save_problem,
+    solve_stls,
+)
 from stlscond.bench import (
     BENCH_COLUMNS,
     RATIO_COLUMNS,
@@ -53,13 +61,30 @@ def diagonal_file(tmp_path_factory):
 
 
 # Runs cli.main on its arguments (none: import only) in a fresh interpreter
-# and prints the exit code and the scipy modules loaded.
-SCIPY_PROBE = """
+# and prints the exit code and the loaded modules of the package named first.
+MODULE_PROBE = """
 import json, sys
 from stlscond import cli
-code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+root, argv = sys.argv[1], sys.argv[2:]
+code = cli.main(argv) if argv else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == root)]))
 """
+
+
+def probe_modules(root, args, problem_file, out):
+    """The exit code of ``stlscond *args`` in a fresh interpreter and the
+    modules of package ``root`` it loaded; ``{in}`` names the problem file."""
+    argv = [a.replace("{in}", str(problem_file)) for a in args]
+    if argv:
+        argv += ["--out", str(out)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    r = subprocess.run([sys.executable, "-c", MODULE_PROBE, root, *argv],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    code, loaded = json.loads(r.stdout)
+    assert code == 0, r.stderr
+    return loaded
 
 
 @pytest.mark.parametrize("args", [
@@ -72,17 +97,24 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 def test_commands_load_no_scipy(problem_file, tmp_path, args):
     # scipy's import costs more than a small problem's whole command, so
     # it is loaded only where a fallback or pce(solver="cg") calls it
-    argv = [a.replace("{in}", str(problem_file)) for a in args]
-    if argv:
-        argv += ["--out", str(tmp_path / "out")]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.abspath(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    r = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
-                       capture_output=True, text=True, env=env)
-    assert r.returncode == 0, r.stderr
-    code, loaded = json.loads(r.stdout)
-    assert code == 0, r.stderr
+    loaded = probe_modules("scipy", args, problem_file, tmp_path / "out")
     assert loaded == [], loaded
+
+
+@pytest.mark.parametrize("args, reads_file", [
+    pytest.param((), False, id="import"),
+    pytest.param(("gen", "--m", "6", "--n", "4", "--lambda", "1", "--ep", "0.1"), False,
+                 id="gen"),
+    pytest.param(("bench-time", "--sizes", "6x4", "--lambdas", "1", "--ep", "0.1",
+                  "--methods", "f2"), False, id="bench-time"),
+    pytest.param(("solve", "--in", "{in}"), True, id="solve"),
+    pytest.param(("cond", "--in", "{in}"), True, id="cond"),
+])
+def test_json_parser_loads_only_for_files(problem_file, tmp_path, args, reads_file):
+    # pydantic_core's import adds about 10 MB RSS, so only the commands
+    # that read a problem or config file load it
+    loaded = probe_modules("pydantic_core", args, problem_file, tmp_path / "out")
+    assert bool(loaded) == reads_file, loaded
 
 
 def test_gen_writes_problem_with_provenance(tmp_path):
@@ -173,10 +205,13 @@ def test_unknown_method_or_option_is_usage_error(problem_file, args):
     {"sce": {"k": 1.5}},
     {"powr": {"tol": 1e-6}},
     {"power": {"bogus": 3}},
+    pytest.param(b"[" * 200_000, id="deep-nesting"),
+    pytest.param(b"\xff\xfe{", id="not-utf8"),
+    pytest.param(b'{"power": {"tol": 1e-6}', id="truncated"),
 ])
 def test_malformed_config_is_usage_error(problem_file, tmp_path, config):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
     r = run_cli("cond", "--in", str(problem_file), "--method", "power",
                 "--config", str(cfg))
     assert r.returncode == 2
@@ -318,6 +353,14 @@ def test_malformed_problem_is_io_error(tmp_path):
     pytest.param('{"m": 3, "n": 1, "lambda": 1.0, "A": [[1' + "0" * 400 + '], [2.0], [3.0]], '
                  '"b": [0.0, 0.0, 1.0]}', id="integer-beyond-float"),
     pytest.param(b"\xff\xfe{", id="not-utf8"),
+    pytest.param(json.dumps({"m": 3, "n": 1, "lambda": 1.0, "A": [["1.5"], [2.0], [3.0]],
+                             "b": [0.0, 0.0, 1.0]}), id="string-in-A"),
+    pytest.param(json.dumps({"m": 3, "n": 1, "lambda": 1.0, "A": [[1.0], [True], [3.0]],
+                             "b": [0.0, 0.0, 1.0]}), id="bool-in-A"),
+    pytest.param(json.dumps({"m": 3, "n": 1, "lambda": 1.0, "A": [[1.0], [2.0], [3.0]],
+                             "b": [0.0, " 2e0 ", 1.0]}), id="string-in-b"),
+    pytest.param(json.dumps({"m": 3, "n": 1, "lambda": 1.0, "A": [[1.0], [2.0], [3.0]],
+                             "b": [0.0, False, 1.0]}), id="bool-in-b"),
 ])
 def test_malformed_problem_structure_is_io_error(tmp_path, cmd, text):
     path = tmp_path / "bad.json"
@@ -392,6 +435,79 @@ def test_malformed_problem_files_exit_with_a_documented_code(text):
             assert code in (0, 2, 3, 4, 5), (cmd, code, err.getvalue())
 
 
+# what the float range refuses, as a problem file may spell it
+NON_FINITE_LITERALS = ["1" + "0" * 400, "-1" + "0" * 400, "NaN", "Infinity", "-Infinity"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(literal=st.sampled_from(NON_FINITE_LITERALS),
+       where=st.sampled_from(["A", "b", "lambda"]), i=st.integers(0, 3), j=st.integers(0, 1))
+def test_both_parsers_refuse_entries_beyond_the_float_range(literal, where, i, j):
+    doc = copy.deepcopy(VALID_DOC)
+    if where == "A":
+        doc["A"][i][j] = "__entry__"
+    elif where == "b":
+        doc["b"][i] = "__entry__"
+    else:
+        doc["lambda"] = "__entry__"
+    text = json.dumps(doc).replace('"__entry__"', literal)
+    with pytest.raises(ProblemFormatError):
+        problem_from_dict(json.loads(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["solve", "--in", path])
+    assert code == 3
+    assert err.getvalue().startswith("stlscond: problem file error:")
+
+
+VALID_CONFIG = {"seed": 3, "power": {"tol": 1e-6, "max_iter": 200},
+                "pce": {"eps": 1e-3, "theta": 1e-2}, "sce": {"k": 2}}
+
+
+@st.composite
+def malformed_config_texts(draw):
+    """The JSON text of VALID_CONFIG after one mutation."""
+    doc = copy.deepcopy(VALID_CONFIG)
+    section = draw(st.sampled_from(sorted(doc)))
+    kind = draw(st.sampled_from(["section", "key", "delete", "extra", "deep", "top"]))
+    if kind == "section":
+        doc[section] = draw(SIZE_VALUES | JSON_VALUES)
+    elif kind == "key" and isinstance(doc[section], dict):
+        doc[section][draw(st.sampled_from(sorted(doc[section])))] = draw(
+            SIZE_VALUES | JSON_VALUES)
+    elif kind == "delete":
+        del doc[section]
+    elif kind == "extra":
+        target = doc[section] if isinstance(doc[section], dict) else doc
+        target[draw(st.text(max_size=4))] = draw(JSON_VALUES)
+    elif kind == "deep":
+        doc[section] = DEEP
+    elif kind == "top":
+        doc = draw(JSON_VALUES)
+    text = json.dumps(doc)
+    depth = draw(st.integers(1, 5000))
+    return text.replace(json.dumps(DEEP), "[" * depth + "1" + "]" * depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=malformed_config_texts())
+def test_malformed_config_files_exit_with_a_documented_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, cfg = os.path.join(tmp, "p.json"), os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(VALID_DOC, fh)
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["cond", "--in", path, "--method", "all", "--config", cfg])
+    assert code in (0, 2, 3, 4, 5), (code, err.getvalue())
+
+
 def test_unknown_subcommand_is_usage_error():
     r = run_cli("frobnicate")
     assert r.returncode == 2
@@ -430,6 +546,14 @@ def test_bench_ratio_vary_initial(tmp_path):
     assert lines[0] == ",".join(BENCH_COLUMNS)
     assert len(lines) == 1 + 2 * 3
     assert all(line.split(",")[5] == "power" for line in lines[1:])
+
+
+def test_bench_ratio_vary_initial_needs_a_group():
+    r = run_cli("bench-ratio", "--sizes", "12x8", "--lambdas", "5", "--ep", "0.1",
+                "--trials", "0", "--vary-initial", "2")
+    assert r.returncode == 2
+    assert r.stderr.startswith("stlscond: invalid arguments:")
+    assert r.stdout == ""
 
 
 def test_bench_value_columns_match_library(tmp_path):

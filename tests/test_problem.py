@@ -1,5 +1,9 @@
 """Solver and uniqueness-check tests; the two routes validate each other."""
 
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -306,3 +310,56 @@ def test_problem_json_rejects_dimension_mismatch():
         problem_from_dict(bad_b)
     with pytest.raises(ProblemFormatError):
         problem_from_dict({"m": 3, "n": 1})
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+     1.7976931348623157e308, -1.7976931348623157e308])
+# halfway cases and literals beyond the last digit a double holds
+HARD_LITERALS = [
+    "-0", "-0e0", "1e-400", "-1e-400", "2.4703282292062328e-324", "2.4703282292062327e-324",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "9007199254740993", "1.7976931348623158e308", "1E5", "1e+5",
+]
+
+
+@st.composite
+def number_literals(draw):
+    """A JSON number as a writer other than ``json.dumps`` may print it."""
+    kind = draw(st.sampled_from(["repr", "17", "25", "int", "digits", "hard"]))
+    if kind == "int":
+        return str(draw(st.integers(-2**70, 2**70)))
+    if kind == "digits":
+        digits = draw(st.text("0123456789", min_size=17, max_size=25))
+        sign = draw(st.sampled_from(["", "-"]))
+        return f"{sign}{digits[0]}.{digits[1:]}e{draw(st.integers(-345, 290))}"
+    if kind == "hard":
+        return draw(st.sampled_from(HARD_LITERALS))
+    x = draw(FINITE_FLOATS)
+    return {"repr": repr(x), "17": f"{x:.16e}", "25": f"{x:.24e}"}[kind]
+
+
+@st.composite
+def problem_texts(draw):
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(1, m - 1))
+    lam = draw(number_literals().filter(lambda t: float(t) > 0.0))
+    rows = [f"[{', '.join(draw(number_literals()) for _ in range(n))}]" for _ in range(m)]
+    b = ", ".join(draw(number_literals()) for _ in range(m))
+    return f'{{"m": {m}, "n": {n}, "lambda": {lam}, "A": [{", ".join(rows)}], "b": [{b}]}}'
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=problem_texts())
+def test_load_problem_matches_the_json_module_bit_for_bit(text):
+    # the oracle of the file parser: json.loads, then np.array(dtype=float)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        p = load_problem(path)
+    doc = json.loads(text)
+    assert p.A.tobytes() == np.array(doc["A"], dtype=float).tobytes()
+    assert p.b.tobytes() == np.array(doc["b"], dtype=float).tobytes()
+    assert np.float64(p.lam).tobytes() == np.float64(doc["lambda"]).tobytes()
