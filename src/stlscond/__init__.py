@@ -50,6 +50,7 @@ from .estimate import (
 )
 from .generate import GeneratedProblem, GeneratorSpec, generate
 from .numerics import (
+    FactoredSvd,
     SpdFactorization,
     spectral_norm_dense,
     svd,

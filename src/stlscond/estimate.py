@@ -210,7 +210,7 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
         raise ValueError("initial vector must be nonzero")
-    y = sol.M.V.T @ (y / ynorm)  # into the operator's basis
+    y = sol.svd.vt(y / ynorm)  # into the operator's basis
     scale = 1.0
     v = 0.0
     v_prev = None
@@ -436,10 +436,10 @@ def pce(sol: StlsSolution, A, cfg: PceConfig, solver=None) -> ConditionReport:
         raise ValueError(f"unknown solver {solver!r}; expected 'factor' or 'cg'")
     msolve = None
     if solver == "cg":
-        cg, V = _cg_solver(sol), sol.M.V
+        cg = _cg_solver(sol)
 
         def msolve(y):
-            return V.T @ cg(V @ y)
+            return sol.svd.vt(cg(sol.svd.v(y)))
 
     op = _f2_operator(sol, msolve)
     v = numerics.unit_sphere_sample(op.shape[1], np.random.default_rng(cfg.seed))
@@ -476,7 +476,7 @@ def sce(sol: StlsSolution, A, cfg: SceConfig) -> ConditionReport:
     rng = np.random.default_rng(cfg.seed)
     Z = np.linalg.qr(rng.uniform(0.0, 1.0, size=(n, cfg.k)))[0]
     # the operator works in the eigenbasis V of M: the probes enter as V'Z
-    probes = _f2_operator(sol).rmatmat(sol.M.V.T @ Z)
+    probes = _f2_operator(sol).rmatmat(sol.svd.vt(Z))
     estimate = (wallis_factor(cfg.k) / wallis_factor(n)) * float(np.linalg.norm(probes))
     return ConditionReport(
         absolute=estimate, method="SCE", diagnostics={"k": cfg.k}

@@ -15,8 +15,8 @@ All three run on the solver's (n+1) x n compressed problem ``sol.core``
 (K K' depends on the data only through A'A, A'r and ||r||), where W is
 n x (3n+2) and K is n x (n+1)^2; ``build_K_dense`` alone builds the
 n x m(n+1) K of the original data.  ``kappa_f1`` and ``kappa_f2`` work in
-the singular bases of the core's A that the solver carries (U, V and
-s_hat): there the quadratic form is diagonal plus rank two, and an O(n)
+the singular bases of the core's A that the solver carries (``sol.svd``:
+U, V and s_hat): there the quadratic form is diagonal plus rank two, and an O(n)
 orthogonal reduction takes W to an n x (n+1) diagonal plus rank one, whose
 Jordan-Wielandt form is diagonal plus rank two.  Both top eigenvalues come
 from ``numerics.top_eigenvalue_diag_rank2`` on n-vectors, so neither form
@@ -244,9 +244,9 @@ def _f2_operator(sol: StlsSolution, msolve=None):
         return out
 
     def into_columns(v):
-        UT = sol.U.T
-        return np.concatenate([UT @ v[:n], v[n : n + 1], UT @ v[n + 1 : 2 * n + 1],
-                               v[2 * n + 1 : 2 * n + 2], sol.M.V.T @ v[2 * n + 2 :]])
+        u12 = sol.svd.ut(np.column_stack([v[:n], v[n + 1 : 2 * n + 1]]))
+        return np.concatenate([u12[:, 0], v[n : n + 1], u12[:, 1],
+                               v[2 * n + 1 : 2 * n + 2], sol.svd.vt(v[2 * n + 2 :])])
 
     return SimpleNamespace(shape=(n, 3 * n + 2), matvec=matvec, rmatvec=rmatmat,
                            rmatmat=rmatmat, into_columns=into_columns)

@@ -1,30 +1,40 @@
 """Dense numerical kernels used by every other module.
 
 All operations are pure functions of their inputs; nothing is modified in
-place.  Decompositions use ``numpy.linalg``; scipy's LAPACK, a second BLAS
-with its own thread pool, serves only the gesvd fallback of ``svd``.
-``scipy.linalg`` (about 0.3 s to import) is imported inside that fallback,
-so no other path pays for it.  The one layout convention that matters
+place.  Decompositions go through numpy's own OpenBLAS by two routes:
+``numpy.linalg`` for the QR, eigen- and gesdd SVDs, and LAPACKE routines
+of the same library, called through ctypes, for what numpy does not
+expose.  ``factored_svd`` runs dgebrd and dbdsdc, the factorizations
+inside gesdd, and keeps U and V as products of Householder reflectors and
+the bidiagonal's singular vectors, applied with dormbr instead of formed;
+the gesvd fallback of ``svd`` runs LAPACKE's dgesvd.  Where numpy ships no
+such library, ``factored_svd`` wraps the explicit U and V of ``svd``, and
+that fallback runs scipy's gesvd, a second BLAS with its own thread pool.
+``scipy.linalg`` (about 0.3 s to import) is imported inside it, so no
+other path pays for it.  The one layout convention that matters
 elsewhere is column-major ``vec``: stacking a matrix column by column.
 Helpers here never reshape, but the condition-operator code relies on that
 ordering throughout.
 
 This module is the one owner of the BLAS thread count.  ``svd``,
-``singular_values`` and ``augmented_qr_r`` run on one OpenBLAS thread when
-the smaller side of their matrix (for the last, of A in ``[A, b]``) is at
-most ``SERIAL_BLAS_MAX_N``.  At those sizes a second thread slows the
-factorization (1000x300 on two cores: QR 12 ms on one thread against
-17 ms on two, SVD 20.5 against 23.4 ms), and one thread makes their
-results independent of the caller's thread count.  Larger factorizations
-keep the count the caller set.  ``serial_blas`` changes the count of
-numpy's own OpenBLAS through its ``scipy_openblas`` C interface, looked up
-on first use, and does nothing where numpy ships no such library.
+``singular_values``, ``factored_svd`` with its products, and
+``augmented_qr_r`` run on one OpenBLAS thread when the smaller side of
+their matrix (for the last, of A in ``[A, b]``) is at most
+``SERIAL_BLAS_MAX_N``.  At those sizes a second thread slows the
+factorization or gains nothing (1000x300 on two cores: QR 12 ms on one
+thread against 17 ms on two, dgebrd 6-7 against 7-8 ms), and one thread
+makes their results independent of the caller's thread count.  Larger
+factorizations keep the count the caller set.  ``serial_blas`` changes
+the count of numpy's own OpenBLAS through its ``scipy_openblas`` C
+interface, looked up on first use, and does nothing where numpy ships no
+such library.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -44,9 +54,10 @@ def _as_matrix(X) -> np.ndarray:
 
 
 # Largest min(rows, cols) of a factorization run on one BLAS thread.  On a
-# 2-core host a second thread slows the QR and the SVD at 1000x300, breaks
-# even on the SVD at 1000x400, and speeds the 4000x500 SVD (56 against
-# 64 ms); see README "Reproducibility and threads".
+# 2-core host a second thread slows the QR at 1000x300, gains nothing on
+# dgebrd and dbdsdc up to 1000x400, and takes whole solves at 1000x700 and
+# 4000x500 from 0.23-0.24 s to 0.21-0.22 s and from 0.21 to 0.20 s; see
+# README "Reproducibility and threads".
 SERIAL_BLAS_MAX_N = 400
 
 _blas_lock = threading.Lock()
@@ -55,29 +66,87 @@ _blas_saved = 1  # the count to restore when the last of them leaves
 
 
 def _find_openblas(libdir):
-    """(get, set) of the thread count of the scipy_openblas library in
-    ``libdir``, or None when there is no such library or symbol."""
+    """The scipy_openblas library in ``libdir`` as a ctypes handle, or None
+    when there is no such library or it lacks the thread-count symbols."""
     import ctypes
     import glob
 
     for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*.so*"))):
         try:
             lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
+            lib.scipy_openblas_get_num_threads64_
         except (OSError, AttributeError):
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        return lib
     return None
 
 
 @functools.cache
-def _openblas_threads():
-    """(get, set) of numpy's OpenBLAS thread count, or None; looked up once."""
+def _openblas():
+    """numpy's bundled OpenBLAS, or None; looked up once."""
     return _find_openblas(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                                        "numpy.libs"))
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of numpy's OpenBLAS thread count, or None."""
+    import ctypes
+
+    lib = _openblas()
+    if lib is None:
+        return None
+    get = lib.scipy_openblas_get_num_threads64_
+    set_ = lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@functools.cache
+def _lapacke():
+    """The LAPACKE routines of numpy's OpenBLAS that the factored SVD and
+    the gesvd fallback call, by name, or None when numpy ships no such
+    library or it lacks one of them.  The library has 64-bit integers
+    (the ``64_`` suffix); matrices are passed column-major."""
+    import ctypes
+    from types import SimpleNamespace
+
+    lib = _openblas()
+    if lib is None:
+        return None
+    i64, ch, mat = ctypes.c_int64, ctypes.c_char, np.ctypeslib.ndpointer(
+        np.float64, flags="F_CONTIGUOUS")
+    signatures = {
+        # layout, m, n, a, lda, d, e, tauq, taup
+        "dgebrd": [ctypes.c_int, i64, i64, mat, i64, mat, mat, mat, mat],
+        # layout, uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq
+        "dbdsdc": [ctypes.c_int, ch, ch, i64, mat, mat, mat, i64, mat, i64, mat,
+                   np.ctypeslib.ndpointer(np.int64)],
+        # layout, vect, side, trans, m, n, k, a, lda, tau, c, ldc
+        "dormbr": [ctypes.c_int, ch, ch, ch, i64, i64, i64, mat, i64, mat, mat, i64],
+        # layout, jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt, superb
+        "dgesvd": [ctypes.c_int, ch, ch, i64, i64, mat, i64, mat, mat, i64, mat, i64, mat],
+    }
+    funcs = {}
+    for name, argtypes in signatures.items():
+        try:
+            f = getattr(lib, f"scipy_LAPACKE_{name}64_")
+        except AttributeError:
+            return None
+        f.argtypes, f.restype = argtypes, i64
+        funcs[name] = f
+    return SimpleNamespace(**funcs)
+
+
+COLUMN_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
+
+
+def _checked(name, info):
+    """LAPACKE's info, after raising on an argument or workspace error."""
+    if info < 0:
+        raise RuntimeError(f"LAPACKE_{name} returned {info}")
+    return info
 
 
 @contextlib.contextmanager
@@ -142,14 +211,131 @@ def svd(X):
         with _threads_for(X):
             return np.linalg.svd(X, full_matrices=False)
     except np.linalg.LinAlgError:
-        pass
-    # gesdd occasionally fails to converge; gesvd is slower but sturdier
-    import scipy.linalg
+        # gesdd occasionally fails to converge; gesvd is slower but sturdier
+        return _gesvd(X)
 
-    try:
-        return scipy.linalg.svd(X, full_matrices=False, lapack_driver="gesvd")
-    except Exception as exc:
-        raise ConvergenceError("SVD backend failed to converge") from exc
+
+def _gesvd(X):
+    """``svd`` by LAPACK's gesvd: numpy's OpenBLAS under the thread rule,
+    or scipy's (a second OpenBLAS) where numpy ships no LAPACKE."""
+    lapack = _lapacke()
+    if lapack is None:
+        import scipy.linalg
+
+        try:
+            return scipy.linalg.svd(X, full_matrices=False, lapack_driver="gesvd")
+        except Exception as exc:
+            raise ConvergenceError("SVD backend failed to converge") from exc
+    p, q = X.shape
+    k = min(p, q)
+    a = np.array(X, order="F")
+    U, s, Vt = np.empty((p, k), order="F"), np.empty(k), np.empty((k, q), order="F")
+    superb = np.empty(max(k - 1, 1))
+    with _threads_for(X):
+        info = lapack.dgesvd(COLUMN_MAJOR, b"S", b"S", p, q, a, p, s, U, p, Vt, k, superb)
+    if _checked("dgesvd", info):
+        raise ConvergenceError("SVD backend failed to converge")
+    return U, s, Vt
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredSvd:
+    """``X = U diag(s) V'`` of a square X, with U and V kept as products
+    of their factors ``U = Q U_B`` and ``V = P V_B``.
+
+    ``X = Q B P'`` is LAPACK's bidiagonal reduction (dgebrd), whose
+    Householder reflectors Q and P stay in the form dgebrd leaves them
+    (``reflectors``), and ``B = U_B diag(s) V_B'`` is the SVD of the
+    bidiagonal B (dbdsdc).  ``ut``, ``vt`` and ``v`` apply U', V' and V
+    to a vector or a block of k columns at O(n^2 k): one dormbr and one
+    product with U_B or V_B.  gesdd computes the same factors and then
+    forms U and V, two n x n back-transformations that only the
+    properties ``U`` and ``V`` pay here, on first read.  ``reflectors``
+    None stands for Q = P = I, so that U_B and V_B are U and V
+    themselves (``explicit``)."""
+
+    s: np.ndarray  # singular values
+    UB: np.ndarray
+    VB: np.ndarray
+    reflectors: tuple | None = None  # dgebrd's (a, tauq, taup), column-major
+
+    @classmethod
+    def explicit(cls, U, s, Vt) -> "FactoredSvd":
+        """The SVD ``U diag(s) Vt`` with U and V given whole."""
+        return cls(s=s, UB=U, VB=Vt.T)
+
+    def ut(self, y) -> np.ndarray:
+        """U'y, for a vector or a block of columns."""
+        with _threads_for(self.UB):
+            return self.UB.T @ self._reflect(b"Q", b"T", y)
+
+    def vt(self, y) -> np.ndarray:
+        """V'y, for a vector or a block of columns."""
+        with _threads_for(self.VB):
+            return self.VB.T @ self._reflect(b"P", b"T", y)
+
+    def v(self, y) -> np.ndarray:
+        """Vy, for a vector or a block of columns."""
+        with _threads_for(self.VB):
+            return self._reflect(b"P", b"N", self.VB @ np.asarray(y, dtype=float))
+
+    @functools.cached_property
+    def U(self) -> np.ndarray:
+        return self._form(b"Q")
+
+    @functools.cached_property
+    def V(self) -> np.ndarray:
+        return self._form(b"P")
+
+    def _form(self, vect) -> np.ndarray:
+        """U (vect Q) or V (vect P) as an n x n array, in O(n^3)."""
+        with _threads_for(self.UB):
+            return self._reflect(vect, b"N", self.UB if vect == b"Q" else self.VB)
+
+    def _reflect(self, vect, trans, y) -> np.ndarray:
+        """Q or P (``vect``), or its transpose (``trans`` T), applied to y."""
+        y = np.asarray(y, dtype=float)
+        if self.reflectors is None:
+            return y
+        a, tauq, taup = self.reflectors
+        n = len(tauq)
+        if y.ndim not in (1, 2) or y.shape[0] != n:
+            raise ValueError(f"operand has shape {y.shape}, expected {n} rows")
+        out = np.array(y, order="F")
+        k = 1 if out.ndim == 1 else out.shape[1]
+        _checked("dormbr", _lapacke().dormbr(COLUMN_MAJOR, vect, b"L", trans, n, k, n, a, n,
+                                             tauq if vect == b"Q" else taup, out, n))
+        return out
+
+
+def factored_svd(X) -> FactoredSvd:
+    """SVD of a square matrix with finite entries in the factored form of
+    :class:`FactoredSvd`: dgebrd and dbdsdc, the factorizations of gesdd,
+    without its two back-transformations, so the singular values are
+    gesdd's.  X is scaled by the power of two that brings its largest
+    entry near 1, which is exact, as gesdd scales data near the ends of
+    the double range.  Where numpy ships no LAPACKE, U and V come whole
+    from ``svd``; where dbdsdc fails to converge, from gesvd."""
+    X = _as_matrix(X)
+    n = X.shape[0]
+    if X.shape != (n, n):
+        raise ValueError(f"matrix must be square, got shape {X.shape}")
+    lapack = _lapacke()
+    if lapack is None:
+        return FactoredSvd.explicit(*svd(X))
+    top = float(np.max(np.abs(X)))
+    e = math.frexp(top)[1] if top > 0.0 else 0
+    a = np.ldexp(X, -e, out=np.empty((n, n), order="F"))  # dgebrd overwrites it
+    s, sup, tauq, taup = np.empty(n), np.empty(max(n - 1, 1)), np.empty(n), np.empty(n)
+    UB, VBt = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+    with _threads_for(X):
+        _checked("dgebrd", lapack.dgebrd(COLUMN_MAJOR, n, n, a, n, s, sup, tauq, taup))
+        # q and iq are not referenced with compq I
+        info = _checked("dbdsdc", lapack.dbdsdc(COLUMN_MAJOR, b"U", b"I", n, s, sup, UB, n,
+                                                VBt, n, np.empty(1), np.empty(1, np.int64)))
+    if info:
+        return FactoredSvd.explicit(*_gesvd(X))
+    return FactoredSvd(np.ldexp(s, e), UB, VBt.T, (a, tauq, taup))
 
 
 def singular_values(X) -> np.ndarray:
@@ -170,15 +356,17 @@ def spectral_norm_dense(X) -> float:
 @dataclass(frozen=True, eq=False)
 class SpdFactorization:
     """Eigendecomposition ``M = V diag(d) V'`` of a symmetric positive
-    definite matrix.
+    definite matrix, with V the right singular vectors of ``basis``.
 
-    Solves ``M z = y`` as ``z = V ((V'y) / d)`` for any right-hand side.
-    ``from_matrix`` raises :class:`NotPositiveDefiniteError` when an
-    eigenvalue is not positive, which callers use as a definiteness probe
-    (loss of definiteness signals a uniqueness violation upstream).
+    Solves ``M z = y`` as ``z = V ((V'y) / d)`` for any right-hand side,
+    through the products of ``basis``, so V need not be formed; the
+    property ``V`` forms it on first read.  ``from_matrix`` raises
+    :class:`NotPositiveDefiniteError` when an eigenvalue is not positive,
+    which callers use as a definiteness probe (loss of definiteness
+    signals a uniqueness violation upstream).
     """
 
-    V: np.ndarray  # orthogonal eigenvectors, one per column
+    basis: FactoredSvd  # its V holds the orthogonal eigenvectors, one per column
     d: np.ndarray  # positive eigenvalues
 
     @classmethod
@@ -189,14 +377,19 @@ class SpdFactorization:
         d, V = np.linalg.eigh(M)
         if not d[0] > 0.0:
             raise NotPositiveDefiniteError(f"smallest eigenvalue {d[0]:.3e} is not positive")
-        return cls(V=V, d=d)
+        # the eigendecomposition of an SPD matrix is an SVD of it
+        return cls(basis=FactoredSvd.explicit(V, d, V.T), d=d)
+
+    @property
+    def V(self) -> np.ndarray:
+        return self.basis.V
 
     def solve(self, y) -> np.ndarray:
         """Solve M z = y; y may be a vector or a matrix of columns."""
         y = np.asarray(y, dtype=float)
         if y.shape[0] != len(self.d):
             raise ValueError(f"right-hand side has length {y.shape[0]}, expected {len(self.d)}")
-        return self.V @ ((self.V.T @ y).T / self.d).T
+        return self.basis.v((self.basis.vt(y).T / self.d).T)
 
 
 def top_eigenvalue_diag_rank2(L, x, y) -> float:

@@ -5,7 +5,8 @@ scale on b, find the minimal Frobenius-norm correction of the augmented data
 that makes the scaled system consistent.  ``solve_stls`` makes one thin QR
 of [A, b], the only pass over the m x n data, which has the same solution
 (orthogonal invariance).  Its triangular factor has the blocks R11 (n x n),
-R12 and the scalar R22; one SVD ``R11 = U diag(s_hat) V'`` and ``c = U'R12``
+R12 and the scalar R22; one SVD ``R11 = U diag(s_hat) V'``, whose U and V
+stay in LAPACK's factored form (``numerics.FactoredSvd``), and ``c = U'R12``
 reduce the rest to a secular equation in ``sigma_np1**2`` solved on
 (n+1)-vectors, which yields x, the gap and ``M = A'A - sigma_np1**2 I``
 in the eigenbasis V.  ``solve_stls_svd`` reads x off the trailing right
@@ -99,18 +100,21 @@ class StlsSolution:
         Smallest singular value of A.
     M : numerics.SpdFactorization
         ``A'A - sigma_np1**2 * I = V diag(d) V'`` with V the right singular
-        vectors of A and ``d = (s_hat - sigma_np1)(s_hat + sigma_np1)``.
+        vectors of A (those of ``svd``) and
+        ``d = (s_hat - sigma_np1)(s_hat + sigma_np1)``.
     genericity_gap : float
         sigma_hat_n - sigma_np1 (> 0 for a valid solution).
     core : StlsProblem
         The (n+1) x n problem Q'[A, b] = [A_c, b_c] with the same solution
         (residual A_c x - b_c = Q'r), read by everything after the solve.
         A_c is upper triangular, so its last row is zero.
-    U : (n, n) ndarray
-        Left singular vectors of the core's A without that zero row:
-        ``A_c[:n] = U diag(s_hat) V'``.
-    s_hat : (n,) ndarray
-        Singular values of A, non-increasing.
+    svd : numerics.FactoredSvd
+        ``A_c[:n] = U diag(s_hat) V'``, the SVD of the core's A without
+        that zero row, with U and V kept in LAPACK's factored form:
+        ``svd.ut``, ``svd.vt`` and ``svd.v`` apply U', V' and V in O(n^2)
+        per vector.  The properties ``U`` and ``M.V`` form the n x n
+        matrices lazily, on first read, at O(n^3) each; the solve, the
+        exact forms and the estimators never read them.
     c : (n,) ndarray
         ``U' b_c[:n]``, the core's b above its last entry in the basis U.
     ill_posed : bool
@@ -125,10 +129,19 @@ class StlsSolution:
     M: numerics.SpdFactorization
     genericity_gap: float
     core: StlsProblem
-    U: np.ndarray
-    s_hat: np.ndarray
+    svd: numerics.FactoredSvd
     c: np.ndarray
     ill_posed: bool = False
+
+    @property
+    def s_hat(self) -> np.ndarray:
+        """Singular values of A, non-increasing."""
+        return self.svd.s
+
+    @property
+    def U(self) -> np.ndarray:
+        """Left singular vectors of ``core.A[:n]``, formed on first read."""
+        return self.svd.U
 
 
 def _compress(p: StlsProblem) -> StlsProblem:
@@ -263,7 +276,8 @@ def _secular_root(s_hat, w, w0, tol):
 def solve_stls(p: StlsProblem) -> StlsSolution:
     """Solve on the compressed problem of ``_compress``.
 
-    With ``R11 = U diag(s_hat) V'`` (one SVD) and ``c = U'R12``, the
+    With ``R11 = U diag(s_hat) V'`` (one SVD, whose U and V are applied
+    in factored form and never formed) and ``c = U'R12``, the
     squared smallest singular value of [A, lam*b] is the root of the
     secular equation of ``_secular_root``.  It gives
     ``M = A'A - sigma_np1**2 I = V diag(d) V'`` and the solution of
@@ -279,9 +293,10 @@ def solve_stls(p: StlsProblem) -> StlsSolution:
     """
     core = _compress(p)
     n = p.n
-    U, s_hat, Vt = numerics.svd(core.A[:n])
+    svd = numerics.factored_svd(core.A[:n])
+    s_hat = svd.s
     tol = 1e-12 * float(s_hat[0])
-    c = U.T @ core.b[:n]
+    c = svd.ut(core.b[:n])
     lam_c = p.lam * c
     lam_r22 = p.lam * float(core.b[n])
     # The secular equation squares s_hat, lam c and lam R22.  Scaled by the
@@ -290,7 +305,7 @@ def solve_stls(p: StlsProblem) -> StlsSolution:
     e = math.frexp(max(float(s_hat[0]), float(np.max(np.abs(lam_c))), abs(lam_r22)))[1]
     s_e, c_e, z_e = np.ldexp(s_hat, -e), np.ldexp(lam_c, -e), math.ldexp(lam_r22, -e)
     mu, d, gap = _secular_root(s_e, c_e * c_e, z_e * z_e, math.ldexp(tol, -e))
-    x = Vt.T @ (s_e * np.ldexp(c, -e) / d)
+    x = svd.v(s_e * np.ldexp(c, -e) / d)
     sigma_np1 = math.ldexp(math.sqrt(mu), e)
     d, gap = np.ldexp(d, 2 * e), math.ldexp(gap, e)
     trailing = 1.0 / math.hypot(1.0, p.lam * float(np.linalg.norm(x)))
@@ -303,11 +318,10 @@ def solve_stls(p: StlsProblem) -> StlsSolution:
         r=p.A @ x - p.b,
         sigma_np1=sigma_np1,
         sigma_hat_n=float(s_hat[-1]),
-        M=numerics.SpdFactorization(Vt.T, d),
+        M=numerics.SpdFactorization(svd, d),
         genericity_gap=gap,
         core=core,
-        U=U,
-        s_hat=s_hat,
+        svd=svd,
         c=c,
         ill_posed=gap < ILL_POSED_GAP * float(s_hat[0]),
     )

@@ -114,3 +114,45 @@ def test_trace_runs_are_summarized_by_their_layers(tmp_path, monkeypatch):
     assert entry["summary"]["estimate.pce_s"]["change_wins"] == 3
     assert entry["summary"]["bench.pool_busy_frac"]["better"] == "higher"
     assert entry["summary"]["bench.pool_busy_frac"]["change_wins"] == 0
+
+
+def _pairs(parent, change):
+    return [_pair(p, c) for p, c in zip(parent, change)]
+
+
+def test_verdicts_gain_worse_and_flat():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    lower = {"op_p50_s": "lower"}
+    # 10/10 wins, and the medians 0.2 apart against a parent q3 - q1 of 0.04
+    gain = bench_pairs.summarize(_pairs(parent, [0.8] * 10), lower, {"op_p50_s": 0.24})
+    assert gain["op_p50_s"]["verdict"] == "gain"
+    # 9/10 wins still gains; 8/10 does not
+    nine = [0.8] * 9 + [1.5]
+    assert bench_pairs.summarize(_pairs(parent, nine), lower)["op_p50_s"]["verdict"] == "gain"
+    eight = [0.8] * 8 + [1.5, 1.5]
+    assert bench_pairs.summarize(_pairs(parent, eight), lower)["op_p50_s"]["verdict"] == "flat"
+    # every pair won, but by less than the parent's interquartile range
+    small = [p - 0.005 for p in parent]
+    assert bench_pairs.summarize(_pairs(parent, small), lower)["op_p50_s"]["verdict"] == "flat"
+    # 30% slower: worse past a 0.24 bound, flat past none or a 0.5 bound
+    slow = [1.3 * p for p in parent]
+    for bounds, expected in (({"op_p50_s": 0.24}, "worse"), (None, "flat"),
+                             ({"op_p50_s": 0.5}, "flat")):
+        assert bench_pairs.summarize(_pairs(parent, slow), lower, bounds)["op_p50_s"][
+            "verdict"] == expected
+    # "higher" is better: the reciprocal metric gives the same verdicts
+    higher = {"ops_per_s": "higher"}
+    assert bench_pairs.summarize(_pairs(parent, [0.8] * 10), higher,
+                                 {"ops_per_s": 0.24})["ops_per_s"]["verdict"] == "gain"
+    assert bench_pairs.summarize(_pairs(parent, slow), higher,
+                                 {"ops_per_s": 0.2})["ops_per_s"]["verdict"] == "worse"
+
+
+def test_verdict_is_printed_and_recorded(tmp_path, monkeypatch, capsys):
+    dirs, _ = _fake_checkouts(tmp_path, monkeypatch, {"parent": "p1", "change": "c1"})
+    out = str(tmp_path / "pairs.json")
+    assert bench_pairs.main(dirs + ["--workload", "w1", "--seeds", "1-2", f"--out={out}"]) == 0
+    with open(out, encoding="utf-8") as fh:
+        summary = json.load(fh)["workloads"]["w1"]["summary"]
+    assert summary["op_p50_s"]["verdict"] == "flat"
+    assert "flat" in capsys.readouterr().out

@@ -34,7 +34,7 @@ from stlscond import (
     solve_stls,
     unit_sphere_sample,
 )
-from stlscond import estimate
+from stlscond import estimate, numerics
 from stlscond.estimate import wallis_factor
 from stlscond.exact import _f2_operator
 
@@ -501,3 +501,60 @@ def test_post_solve_work_allocates_no_m_sized_array(gen_problem):
         finally:
             tracemalloc.stop()
         assert peak < p.A.nbytes / 4, (name, peak / p.A.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# the bases U and V: applied in factored form, formed only when read
+# ---------------------------------------------------------------------------
+
+def _solve_and_evaluate(p):
+    sol = solve_stls(p)
+    values = [sol.sigma_np1, sol.genericity_gap, kappa_f1(sol, p.A).absolute,
+              kappa_f2(sol, p.A).absolute,
+              power_method(sol, p.A, PowerConfig(tol=1e-14, seed=2)).absolute,
+              pce(sol, p.A, PceConfig(theta=1e-3, seed=2)).absolute,
+              sce(sol, p.A, SceConfig(k=4, seed=2)).absolute]
+    return sol.x, np.array(values)
+
+
+@pytest.mark.parametrize("route", ["no LAPACKE", "dbdsdc fails"])
+def test_svd_routes_give_the_same_values(route, monkeypatch):
+    # without numpy's LAPACKE, the solution's SVD wraps numpy's explicit U
+    # and V; when dbdsdc does not converge, gesvd's.  Each basis differs
+    # from the factored one in its signs and last bits only
+    real = numerics._lapacke()
+    if real is None:
+        pytest.skip("numpy ships no LAPACKE here")
+    p = generate(GeneratorSpec(m=90, n=40, lam=2.0, e_p=0.1, seed=4)).problem
+    x_ref, ref = _solve_and_evaluate(p)
+    if route == "no LAPACKE":
+        monkeypatch.setattr(numerics, "_lapacke", lambda: None)
+    else:
+        failing = SimpleNamespace(**vars(real))
+        failing.dbdsdc = lambda *args: 1
+        monkeypatch.setattr(numerics, "_lapacke", lambda: failing)
+    x, values = _solve_and_evaluate(p)
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+    assert np.all(np.abs(values - ref) <= 1e-12 * np.abs(ref)), (values - ref) / ref
+
+
+def test_hot_paths_form_neither_U_nor_V(gen_problem, monkeypatch):
+    formed = []
+    form = numerics.FactoredSvd._form
+
+    def counting_form(self, vect):
+        formed.append(vect)
+        return form(self, vect)
+
+    monkeypatch.setattr(numerics.FactoredSvd, "_form", counting_form)
+    p, sol = gen_problem(60, 30, 2.0, 0.1, 6)
+    kappa_f1(sol, p.A)
+    kappa_f2(sol, p.A)
+    power_method(sol, p.A, PowerConfig())
+    pce(sol, p.A, PceConfig())
+    sce(sol, p.A, SceConfig())
+    assert formed == []
+    # read, each is formed once and kept
+    V, U = sol.M.V, sol.U
+    assert sol.M.V is V and sol.U is U and formed == [b"P", b"Q"]
+    assert np.linalg.norm(U * sol.s_hat @ V.T - sol.core.A[:30]) <= 1e-13 * sol.s_hat[0]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from stlscond import (
     ConditionReport,
+    FactoredSvd,
     GeneratorSpec,
     MemoryBudgetError,
     RankDeficientError,
@@ -332,8 +333,7 @@ def test_relative_arithmetic_identity():
         M=SpdFactorization.from_matrix(np.eye(1)),
         genericity_gap=3.0,
         core=p,
-        U=np.eye(1),
-        s_hat=np.array([3.0]),
+        svd=FactoredSvd.explicit(np.eye(1), np.array([3.0]), np.eye(1)),
         c=np.zeros(1),
     )
     assert relative_from_absolute(p, sol, 2.0) == pytest.approx(1.0, abs=1e-15)

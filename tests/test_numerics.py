@@ -1,15 +1,17 @@
 """Kernel tests with independent oracles for the SVD and the spectral norm."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stlscond import (
     ConvergenceError,
+    FactoredSvd,
     NonFiniteError,
     NotPositiveDefiniteError,
     SpdFactorization,
@@ -102,9 +104,12 @@ def _not_converged(*args, **kwargs):
 
 
 def test_svd_falls_back_to_gesvd(monkeypatch):
-    # numpy's gesdd failing hands the matrix to scipy's gesvd
+    # numpy's gesdd failing hands the matrix to gesvd: numpy's own LAPACKE,
+    # or scipy's where numpy ships none
     X = np.random.default_rng(8).standard_normal((7, 4))
     monkeypatch.setattr(numerics.np.linalg, "svd", _not_converged)
+    if numerics._lapacke() is not None:
+        monkeypatch.setattr(scipy.linalg, "svd", _not_converged)
     U, s, Vt = svd(X)
     assert U.shape == (7, 4) and s.shape == (4,) and Vt.shape == (4, 4)
     assert np.linalg.norm(U @ np.diag(s) @ Vt - X) <= 1e-12 * s[0]
@@ -113,8 +118,18 @@ def test_svd_falls_back_to_gesvd(monkeypatch):
 
 
 def test_svd_fallback_failure_is_convergence_error(monkeypatch):
+    # both gesvd routes: numpy's LAPACKE reporting info > 0, and scipy's
+    # raising where numpy ships no LAPACKE
     monkeypatch.setattr(numerics.np.linalg, "svd", _not_converged)
     monkeypatch.setattr(scipy.linalg, "svd", _not_converged)
+    real = numerics._lapacke()
+    if real is not None:
+        failing = SimpleNamespace(**vars(real))
+        failing.dgesvd = lambda *args: 1
+        monkeypatch.setattr(numerics, "_lapacke", lambda: failing)
+        with pytest.raises(ConvergenceError):
+            svd(np.eye(3))
+    monkeypatch.setattr(numerics, "_lapacke", lambda: None)
     with pytest.raises(ConvergenceError):
         svd(np.eye(3))
 
@@ -124,6 +139,97 @@ def test_svd_rejects_nonfinite():
     X[1, 1] = np.nan
     with pytest.raises(NonFiniteError):
         svd(X)
+
+
+# ---------------------------------------------------------------------------
+# the SVD in factored form
+# ---------------------------------------------------------------------------
+
+@st.composite
+def triangular_factors(draw):
+    """Square upper-triangular R as the QR of [A, b] leaves it: n from 1
+    (no superdiagonal) to 40, columns optionally graded down to 1e-12,
+    and optionally an exactly zero last column."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R = np.triu(rng.standard_normal((n, n)))
+    if draw(st.booleans()):
+        R *= np.logspace(0.0, -12.0, n)
+    if draw(st.booleans()):
+        R[:, -1] = 0.0
+    return R
+
+
+@settings(max_examples=150, deadline=None)
+@given(triangular_factors(), st.integers(1, 3))
+def test_factored_svd_matches_its_materialized_factors(R, k):
+    n = len(R)
+    u = np.finfo(float).eps
+    f = numerics.factored_svd(R)
+    s = np.linalg.svd(R, compute_uv=False)
+    assert np.max(np.abs(f.s - s)) <= n * u * s[0]
+    U, V = f.U, f.V
+    assert np.linalg.norm(U * f.s @ V.T - R, 2) <= 50 * n * u * s[0]
+    for Q in (U, V):
+        assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= 50 * n * u
+    rng = np.random.default_rng(n)
+    for y in (rng.standard_normal(n), rng.standard_normal((n, k))):
+        tol = 50 * n * u * np.linalg.norm(y)
+        assert np.linalg.norm(f.ut(y) - U.T @ y) <= tol
+        assert np.linalg.norm(f.vt(y) - V.T @ y) <= tol
+        assert np.linalg.norm(f.v(y) - V @ y) <= tol
+        assert f.ut(y).shape == y.shape
+
+
+def test_factored_svd_keeps_gesdd_values_without_forming_the_vectors():
+    if numerics._lapacke() is None:
+        pytest.skip("numpy ships no LAPACKE here")
+    R = np.linalg.qr(np.random.default_rng(5).standard_normal((90, 61)), mode="r")[:60, :60]
+    f = numerics.factored_svd(R)
+    assert f.reflectors is not None and "U" not in vars(f) and "V" not in vars(f)
+    assert np.array_equal(f.s, np.linalg.svd(R, full_matrices=False)[1])
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_factored_svd_at_the_ends_of_the_double_range(scale):
+    R = np.triu(np.random.default_rng(6).standard_normal((12, 12)))
+    ref = numerics.factored_svd(R)
+    f = numerics.factored_svd(scale * R)
+    assert np.max(np.abs(f.s / scale - ref.s)) <= 1e-14 * ref.s[0]
+    y = np.arange(12.0)
+    assert np.allclose(f.ut(y), ref.ut(y), rtol=0.0, atol=1e-13 * np.linalg.norm(y))
+
+
+def test_factored_svd_without_lapacke_wraps_numpy_svd(monkeypatch):
+    R = np.triu(np.random.default_rng(7).standard_normal((9, 9)))
+    monkeypatch.setattr(numerics, "_lapacke", lambda: None)
+    f = numerics.factored_svd(R)
+    U, s, Vt = np.linalg.svd(R)
+    assert f.reflectors is None
+    assert np.array_equal(f.s, s) and np.array_equal(f.U, U) and np.array_equal(f.V, Vt.T)
+    y = np.ones(9)
+    assert np.array_equal(f.ut(y), U.T @ y) and np.array_equal(f.v(y), Vt.T @ y)
+
+
+def test_factored_svd_takes_gesvd_when_dbdsdc_fails(monkeypatch):
+    real = numerics._lapacke()
+    if real is None:
+        pytest.skip("numpy ships no LAPACKE here")
+    failing = SimpleNamespace(**vars(real))
+    failing.dbdsdc = lambda *args: 1
+    monkeypatch.setattr(numerics, "_lapacke", lambda: failing)
+    monkeypatch.setattr(numerics.np.linalg, "svd", _not_converged)  # gesvd, not gesdd
+    R = np.triu(np.random.default_rng(8).standard_normal((9, 9)))
+    f = numerics.factored_svd(R)
+    assert f.reflectors is None
+    assert np.linalg.norm(f.U * f.s @ f.V.T - R) <= 1e-13 * f.s[0]
+
+
+def test_factored_svd_rejects_bad_input():
+    with pytest.raises(ValueError):
+        numerics.factored_svd(np.ones((3, 2)))
+    with pytest.raises(NonFiniteError):
+        numerics.factored_svd(np.diag([1.0, np.inf]))
 
 
 def test_solve_spd_diagonal():
@@ -376,3 +482,28 @@ def test_small_solves_do_not_depend_on_the_thread_count(blas_threads, shape):
         xs.append(solve_stls(p).x)
         assert get() == count
     assert np.array_equal(xs[0], xs[1])
+
+
+def test_gesvd_fallback_runs_under_the_thread_rule(blas_threads, monkeypatch):
+    # the fallback calls numpy's OpenBLAS, whose count serial_blas owns,
+    # not scipy's
+    get, set_ = blas_threads
+    real = numerics._lapacke()
+    if real is None:
+        pytest.skip("numpy ships no LAPACKE here")
+    counts = []
+
+    def dgesvd(*args):
+        counts.append(get())
+        return real.dgesvd(*args)
+
+    spy = SimpleNamespace(**vars(real))
+    spy.dgesvd = dgesvd
+    monkeypatch.setattr(numerics, "_lapacke", lambda: spy)
+    monkeypatch.setattr(numerics.np.linalg, "svd", _not_converged)
+    monkeypatch.setattr(scipy.linalg, "svd", _not_converged)
+    set_(2)
+    X = np.random.default_rng(9).standard_normal((300, 200))
+    U, s, Vt = svd(X)
+    assert counts == [1] and get() == 2
+    assert np.linalg.norm(U * s @ Vt - X) <= 1e-12 * s[0]

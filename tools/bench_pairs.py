@@ -12,9 +12,16 @@ alternates from pair to pair: on a small host the first run of a
 back-to-back pair can read slower, whichever commit it is.
 
 Prints, per end-to-end metric (per-layer metric with ``--trace 1``), each
-side's median and quartiles over the pairs and the number of pairs the
+side's median and quartiles over the pairs, the number of pairs the
 change won (ties count for neither), with the direction of "better" taken
-from the same file.
+from the same file, and a verdict:
+
+* ``gain``: the change won at least 9 of 10 pairs, and its median is
+  better than the parent's by more than the parent's q3 - q1;
+* ``worse``: the change's median is worse than the parent's by more than
+  the metric's relative ``bound`` in the same file (metrics without one
+  are never worse);
+* ``flat``: neither.
 
 ``--out`` keeps every result line, each run's ``#`` lines (the host line
 among them) and both checkouts' ``git rev-parse HEAD`` in one JSON file.
@@ -77,7 +84,22 @@ def open_out(path: str, shas: dict) -> dict:
     return doc
 
 
-def summarize(pairs: list[dict], better: dict) -> dict:
+def verdict(s: dict, bound: float | None) -> str:
+    """``gain``, ``worse`` or ``flat`` for one metric's summary ``s``."""
+    sign = 1.0 if s["better"] == "lower" else -1.0
+    parent, change = s["parent"], s["change"]
+    gain = sign * (parent["median"] - change["median"])  # > 0: the change is better
+    if 10 * s["change_wins"] >= 9 * s["pairs"] and gain > parent["q3"] - parent["q1"]:
+        return "gain"
+    if bound is not None and -gain > bound * abs(parent["median"]):
+        return "worse"
+    return "flat"
+
+
+def summarize(pairs: list[dict], better: dict, bounds: dict | None = None) -> dict:
+    """Per metric: each side's median and quartiles, the change's wins and
+    the verdict, with ``bounds`` the relative bound of each metric that
+    has one."""
     out = {}
     for metric, direction in better.items():
         values = {side: [p[side]["result"]["metrics"][metric]["value"] for p in pairs]
@@ -88,6 +110,7 @@ def summarize(pairs: list[dict], better: dict) -> dict:
         for side, xs in values.items():
             q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
             out[metric][side] = {"median": med, "q1": q1, "q3": q3}
+        out[metric]["verdict"] = verdict(out[metric], (bounds or {}).get(metric))
     return out
 
 
@@ -105,8 +128,9 @@ def main(argv=None) -> int:
     shas = {side: head_sha(root) for side, root in roots.items()}
     with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    better = {m["name"]: m["better"]
-              for m in bench["per_layer" if args.trace else "end_to_end"]}
+    metrics = bench["per_layer" if args.trace else "end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
     entry = f"{args.workload} --trace 1" if args.trace else args.workload
     seconds = bench["run_seconds"]
     doc = None
@@ -126,15 +150,17 @@ def main(argv=None) -> int:
             pair[side] = run_once(roots[side], args.workload, seed, seconds, args.trace)
         pairs.append(pair)
 
-    summary = summarize(pairs, better)
+    summary = summarize(pairs, better, bounds)
     print(f"{entry}: parent {shas['parent'][:12]}  change {shas['change'][:12]}  "
           f"{len(pairs)} pairs, {seconds:g} s runs")
     width = max(len(metric) for metric in summary)
-    print(f"{'metric':<{width}} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} wins")
+    print(f"{'metric':<{width}} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} "
+          f"wins  verdict")
     for metric, s in summary.items():
         cells = [f"{s[side]['median']:.4g} [{s[side]['q1']:.4g}, {s[side]['q3']:.4g}]"
                  for side in ("parent", "change")]
-        print(f"{metric:<{width}} {cells[0]:>34} {cells[1]:>34} {s['change_wins']}/{s['pairs']}")
+        wins = f"{s['change_wins']}/{s['pairs']}"
+        print(f"{metric:<{width}} {cells[0]:>34} {cells[1]:>34} {wins:>5} {s['verdict']}")
     for side in ("parent", "change"):
         failed = sum(p[side]["result"]["failed"] for p in pairs)
         correct = all(p[side]["result"]["correct"] for p in pairs)
