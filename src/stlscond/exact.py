@@ -15,8 +15,8 @@ All three run on the solver's (n+1) x n compressed problem ``sol.core``
 (K K' depends on the data only through A'A, A'r and ||r||), where W is
 n x (3n+2) and K is n x (n+1)^2; ``build_K_dense`` alone builds the
 n x m(n+1) K of the original data.  ``kappa_f1`` and ``kappa_f2`` work in
-the singular bases of the core's A that the solver carries (``sol.svd``:
-U, V and s_hat): there the quadratic form is diagonal plus rank two, and an O(n)
+the singular bases of the core's A that the solver carries (U, V and
+s_hat): there the quadratic form is diagonal plus rank two, and an O(n)
 orthogonal reduction takes W to an n x (n+1) diagonal plus rank one, whose
 Jordan-Wielandt form is diagonal plus rank two.  Both top eigenvalues come
 from ``numerics.top_eigenvalue_diag_rank2`` on n-vectors, so neither form
