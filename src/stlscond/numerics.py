@@ -7,11 +7,13 @@ of the same library, called through ctypes, for what numpy does not
 expose.  ``factored_svd`` runs dgebrd and dbdsdc, the factorizations
 inside gesdd, and keeps U and V as products of Householder reflectors and
 the bidiagonal's singular vectors, applied with dormbr instead of formed;
-the gesvd fallback of ``svd`` runs LAPACKE's dgesvd.  Where numpy ships no
-such library, ``factored_svd`` wraps the explicit U and V of ``svd``, and
-that fallback runs scipy's gesvd, a second BLAS with its own thread pool.
-``scipy.linalg`` (about 0.3 s to import) is imported inside it, so no
-other path pays for it.  The one layout convention that matters
+the gesvd fallback of ``svd`` runs LAPACKE's dgesvd, and ``dlasd4``, the
+secular-equation solver inside dbdsdc, runs the Fortran routine itself.
+Where numpy ships no such library, ``factored_svd`` wraps the explicit U
+and V of ``svd``, and the gesvd fallback and ``dlasd4`` run scipy's
+wrappers, a second BLAS with its own thread pool.  ``scipy.linalg``
+(about 0.3 s to import) is imported inside them, so no other path pays
+for it.  The one layout convention that matters
 elsewhere is column-major ``vec``: stacking a matrix column by column.
 Helpers here never reshape, but the condition-operator code relies on that
 ordering throughout.
@@ -139,6 +141,46 @@ def _lapacke():
     return SimpleNamespace(**funcs)
 
 
+@functools.cache
+def _fortran_dlasd4():
+    """LAPACK's dlasd4 in numpy's OpenBLAS, or None.  A Fortran symbol:
+    every argument goes by reference, integers as 64-bit."""
+    lib = _openblas()
+    try:
+        f = lib.scipy_dlasd4_64_
+    except AttributeError:  # lib is None, or it lacks the symbol
+        return None
+    vec, i64 = np.ctypeslib.ndpointer(np.float64), np.ctypeslib.ndpointer(np.int64)
+    # n, i, d, z, delta, rho, sigma, work, info
+    f.argtypes, f.restype = [i64, i64, vec, vec, vec, vec, vec, vec, i64], None
+    return f
+
+
+def dlasd4(d, z, rho):
+    """LAPACK dlasd4 for I = 1: the smallest singular value sigma of
+    ``diag(d)**2 + rho z z'``, the root in ``(d[0], d[1])`` of the
+    secular equation ``1 + rho sum(z**2 / ((d - sigma)(d + sigma))) = 0``,
+    by Li's stable solver (LAPACK Working Note 89), as dbdsdc runs it.
+    Needs ``0 <= d[0] < d[1] < ...``, nonzero z with ``||z|| = 1`` and
+    ``rho > 0``.
+
+    Returns ``(delta, sigma, work, info)`` with ``delta = d - sigma`` and
+    ``work = d + sigma`` (both 1 when ``len(d) == 1``), each accurate
+    relative to its pole; ``info > 0`` when the iteration failed.
+    Where numpy ships no such library, scipy's wrapper runs it."""
+    d, z = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(z, dtype=float)
+    f = _fortran_dlasd4()
+    if f is None:
+        from scipy.linalg import lapack
+
+        return lapack.dlasd4(0, d, z, rho)  # scipy counts i from 0
+    n = len(d)
+    delta, work, sigma, info = np.empty(n), np.empty(n), np.empty(1), np.zeros(1, np.int64)
+    f(np.array([n], np.int64), np.array([1], np.int64), d, z, delta, np.array([float(rho)]),
+      sigma, work, info)
+    return delta, float(sigma[0]), work, int(info[0])
+
+
 COLUMN_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
 
 
@@ -249,10 +291,9 @@ class FactoredSvd:
     bidiagonal B (dbdsdc).  ``ut``, ``vt`` and ``v`` apply U', V' and V
     to a vector or a block of k columns at O(n^2 k): one dormbr and one
     product with U_B or V_B.  gesdd computes the same factors and then
-    forms U and V, two n x n back-transformations that only the
-    properties ``U`` and ``V`` pay here, on first read.  ``reflectors``
-    None stands for Q = P = I, so that U_B and V_B are U and V
-    themselves (``explicit``)."""
+    forms U and V, two n x n back-transformations skipped here.
+    ``reflectors`` None stands for Q = P = I, so that U_B and V_B are U
+    and V themselves (``explicit``)."""
 
     s: np.ndarray  # singular values
     UB: np.ndarray
@@ -278,19 +319,6 @@ class FactoredSvd:
         """Vy, for a vector or a block of columns."""
         with _threads_for(self.VB):
             return self._reflect(b"P", b"N", self.VB @ np.asarray(y, dtype=float))
-
-    @functools.cached_property
-    def U(self) -> np.ndarray:
-        return self._form(b"Q")
-
-    @functools.cached_property
-    def V(self) -> np.ndarray:
-        return self._form(b"P")
-
-    def _form(self, vect) -> np.ndarray:
-        """U (vect Q) or V (vect P) as an n x n array, in O(n^3)."""
-        with _threads_for(self.UB):
-            return self._reflect(vect, b"N", self.UB if vect == b"Q" else self.VB)
 
     def _reflect(self, vect, trans, y) -> np.ndarray:
         """Q or P (``vect``), or its transpose (``trans`` T), applied to y."""
@@ -359,11 +387,10 @@ class SpdFactorization:
     definite matrix, with V the right singular vectors of ``basis``.
 
     Solves ``M z = y`` as ``z = V ((V'y) / d)`` for any right-hand side,
-    through the products of ``basis``, so V need not be formed; the
-    property ``V`` forms it on first read.  ``from_matrix`` raises
-    :class:`NotPositiveDefiniteError` when an eigenvalue is not positive,
-    which callers use as a definiteness probe (loss of definiteness
-    signals a uniqueness violation upstream).
+    through the products of ``basis``, so V is never formed.
+    ``from_matrix`` raises :class:`NotPositiveDefiniteError` when an
+    eigenvalue is not positive, which callers use as a definiteness probe
+    (loss of definiteness signals a uniqueness violation upstream).
     """
 
     basis: FactoredSvd  # its V holds the orthogonal eigenvectors, one per column
@@ -379,10 +406,6 @@ class SpdFactorization:
             raise NotPositiveDefiniteError(f"smallest eigenvalue {d[0]:.3e} is not positive")
         # the eigendecomposition of an SPD matrix is an SVD of it
         return cls(basis=FactoredSvd.explicit(V, d, V.T), d=d)
-
-    @property
-    def V(self) -> np.ndarray:
-        return self.basis.V
 
     def solve(self, y) -> np.ndarray:
         """Solve M z = y; y may be a vector or a matrix of columns."""

@@ -7,9 +7,9 @@ of [A, b], the only pass over the m x n data, which has the same solution
 (orthogonal invariance).  Its triangular factor has the blocks R11 (n x n),
 R12 and the scalar R22; one SVD ``R11 = U diag(s_hat) V'``, whose U and V
 stay in LAPACK's factored form (``numerics.FactoredSvd``), and ``c = U'R12``
-reduce the rest to a secular equation in ``sigma_np1**2`` solved on
-(n+1)-vectors, which yields x, the gap and ``M = A'A - sigma_np1**2 I``
-in the eigenbasis V.  ``solve_stls_svd`` reads x off the trailing right
+reduce the rest to a secular equation in ``sigma_np1`` on (n+1)-vectors,
+solved by LAPACK's dlasd4, which yields x, the gap and
+``M = A'A - sigma_np1**2 I`` in the eigenbasis V.  ``solve_stls_svd`` reads x off the trailing right
 singular vector of the uncompressed [A, lam*b] and serves as its oracle.
 """
 
@@ -112,9 +112,7 @@ class StlsSolution:
         ``A_c[:n] = U diag(s_hat) V'``, the SVD of the core's A without
         that zero row, with U and V kept in LAPACK's factored form:
         ``svd.ut``, ``svd.vt`` and ``svd.v`` apply U', V' and V in O(n^2)
-        per vector.  The properties ``U`` and ``M.V`` form the n x n
-        matrices lazily, on first read, at O(n^3) each; the solve, the
-        exact forms and the estimators never read them.
+        per vector; U and V themselves are never formed.
     c : (n,) ndarray
         ``U' b_c[:n]``, the core's b above its last entry in the basis U.
     ill_posed : bool
@@ -138,11 +136,6 @@ class StlsSolution:
         """Singular values of A, non-increasing."""
         return self.svd.s
 
-    @property
-    def U(self) -> np.ndarray:
-        """Left singular vectors of ``core.A[:n]``, formed on first read."""
-        return self.svd.U
-
 
 def _compress(p: StlsProblem) -> StlsProblem:
     """The (n+1) x n problem of the R factor of [A, b]: the same x and K K',
@@ -163,114 +156,54 @@ def check_genericity(p: StlsProblem):
     return sigma_hat_n, sigma_np1, sigma_hat_n - sigma_np1
 
 
-# Cap on the iterations of ``_secular_root``.  It took 4 on each of 24
-# 1000x300 Gaussian problems, and at most 20 on 4000 generated problems
-# (n < 40, e_p down to 1e-15, scales 1e-3 to 1e3), where the nearest pole
-# has a tiny weight and the root lies close to it.
-SECULAR_MAX_ITER = 100
+def _secular_root(s_hat, z, z0, tol):
+    """The smallest singular value sigma = sigma_np1 of the matrix whose
+    Gram matrix is ``diag(s_hat**2, 0) + (z, z0)(z, z0)'``, with
+    z = lam c and z0 = lam R22: the root in (0, s_hat[-1]) of the
+    increasing secular function
 
+        F(sigma) = 1 - z0**2 / sigma**2 + sum(z**2 / (s_hat**2 - sigma**2)),
 
-def _secular_root(s_hat, w, w0, tol):
-    """The smallest eigenvalue mu = sigma_np1**2 of diag(s_hat**2, 0) + z z'
-    with z = (lam c, lam R22), w = (lam c)**2 and w0 = (lam R22)**2: the
-    root in (0, s_hat[-1]**2) of the increasing secular function
+    found by LAPACK's dlasd4.  Returns ``(sigma, d, gap)`` with
+    ``d = s_hat**2 - sigma**2`` and ``gap = s_hat[-1] - sigma``, which
+    dlasd4 forms from its distances to the poles, so both keep their
+    relative accuracy however close the root is to a pole.  Raises
+    NongenericProblemError when the gap is not above ``tol``,
+    ConvergenceError when dlasd4 fails, and NonFiniteError when
+    ``s_hat[-1]**2`` underflows, which the caller's scaling leaves only for
+    data whose A and lam b differ in scale by more than about 1e154.
 
-        F(mu) = 1 - w0 / mu + sum(w / (s_hat**2 - mu)).
-
-    Returns ``(mu, d, gap)`` with ``d = s_hat**2 - mu`` and
-    ``gap = s_hat[-1] - sqrt(mu)``; raises NongenericProblemError when the
-    gap is not above ``tol``, and NonFiniteError when ``s_hat[-1]**2``
-    underflows, which the caller's scaling leaves only for data whose
-    A and lam b differ in scale by more than about 1e154.
-
-    As LAPACK's dlasd4 does, the unknown is tau = mu - o, the distance
-    from the origin o, the pole 0 or s_hat[-1]**2 nearer the root, and the
-    differences s_hat**2 - mu = (s_hat**2 - o) - tau are formed from the
-    exact shifted poles (s_hat - s_n)(s_hat + s_n), so d and the gap keep
-    their relative accuracy however close the root is to either pole.
-    Each step solves a two-pole model of F fitted at the iterate; a step
-    that leaves the bracket kept from the signs of F is replaced by
-    bisection.  The iteration stops where |F| is within its rounding
-    error bound.
+    dlasd4 takes the poles (0, s_hat[-1], ..., s_hat[0]) strictly
+    increasing and of nonzero weight.  Equal s_hat are one pole whose
+    squared weight is the sum of theirs, and a pole of zero weight has no
+    term in F: it is left out, and its d is formed directly.
     """
-    n = len(s_hat)
     sn = float(s_hat[-1])
-    sn2 = sn * sn
-    shifted = (s_hat - sn) * (s_hat + sn)  # the right poles at o = s_n**2
-
-    def secular(left, right, tau):
-        dl, dr = left - tau, right - tau
-        psi, phi = w0 / dl, float(np.sum(w / dr))
-        dF = psi / dl + float(np.sum(w / (dr * dr)))
-        return 1.0 + psi + phi, dF, psi, phi
-
-    # gap > tol exactly when F is positive at mu = (s_n - tol)**2
-    tau_tol = -tol * (2.0 * sn - tol)
-    if sn > tol and sn2 < np.finfo(float).tiny:
+    if sn > tol and sn * sn < np.finfo(float).tiny:
         raise NonFiniteError("the smallest singular value of A is below 1e-154 of the "
                              "data's scale, so its square underflows")
-    if not (sn > tol and secular(-sn2, shifted, tau_tol)[0] > 0.0):
+    if not sn > tol:
         raise NongenericProblemError(f"uniqueness gap is at most the tolerance {tol:.3e}")
-    if w0 == 0.0:
+    if z0 == 0.0:
         # b_c lies in the range of A_c: the zero-weight pole 0 is the root
         return 0.0, s_hat * s_hat, sn
-    if secular(-sn2, shifted, -0.5 * sn2)[0] >= 0.0:
-        left, right, lo, hi = 0.0, s_hat * s_hat, 0.0, 0.5 * sn2
-        tau = hi
-    else:
-        left, right, lo, hi = -sn2, shifted, -0.5 * sn2, tau_tol
-        tau = lo
-    p_l, p_r = left, float(right[-1])  # one of them is the origin, 0
-    w_near = float(np.sum(w[right == p_r]))
-    eps = np.finfo(float).eps
-    fixed_near, F_prev = False, 0.0
-    for _ in range(SECULAR_MAX_ITER):
-        F, dF, psi, phi = secular(left, right, tau)
-        if F < 0.0:
-            lo = tau
-        elif F > 0.0:
-            hi = tau
-        if abs(F) <= eps * ((n + 4) * (1.0 + phi - psi) + abs(tau) * dF):
-            break
-        # the fitted equation C + s/(p_l - t) + S/(p_r - t) = 0 matches F
-        # and F' at tau.  Either the left weight is exact (w0 = s, the
-        # right slope fitted into S) or, after a step that shrank |F| by
-        # less than 10x without crossing the root, the weight of the
-        # nearest right pole is (its near-zero weight makes the first form
-        # creep towards it), as dlaed4 switches.  With p_l p_r = 0 the
-        # equation is C t**2 - B t + K = 0, whose two roots are formed
-        # without cancellation, so a root next to the origin keeps its
-        # relative accuracy however far the iterate is from it.
-        if F * F_prev > 0.0 and abs(F) > 0.1 * abs(F_prev):
-            fixed_near = not fixed_near
-        F_prev = F
-        d1, d2 = p_l - tau, p_r - tau
-        if fixed_near:
-            S = w_near
-            s = (dF - S / (d2 * d2)) * d1 * d1
-        else:
-            s = w0
-            S = (dF - s / (d1 * d1)) * d2 * d2
-        C = F - s / d1 - S / d2
-        B = C * (p_l + p_r) + s + S
-        K = s * p_r + S * p_l
-        q = 0.5 * (B + math.copysign(math.sqrt(max(B * B - 4.0 * C * K, 0.0)), B))
-        new = 0.5 * (lo + hi)
-        for t in ((K / q) if q != 0.0 else None, (q / C) if C != 0.0 else None):
-            if t is not None and lo < t < hi:
-                new = t
-                break
-        if new == tau:
-            break
-        tau = new
-    else:
-        raise ConvergenceError(f"secular equation for sigma_np1 did not converge "
-                               f"in {SECULAR_MAX_ITER} steps")
-    if left == 0.0:
-        mu = tau
-        return mu, s_hat * s_hat - tau, sn - math.sqrt(mu)
-    mu = sn2 + tau
-    return mu, shifted - tau, -tau / (sn + math.sqrt(mu))
+    s_up = s_hat[::-1]
+    first = np.flatnonzero(np.r_[True, s_up[1:] > s_up[:-1]])  # of each run of equal s_hat
+    poles, weights = s_up[first], np.hypot.reduceat(np.abs(z[::-1]), first)
+    live = weights > 0.0
+    w = np.r_[abs(z0), weights[live]]
+    rho = float(np.linalg.norm(w))
+    delta, sigma, work, info = numerics.dlasd4(np.r_[0.0, poles[live]], w / rho, rho * rho)
+    if info:
+        raise ConvergenceError(f"dlasd4 failed on the secular equation for sigma_np1 "
+                               f"(info {info})")
+    d_poles = (poles - sigma) * (poles + sigma)
+    d_poles[live] = delta[1:] * work[1:]
+    gap = float(delta[1]) if live[0] else sn - sigma
+    if not gap > tol:
+        raise NongenericProblemError(f"uniqueness gap {gap:.3e} is at most the tolerance "
+                                     f"{tol:.3e}")
+    return sigma, np.repeat(d_poles, np.diff(np.r_[first, len(s_up)]))[::-1], gap
 
 
 def solve_stls(p: StlsProblem) -> StlsSolution:
@@ -278,8 +211,8 @@ def solve_stls(p: StlsProblem) -> StlsSolution:
 
     With ``R11 = U diag(s_hat) V'`` (one SVD, whose U and V are applied
     in factored form and never formed) and ``c = U'R12``, the
-    squared smallest singular value of [A, lam*b] is the root of the
-    secular equation of ``_secular_root``.  It gives
+    smallest singular value of [A, lam*b] is the root of the secular
+    equation of ``_secular_root``.  It gives
     ``M = A'A - sigma_np1**2 I = V diag(d) V'`` and the solution of
     ``M x = A'b`` in that eigenbasis, ``x = V (s_hat c / d)``.
 
@@ -299,14 +232,14 @@ def solve_stls(p: StlsProblem) -> StlsSolution:
     c = svd.ut(core.b[:n])
     lam_c = p.lam * c
     lam_r22 = p.lam * float(core.b[n])
-    # The secular equation squares s_hat, lam c and lam R22.  Scaled by the
-    # power of two that brings the largest of them near 1, which is exact,
-    # its squares neither overflow nor underflow, whatever the data's units.
+    # dlasd4 squares s_hat, lam c and lam R22.  Scaled by the power of two
+    # that brings the largest of them near 1, which is exact, their squares
+    # neither overflow nor underflow, whatever the data's units.
     e = math.frexp(max(float(s_hat[0]), float(np.max(np.abs(lam_c))), abs(lam_r22)))[1]
     s_e, c_e, z_e = np.ldexp(s_hat, -e), np.ldexp(lam_c, -e), math.ldexp(lam_r22, -e)
-    mu, d, gap = _secular_root(s_e, c_e * c_e, z_e * z_e, math.ldexp(tol, -e))
+    sigma, d, gap = _secular_root(s_e, c_e, z_e, math.ldexp(tol, -e))
     x = svd.v(s_e * np.ldexp(c, -e) / d)
-    sigma_np1 = math.ldexp(math.sqrt(mu), e)
+    sigma_np1 = math.ldexp(sigma, e)
     d, gap = np.ldexp(d, 2 * e), math.ldexp(gap, e)
     trailing = 1.0 / math.hypot(1.0, p.lam * float(np.linalg.norm(x)))
     if trailing < 1e-14:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stlscond import GeneratorSpec, StlsProblem, generate, solve_stls
+from stlscond import GeneratorSpec, StlsProblem, generate, numerics, solve_stls
 
 
 @pytest.fixture
@@ -27,3 +27,15 @@ def gen_problem():
         return gp.problem, solve_stls(gp.problem)
 
     return build
+
+
+@pytest.fixture
+def dlasd4_failing():
+    """LAPACK's dlasd4 reporting INFO > 0, a failed iteration."""
+    real = numerics.dlasd4
+
+    def failing(d, z, rho):
+        delta, sigma, work, _ = real(d, z, rho)
+        return delta, sigma, work, 1
+
+    return failing

@@ -256,12 +256,12 @@ def test_degenerate_singular_vector_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("cmd", ["solve", "cond"])
-def test_convergence_failure_exit_code(problem_file, monkeypatch, capsys, cmd):
-    # a secular iteration cut off after one step raises ConvergenceError,
+def test_convergence_failure_exit_code(problem_file, monkeypatch, capsys, dlasd4_failing, cmd):
+    # dlasd4 failing on the secular equation raises ConvergenceError,
     # which ends in exit 4 and one stderr line, not a traceback
-    from stlscond import cli, problem
+    from stlscond import cli, numerics
 
-    monkeypatch.setattr(problem, "SECULAR_MAX_ITER", 1)
+    monkeypatch.setattr(numerics, "dlasd4", dlasd4_failing)
     assert cli.main([cmd, "--in", str(problem_file)]) == 4
     out, err = capsys.readouterr()
     assert out == ""

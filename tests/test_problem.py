@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stlscond import (
@@ -28,7 +28,7 @@ from stlscond import (
     solve_stls,
     solve_stls_svd,
 )
-from stlscond import problem
+from stlscond import numerics
 
 
 def exact_solution(gp):
@@ -193,12 +193,108 @@ def test_solve_refuses_scales_beyond_the_double_range():
         solve_stls(StlsProblem(p.A, b, p.lam))
 
 
-def test_secular_root_iteration_cap(monkeypatch):
+def test_secular_root_iteration_cap(monkeypatch, dlasd4_failing):
+    # dlasd4 reporting INFO > 0 (its iteration failed) raises ConvergenceError
     p = generate(GeneratorSpec(m=30, n=10, lam=1.0, e_p=0.1, seed=0)).problem
     solve_stls(p)
-    monkeypatch.setattr(problem, "SECULAR_MAX_ITER", 1)
+    monkeypatch.setattr(numerics, "dlasd4", dlasd4_failing)
     with pytest.raises(ConvergenceError):
         solve_stls(p)
+
+
+def _secular_errors(p):
+    """The errors of solve_stls's gap and d = s_hat**2 - sigma_np1**2 against
+    a 50-digit root of the secular equation on the same double inputs
+    s_hat, z = lam c and z0 = lam R22, relative and in units of
+    u s_hat_n / gap."""
+    mp = pytest.importorskip("mpmath")
+    sol = solve_stls(p)
+    with mp.workdps(50):
+        s = [mp.mpf(float(v)) for v in sol.s_hat]
+        z = [mp.mpf(float(v)) for v in p.lam * sol.c]
+        z0 = mp.mpf(p.lam * float(sol.core.b[p.n]))
+        sn = s[-1]
+
+        def F(t):  # the secular function at sigma = s_n - t, decreasing in t
+            sigma = sn - t
+            return 1 - z0**2 / sigma**2 + sum(
+                zi**2 / ((si - sn + t) * (si + sigma)) for si, zi in zip(s, z))
+
+        lo, hi = mp.mpf(0), sn
+        for _ in range(170):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if F(mid) > 0 else (lo, mid)
+        gap = (lo + hi) / 2
+        d = [(si - sn + gap) * (si + sn - gap) for si in s]
+        unit = np.finfo(float).eps * float(sn / gap)
+        gap_err = float(abs(sol.genericity_gap - gap) / gap) / unit
+        d_err = max(float(abs(mp.mpf(float(a)) - b) / b) for a, b in zip(sol.M.d, d)) / unit
+    return gap_err, d_err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    extra=st.integers(1, 39),
+    lam=st.floats(-3.0, 3.0).map(lambda t: 10.0**t),
+    e_p=st.floats(-15.0, -0.1).map(lambda t: 10.0**t),
+    seed=st.integers(0, 2**31 - 1),
+)
+# the hand-written rational iteration that dlasd4 replaced erred by 12.6
+# units in both on this problem
+@example(n=12, extra=25, lam=0.022437712796056386, e_p=2.001471603498759e-07,
+         seed=1350940708)
+def test_secular_step_matches_a_50_digit_root(n, extra, lam, e_p, seed):
+    p = generate(GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed)).problem
+    try:
+        gap_err, d_err = _secular_errors(p)
+    except StlsError:
+        assume(False)
+    assert gap_err <= 8.0 and d_err <= 8.0, (gap_err, d_err)
+
+
+def test_scipy_dlasd4_gives_the_same_solution(monkeypatch):
+    # scipy's wrapper (where numpy ships no dlasd4) runs the same routine
+    if numerics._fortran_dlasd4() is None:
+        pytest.skip("numpy's OpenBLAS exports no dlasd4 here")
+    problems = [generate(GeneratorSpec(m=60, n=30, lam=lam, e_p=e_p, seed=seed)).problem
+                for lam in (0.5, 2.0, 8.0) for e_p in (1e-2, 1e-5, 1e-8) for seed in range(2)]
+    ref = [solve_stls(p) for p in problems]
+    monkeypatch.setattr(numerics, "_fortran_dlasd4", lambda: None)
+    for p, r in zip(problems, ref):
+        sol = solve_stls(p)
+        assert np.array_equal(sol.x, r.x)
+        assert kappa_f2(sol, p.A).absolute == kappa_f2(r, p.A).absolute
+
+
+_DIAGONAL = np.vstack([np.diag([3.0, 2.0, 1.0]), np.zeros((2, 3))])
+_RNG = np.random.default_rng(1)
+
+
+@pytest.mark.parametrize("binding", ["ctypes", "scipy"])
+@pytest.mark.parametrize("A, b", [
+    # s_hat all 1: one pole of dlasd4
+    (np.vstack([np.eye(4), np.zeros((3, 4))]), _RNG.standard_normal(7)),
+    # c = U'R12 has an exact zero at s_hat_n, then at s_hat_1: no pole
+    (_DIAGONAL, np.array([1.0, 1.0, 0.0, 0.5, 0.2])),
+    (_DIAGONAL, np.array([0.0, 1.0, 1.0, 0.5, 0.2])),
+    # consistent: R22 = 0, so sigma_np1 = 0 without dlasd4
+    (_DIAGONAL, np.array([1.0, 1.0, 1.0, 0.0, 0.0])),
+    # n = 1: dlasd4 hands two poles to dlasd5
+    (_RNG.standard_normal((5, 1)), _RNG.standard_normal(5)),
+], ids=["repeated", "zero-weight-last", "zero-weight-first", "consistent", "n1"])
+def test_secular_deflation_matches_svd_route(A, b, binding, monkeypatch):
+    if binding == "scipy":
+        monkeypatch.setattr(numerics, "_fortran_dlasd4", lambda: None)
+    p = StlsProblem(A, b, 1.0)
+    sol = solve_stls(p)
+    x = solve_stls_svd(p)
+    s = np.linalg.svd(p.augmented(), compute_uv=False)
+    assert np.linalg.norm(sol.x - x) <= 1e-14 * np.linalg.norm(x)
+    assert sol.sigma_np1 == pytest.approx(s[-1], rel=1e-14, abs=1e-15)
+    assert sol.genericity_gap == pytest.approx(sol.sigma_hat_n - s[-1], rel=1e-14)
+    M = p.A.T @ p.A - sol.sigma_np1**2 * np.eye(p.n)
+    assert np.allclose(sol.M.solve(M @ x), x, rtol=1e-13, atol=0.0)
 
 
 @settings(max_examples=40, deadline=None)
