@@ -52,14 +52,20 @@ from .problem import StlsSolution
 
 
 def _check_field_types(cfg) -> None:
-    """Reject a non-number in a config field, and a non-integer in an
-    integer field (config values may come from a user's JSON file)."""
+    """Reject a non-number in a config field, a non-integer in an integer
+    field, and an integer beyond the double range in a float field (config
+    values may come from a user's JSON file, whose integers are exact)."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         kind = numbers.Integral if f.type == "int" else numbers.Real
         if isinstance(value, bool) or not isinstance(value, kind):
             what = "an integer" if kind is numbers.Integral else "a number"
             raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        if kind is numbers.Real:
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{f.name} is beyond the double range") from None
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stlscond import (
@@ -495,6 +495,8 @@ def malformed_config_texts(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(text=malformed_config_texts())
+# an integer beyond the double range in a float field
+@example(text=json.dumps({**VALID_CONFIG, "pce": {"eps": 1e-3, "theta": 10**400}}))
 def test_malformed_config_files_exit_with_a_documented_code(text):
     with tempfile.TemporaryDirectory() as tmp:
         path, cfg = os.path.join(tmp, "p.json"), os.path.join(tmp, "cfg.json")
