@@ -223,8 +223,12 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
     v_trace: list[float] = []
     converged = False
     iterations = 0
+    Ey, work = np.empty(n), np.empty(n)
     for iterations in range(1, cfg.max_iter + 1):
-        Ey = L * y - a * float(b @ y) - b * float(a @ y)
+        # Ey = L y - a (b'y) - b (a'y), in place, in that order
+        np.multiply(L, y, out=Ey)
+        Ey -= np.multiply(a, float(b @ y), out=work)
+        Ey -= np.multiply(b, float(a @ y), out=work)
         qnorm = math.sqrt(max(float(y @ Ey), 0.0))  # ||W'y||
         v = scale * qnorm
         v_trace.append(v)
@@ -235,12 +239,13 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
             converged = True
             break
         v_prev = v
-        eynorm = float(np.linalg.norm(Ey))
+        eynorm = math.sqrt(float(Ey @ Ey))  # what np.linalg.norm computes
         if eynorm == 0.0:
             converged = True
             break
         scale = eynorm / qnorm  # ||W (W'y / ||W'y||)||
-        y = Ey / eynorm
+        Ey /= eynorm
+        y, Ey = Ey, y
     return ConditionReport(
         absolute=float(np.sqrt(v)),
         method="POWER",

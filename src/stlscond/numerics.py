@@ -2,16 +2,18 @@
 
 All operations are pure functions of their inputs; nothing is modified in
 place.  Decompositions go through numpy's own OpenBLAS by two routes:
-``numpy.linalg`` for the QR, eigen- and gesdd SVDs, and LAPACKE routines
-of the same library, called through ctypes, for what numpy does not
-expose.  ``factored_svd`` runs dgebrd and dbdsdc, the factorizations
-inside gesdd, and keeps U and V as products of Householder reflectors and
-the bidiagonal's singular vectors, applied with dormbr instead of formed;
-the gesvd fallback of ``svd`` runs LAPACKE's dgesvd, and ``dlasd4``, the
-secular-equation solver inside dbdsdc, runs the Fortran routine itself.
-Where numpy ships no such library, ``factored_svd`` wraps the explicit U
-and V of ``svd``, and the gesvd fallback and ``dlasd4`` run scipy's
-wrappers, a second BLAS with its own thread pool.  ``scipy.linalg``
+``numpy.linalg`` for the eigen- and gesdd SVDs, and LAPACKE routines of
+the same library, called through ctypes, for what numpy does not expose
+or runs slower.  ``augmented_qr_r`` runs the blocked Householder QR
+dgeqrt on one column-major copy of ``[A, b]``.  ``factored_svd`` runs
+dgebrd and dbdsdc, the factorizations inside gesdd, and keeps U and V as
+products of Householder reflectors and the bidiagonal's singular
+vectors, applied with dormbr instead of formed; the gesvd fallback of
+``svd`` runs LAPACKE's dgesvd, and ``dlasd4``, the secular-equation
+solver inside dbdsdc, runs the Fortran routine itself.  Where numpy
+ships no such library, the QR is numpy's qr, ``factored_svd`` wraps the
+explicit U and V of ``svd``, and the gesvd fallback and ``dlasd4`` run
+scipy's wrappers, a second BLAS with its own thread pool.  ``scipy.linalg``
 (about 0.3 s to import) is imported inside them, so no other path pays
 for it.  The one layout convention that matters
 elsewhere is column-major ``vec``: stacking a matrix column by column.
@@ -22,10 +24,11 @@ This module is the one owner of the BLAS thread count.  ``svd``,
 ``singular_values``, ``factored_svd`` with its products, and
 ``augmented_qr_r`` run on one OpenBLAS thread when the smaller side of
 their matrix (for the last, of A in ``[A, b]``) is at most
-``SERIAL_BLAS_MAX_N``.  At those sizes a second thread slows the
-factorization or gains nothing (1000x300 on two cores: QR 12 ms on one
-thread against 17 ms on two, dgebrd 6-7 against 7-8 ms), and one thread
-makes their results independent of the caller's thread count.  Larger
+``SERIAL_BLAS_MAX_N``.  At those sizes one thread makes their results
+independent of the caller's thread count, at little cost: a second
+thread gains nothing on the SVD (1000x300 on two cores: dgebrd 6-7 ms on
+one thread against 7-8 ms on two) and about 1 ms on the QR (5-6.5
+against 4-5 ms).  Larger
 factorizations keep the count the caller set.  ``serial_blas`` changes
 the count of numpy's own OpenBLAS through its ``scipy_openblas`` C
 interface, looked up on first use, and does nothing where numpy ships no
@@ -55,9 +58,10 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
-# Largest min(rows, cols) of a factorization run on one BLAS thread.  On a
-# 2-core host a second thread slows the QR at 1000x300, gains nothing on
-# dgebrd and dbdsdc up to 1000x400, and takes whole solves at 1000x700 and
+# Largest min(rows, cols) of a factorization run on one BLAS thread, so
+# that solves up to this n give the same bits at any thread count.  On a
+# 2-core host a second thread gains nothing on dgebrd and dbdsdc up to
+# 1000x400 and 1-2 ms on the QR, and takes whole solves at 1000x700 and
 # 4000x500 from 0.23-0.24 s to 0.21-0.22 s and from 0.21 to 0.20 s; see
 # README "Reproducibility and threads".
 SERIAL_BLAS_MAX_N = 400
@@ -107,9 +111,9 @@ def _openblas_threads():
 
 @functools.cache
 def _lapacke():
-    """The LAPACKE routines of numpy's OpenBLAS that the factored SVD and
-    the gesvd fallback call, by name, or None when numpy ships no such
-    library or it lacks one of them.  The library has 64-bit integers
+    """The LAPACKE routines of numpy's OpenBLAS that the QR, the factored
+    SVD and the gesvd fallback call, by name, or None when numpy ships no
+    such library or it lacks one of them.  The library has 64-bit integers
     (the ``64_`` suffix); matrices are passed column-major."""
     import ctypes
     from types import SimpleNamespace
@@ -120,6 +124,8 @@ def _lapacke():
     i64, ch, mat = ctypes.c_int64, ctypes.c_char, np.ctypeslib.ndpointer(
         np.float64, flags="F_CONTIGUOUS")
     signatures = {
+        # layout, m, n, nb, a, lda, t, ldt
+        "dgeqrt": [ctypes.c_int, i64, i64, i64, mat, i64, mat, i64],
         # layout, m, n, a, lda, d, e, tauq, taup
         "dgebrd": [ctypes.c_int, i64, i64, mat, i64, mat, mat, mat, mat],
         # layout, uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq
@@ -184,9 +190,16 @@ def dlasd4(d, z, rho):
 COLUMN_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
 
 
-def _checked(name, info):
-    """LAPACKE's info, after raising on an argument or workspace error."""
+def _checked(name, info, *operands):
+    """LAPACKE's info, after raising on an argument or workspace error.
+
+    LAPACKE also answers a NaN in a data operand with a negative info;
+    when one of ``operands`` (the call's arrays that data can reach) is not
+    finite, that is the data's fault and raises NonFiniteError.  The
+    operands are read only on that failure path."""
     if info < 0:
+        if not all(np.isfinite(x).all() for x in operands):
+            raise NonFiniteError(f"LAPACKE_{name} returned {info} on a non-finite operand")
         raise RuntimeError(f"LAPACKE_{name} returned {info}")
     return info
 
@@ -225,11 +238,25 @@ def _threads_for(X):
 
 def augmented_qr_r(A, b) -> np.ndarray:
     """R factor of the thin QR of ``[A, b]``, for a tall A and finite
-    entries.  The thread rule goes by A, so a solve with
-    n <= SERIAL_BLAS_MAX_N runs every factorization on one thread."""
+    entries: LAPACK's blocked Householder QR dgeqrt on one column-major
+    copy of ``[A, b]``, or numpy's qr where numpy ships no LAPACKE.  The
+    thread rule goes by A, so a solve with n <= SERIAL_BLAS_MAX_N runs
+    every factorization on one thread."""
     A = np.asarray(A, dtype=float)
+    lapack = _lapacke()
+    if lapack is None:
+        with _threads_for(A):
+            return np.linalg.qr(np.column_stack([A, b]), mode="r")
+    m, n = A.shape
+    k = min(m, n + 1)
+    a = np.empty((m, n + 1), order="F")  # dgeqrt overwrites it
+    a[:, :n] = A
+    a[:, n] = b
+    nb = min(32, k)
+    t = np.empty((nb, k), order="F")  # the block reflectors' factors, unused
     with _threads_for(A):
-        return np.linalg.qr(np.column_stack([A, b]), mode="r")
+        _checked("dgeqrt", lapack.dgeqrt(COLUMN_MAJOR, m, n + 1, nb, a, m, t, nb), a)
+    return np.triu(a[:k])
 
 
 def svd(X):
@@ -331,8 +358,9 @@ class FactoredSvd:
             raise ValueError(f"operand has shape {y.shape}, expected {n} rows")
         out = np.array(y, order="F")
         k = 1 if out.ndim == 1 else out.shape[1]
+        tau = tauq if vect == b"Q" else taup
         _checked("dormbr", _lapacke().dormbr(COLUMN_MAJOR, vect, b"L", trans, n, k, n, a, n,
-                                             tauq if vect == b"Q" else taup, out, n))
+                                             tau, out, n), a, tau, out)
         return out
 
 

@@ -279,6 +279,21 @@ def test_out_of_range_exit_code(tmp_path, capsys, cmd):
     assert err.startswith("stlscond: out of floating-point range:") and err.count("\n") == 1
 
 
+def test_kron_beyond_the_double_range_exit_code(tmp_path, capsys):
+    # kron's products of data-sized vectors overflow at 1e150 and the NaN
+    # reaches dormbr, whose LAPACKE check answers with a negative info: the
+    # data's fault, so exit 4 and one stderr line, not a traceback
+    rng = np.random.default_rng(0)
+    path = tmp_path / "huge.json"
+    save_problem(StlsProblem(1e150 * rng.standard_normal((30, 8)),
+                             1e150 * rng.standard_normal(30), 1.0), path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["cond", "--in", str(path), "--method", "kron"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("stlscond: out of floating-point range:") and err.count("\n") == 1
+
+
 def test_cond_zero_residual_exit_code(tmp_path):
     rng = np.random.default_rng(3)
     A = rng.standard_normal((8, 4))

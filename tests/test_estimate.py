@@ -1,6 +1,7 @@
 """Estimator tests: operator products against the dense oracle, power
 iteration, the probabilistic bracket, and small-sample probing."""
 
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -34,7 +35,7 @@ from stlscond import (
     solve_stls,
     unit_sphere_sample,
 )
-from stlscond import estimate, numerics
+from stlscond import estimate, exact, numerics
 from stlscond.estimate import wallis_factor
 from stlscond.exact import _f2_operator
 
@@ -223,6 +224,44 @@ def test_power_matches_iteration_through_the_factor(gen_problem, m, n, lam, e_p,
     assert np.allclose(rep.diagnostics["v_trace"], trace, rtol=1e-12, atol=0.0)
     if tol == 1e-4:
         assert rep.absolute > 5e3
+
+
+def _power_old_expression(sol, cfg, y0=None):
+    """power_method's sweep as it was written before it ran in place, the
+    reference its v_trace must equal bit for bit."""
+    L, a, b = exact._f1_terms(sol)
+    y = np.random.default_rng(cfg.seed).standard_normal(len(sol.x)) if y0 is None else y0
+    y = sol.svd.vt(y / float(np.linalg.norm(y)))
+    scale, v_prev, trace = 1.0, None, []
+    for _ in range(cfg.max_iter):
+        Ey = L * y - a * float(b @ y) - b * float(a @ y)
+        qnorm = math.sqrt(max(float(y @ Ey), 0.0))
+        trace.append(scale * qnorm)
+        if qnorm == 0.0 or (v_prev is not None and abs(trace[-1] - v_prev) < cfg.tol):
+            break
+        v_prev = trace[-1]
+        eynorm = float(np.linalg.norm(Ey))
+        if eynorm == 0.0:
+            break
+        scale = eynorm / qnorm
+        y = Ey / eynorm
+    return trace
+
+
+@pytest.mark.parametrize("m, n, lam, e_p, seed", [
+    (60, 40, 1.0, 0.1, 1), (120, 80, 20.0, 1e-6, 3), (30, 1, 1.0, 0.1, 2),
+])
+def test_power_sweep_is_bitwise_the_old_expression(gen_problem, m, n, lam, e_p, seed):
+    p, sol = gen_problem(m, n, lam, e_p, seed)
+    for cfg in (PowerConfig(seed=seed), PowerConfig(tol=1e-30, max_iter=60, seed=seed)):
+        assert power_method(sol, p.A, cfg).diagnostics["v_trace"] == _power_old_expression(sol, cfg)
+
+
+def test_power_sweep_from_an_eigenvector_is_bitwise_the_old_expression(
+        diagonal_problem, diagonal_solution):
+    cfg, y0 = PowerConfig(), np.array([0.0, 1.0])
+    rep = power_method(diagonal_solution, diagonal_problem.A, cfg, y0=y0)
+    assert rep.diagnostics["v_trace"] == _power_old_expression(diagonal_solution, cfg, y0)
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,87 @@ def test_factored_svd_takes_gesvd_when_dbdsdc_fails(monkeypatch):
     assert np.linalg.norm(f.UB * f.s @ f.VB.T - R) <= 1e-13 * f.s[0]
 
 
+# ---------------------------------------------------------------------------
+# the QR of [A, b]
+# ---------------------------------------------------------------------------
+
+def _numpy_qr_r(A, b):
+    return np.linalg.qr(np.column_stack([np.asarray(A, dtype=float), b]), mode="r")
+
+
+def _check_qr_r(A, b):
+    before = np.array(A), np.array(b)
+    R = numerics.augmented_qr_r(A, b)
+    ref = _numpy_qr_r(A, b)
+    assert R.shape == ref.shape and np.array_equal(R, np.triu(R))
+    tol = 1e-13 * np.linalg.norm(ref)
+    # each row is determined up to its sign
+    assert np.max(np.abs(np.abs(R) - np.abs(ref))) <= tol
+    assert np.max(np.abs(R.T @ R - ref.T @ ref)) <= tol * np.linalg.norm(ref)
+    assert np.array_equal(A, before[0]) and np.array_equal(b, before[1])
+
+
+@pytest.mark.parametrize("m, n", [(5, 1), (2, 1), (9, 8), (4, 4), (60, 40), (300, 120)])
+def test_augmented_qr_r_matches_numpy(m, n):
+    rng = np.random.default_rng(m + n)
+    _check_qr_r(rng.standard_normal((m, n)), rng.standard_normal(m))
+
+
+def test_augmented_qr_r_takes_any_layout_and_dtype():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((80, 30))
+    b = rng.standard_normal(80)
+    _check_qr_r(np.asfortranarray(A), b)
+    _check_qr_r(A[::2], b[::2])  # a non-contiguous view
+    _check_qr_r(rng.integers(-5, 6, size=(40, 12)), rng.integers(-5, 6, size=40))
+
+
+def test_augmented_qr_r_without_lapacke_is_numpy_qr(monkeypatch):
+    rng = np.random.default_rng(5)
+    A, b = rng.standard_normal((50, 20)), rng.standard_normal(50)
+    monkeypatch.setattr(numerics, "_lapacke", lambda: None)
+    assert np.array_equal(numerics.augmented_qr_r(A, b), _numpy_qr_r(A, b))
+
+
+def test_augmented_qr_r_raises_on_a_negative_info(monkeypatch):
+    real = numerics._lapacke()
+    if real is None:
+        pytest.skip("numpy ships no LAPACKE here")
+    failing = SimpleNamespace(**vars(real))
+    failing.dgeqrt = lambda *args: -4
+    monkeypatch.setattr(numerics, "_lapacke", lambda: failing)
+    with pytest.raises(RuntimeError, match="dgeqrt returned -4"):
+        numerics.augmented_qr_r(np.ones((4, 2)), np.arange(4.0))
+
+
+# ---------------------------------------------------------------------------
+# a negative LAPACKE info: the data's fault or the program's
+# ---------------------------------------------------------------------------
+
+def test_reflect_of_a_nonfinite_operand_is_nonfinite_error():
+    if numerics._lapacke() is None:
+        pytest.skip("numpy ships no LAPACKE here")
+    f = numerics.factored_svd(np.triu(np.random.default_rng(9).standard_normal((6, 6))))
+    y = np.ones(6)
+    y[2] = np.nan  # LAPACKE checks for NaN; an inf passes its check
+    for product in (f.ut, f.vt):
+        with pytest.raises(NonFiniteError, match="dormbr"):
+            product(y)
+
+
+def test_negative_info_on_finite_operands_is_runtime_error(monkeypatch):
+    real = numerics._lapacke()
+    if real is None:
+        pytest.skip("numpy ships no LAPACKE here")
+    f = numerics.factored_svd(np.triu(np.random.default_rng(9).standard_normal((6, 6))))
+    failing = SimpleNamespace(**vars(real))
+    failing.dormbr = lambda *args: -11
+    monkeypatch.setattr(numerics, "_lapacke", lambda: failing)
+    with pytest.raises(RuntimeError, match="dormbr returned -11") as info:
+        f.ut(np.ones(6))
+    assert not isinstance(info.value, NonFiniteError)
+
+
 def test_factored_svd_rejects_bad_input():
     with pytest.raises(ValueError):
         numerics.factored_svd(np.ones((3, 2)))
@@ -507,3 +588,24 @@ def test_gesvd_fallback_runs_under_the_thread_rule(blas_threads, monkeypatch):
     U, s, Vt = svd(X)
     assert counts == [1] and get() == 2
     assert np.linalg.norm(U * s @ Vt - X) <= 1e-12 * s[0]
+
+
+@pytest.mark.parametrize("n, serial", [(400, True), (401, False)])
+def test_qr_runs_under_the_thread_rule(blas_threads, monkeypatch, n, serial):
+    get, set_ = blas_threads
+    real = numerics._lapacke()
+    if real is None:
+        pytest.skip("numpy ships no LAPACKE here")
+    counts = []
+
+    def dgeqrt(*args):
+        counts.append(get())
+        return real.dgeqrt(*args)
+
+    spy = SimpleNamespace(**vars(real))
+    spy.dgeqrt = dgeqrt
+    monkeypatch.setattr(numerics, "_lapacke", lambda: spy)
+    set_(2)
+    rng = np.random.default_rng(n)
+    numerics.augmented_qr_r(rng.standard_normal((n + 20, n)), rng.standard_normal(n + 20))
+    assert counts == [1 if serial else 2] and get() == 2
