@@ -114,9 +114,9 @@ def estimator_ratios(values) -> dict:
 def _trial(seed, key, cell, power_cfg=None, pce_cfg=None, sce_cfg=None):
     """Inputs of one trial, all seeded from the root seed and the trial key.
 
-    Returns (problem seed, configs, solved): a given config supplies all
-    but its seed, which is always derived, and ``solved`` is the generated
-    problem with its solution, or None when generation or the solve fails.
+    Returns (problem seed, configs, sol): a given config supplies all but
+    its seed, which is always derived, and ``sol`` is the solution of the
+    generated problem, or None when generation or the solve fails.
     """
     pseed = derive_seed(seed, *key)
 
@@ -130,19 +130,17 @@ def _trial(seed, key, cell, power_cfg=None, pce_cfg=None, sce_cfg=None):
     }
     m, n, lam, e_p = cell
     try:
-        problem = generate(GeneratorSpec(m=m, n=n, lam=lam, e_p=e_p, seed=pseed)).problem
-        solved = problem, solve_stls(problem)
+        sol = solve_stls(generate(GeneratorSpec(m=m, n=n, lam=lam, e_p=e_p, seed=pseed)).problem)
     except StlsError:
-        solved = None
-    return pseed, configs, solved
+        sol = None
+    return pseed, configs, sol
 
 
-def _measure(method, solved, configs):
+def _measure(method, sol, configs):
     """(value, iterations) of one method; the value is NaN for a failed or
     unconverged run."""
-    problem, sol = solved
     try:
-        rep = METHODS[method](sol, problem.A, configs)
+        rep = METHODS[method](sol, sol.problem.A, configs)
     except StlsError:
         return float("nan"), None
     diag = rep.diagnostics or {}
@@ -199,15 +197,15 @@ def run_timing_bench(
     cells = _cells(sizes, lambdas, e_ps)
 
     def task(ci, cell, trial):
-        pseed, configs, solved = _trial(
+        pseed, configs, sol = _trial(
             seed, (ci, trial), cell, power_cfg, pce_cfg, sce_cfg
         )
         rows = []
         for mth in methods:
             value, iterations, wall = float("nan"), None, 0.0
-            if solved is not None:
+            if sol is not None:
                 t0 = time.perf_counter()
-                value, iterations = _measure(mth, solved, configs)
+                value, iterations = _measure(mth, sol, configs)
                 wall = time.perf_counter() - t0
             rows.append(BenchRecord(*cell, pseed, mth, value, wall, iterations, trial))
         return rows
@@ -317,15 +315,14 @@ def run_power_spread(m, n, lam, e_p, groups, inits, seed=0, power_cfg=None):
     group_inputs = [_trial(seed, (gi,), cell, power_cfg) for gi, cell in enumerate(cells)]
 
     def task(gi, cell, trial):
-        pseed, configs, solved = group_inputs[gi]
+        pseed, configs, sol = group_inputs[gi]
         value, iters, wall = float("nan"), None, 0.0
-        if solved is not None:
-            problem, sol = solved
+        if sol is not None:
             rng = np.random.default_rng(derive_seed(seed, gi, trial, 1))
             y0 = rng.standard_normal(n)
             t0 = time.perf_counter()
             try:
-                rep = power_method(sol, problem.A, configs["power"], y0=y0)
+                rep = power_method(sol, sol.problem.A, configs["power"], y0=y0)
                 value = rep.absolute if rep.diagnostics["converged"] else float("nan")
                 iters = rep.diagnostics["iterations"]
             except StlsError:

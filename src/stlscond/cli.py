@@ -200,7 +200,8 @@ def cmd_solve(args) -> int:
     sol = solve_stls(p)
     doc = {
         "x": [float(v) for v in sol.x],
-        "residual_norm": float(np.linalg.norm(sol.r)),
+        # ||r|| = ||Q'r||, the norm of the core's residual A_c x - b_c
+        "residual_norm": float(np.linalg.norm(exact._core(sol)[1])),
         "sigma_np1": sol.sigma_np1,
         "sigma_hat_n": sol.sigma_hat_n,
         "genericity_gap": sol.genericity_gap,

@@ -16,9 +16,12 @@ once, so its values are those of the unrotated operators:
 * ``pce``           -- probabilistic estimate: a certified lower bound and a
   probabilistic upper bound on the spectral norm of W, tightened until
   their ratio is below ``1 + theta``; the midpoint is the estimate.
-* ``sce``           -- small-sample estimate from a few orthonormalized
-  random probes z, using ||W'z|| = ||K'z|| (one block adjoint product),
-  rescaled by Wallis factors.
+* ``sce``           -- small-sample estimate from a few random probes z,
+  the orthonormalized columns of a Gaussian matrix, using
+  ||W'z|| = ||K'z|| (one block adjoint product), rescaled by Wallis
+  factors.  The Gaussian law is rotation invariant, so each probe is
+  uniform on the unit sphere, as the Wallis factors assume, and the
+  estimate's error does not depend on how K lies in the coordinates.
 
 ``apply_KT`` and ``apply_K`` are the public products with K' and K in the
 packed m x (n+1) perturbation form [dA, db] of the original data.  A solve
@@ -472,7 +475,8 @@ def wallis_factor(p: int) -> float:
 
 
 def sce(sol: StlsSolution, A, cfg: SceConfig) -> ConditionReport:
-    """Small-sample estimate from k orthonormal probes.
+    """Small-sample estimate from k orthonormal probes, the Q of a QR of an
+    n x k Gaussian matrix.
 
     Each probe contributes the norm of the adjoint product K'z_i (the
     square root of the quadratic form of K K' at z_i), taken as the norm of
@@ -485,7 +489,7 @@ def sce(sol: StlsSolution, A, cfg: SceConfig) -> ConditionReport:
     if cfg.k > n:
         raise SampleTooLargeError(f"sample size {cfg.k} exceeds dimension {n}")
     rng = np.random.default_rng(cfg.seed)
-    Z = np.linalg.qr(rng.uniform(0.0, 1.0, size=(n, cfg.k)))[0]
+    Z = np.linalg.qr(rng.standard_normal((n, cfg.k)))[0]
     # the operator works in the eigenbasis V of M: the probes enter as V'Z
     probes = _f2_operator(sol).rmatmat(sol.svd.vt(Z))
     estimate = (wallis_factor(cfg.k) / wallis_factor(n)) * float(np.linalg.norm(probes))

@@ -47,6 +47,7 @@ from . import numerics
 from .errors import (
     MemoryBudgetError,
     NongenericProblemError,
+    NonFiniteError,
     RankDeficientError,
     ZeroResidualError,
     ZeroSolutionError,
@@ -74,7 +75,7 @@ def check_operator_inputs(sol: StlsSolution, A) -> None:
     """Shared preconditions for everything built on the operator K: ``A``
     is the data ``sol`` solves (checked by shape), the gap is positive and
     the residual is not numerically zero."""
-    expected = (len(sol.r), len(sol.x))
+    expected = sol.problem.A.shape
     if np.shape(A) != expected:
         raise ValueError(f"A has shape {np.shape(A)}, expected {expected}")
     if sol.genericity_gap <= 0.0:
@@ -94,12 +95,19 @@ def check_operator_inputs(sol: StlsSolution, A) -> None:
 
 @dataclass
 class ConditionReport:
-    """A condition value with its method tag and optional diagnostics."""
+    """A condition value with its method tag and optional diagnostics.
+
+    A NaN or infinite ``absolute`` raises NonFiniteError: it is no value,
+    and JSON has no number for it."""
 
     absolute: float
     method: str
     relative: float | None = None
     diagnostics: dict | None = None
+
+    def __post_init__(self):
+        if not np.isfinite(self.absolute):
+            raise NonFiniteError(f"{self.method} condition number is {self.absolute}")
 
     def to_dict(self) -> dict:
         doc = {"method": self.method, "absolute": self.absolute}
@@ -160,8 +168,8 @@ def _rotated(sol: StlsSolution):
     basis blockdiag(U, 1) as (rho, -R22), ||r_c||**2 and g = V'A_c'r_c.
     ``U' r_c[:n] = s_hat h - c = mu c / d`` with mu = sigma_np1**2; the
     second form has no cancellation when the residual is small."""
-    h = sol.s_hat * sol.c / sol.M.d
-    rho = sol.sigma_np1 ** 2 * sol.c / sol.M.d
+    h = sol.s_hat * sol.c / sol.d
+    rho = sol.sigma_np1 ** 2 * sol.c / sol.d
     r_t = np.append(rho, -float(sol.core.b[-1]))
     return h, r_t, float(r_t @ r_t), sol.s_hat * rho
 
@@ -188,7 +196,7 @@ def _f1_terms(sol: StlsSolution):
     """``V'KK'V = diag(L) - (a b' + b a')`` as the n-vectors (L, a, b):
     ``L = C/d**2``, ``a = g/d`` and ``b = h/d`` (see ``kappa_f1``)."""
     h, _, rn2, g = _rotated(sol)
-    d = sol.M.d
+    d = sol.d
     C = (1.0 + float(h @ h)) * sol.s_hat ** 2 + rn2
     return C / (d * d), g / d, h / d
 
@@ -218,7 +226,7 @@ def _f2_operator(sol: StlsSolution, msolve=None):
     xn = float(np.linalg.norm(h))
     rn = float(np.sqrt(rn2))
     if msolve is None:
-        d = sol.M.d
+        d = sol.d
 
         def msolve(y):
             return (y.T / d).T
@@ -273,7 +281,7 @@ def kappa_f2(sol: StlsSolution, A) -> ConditionReport:
     s = sol.s_hat
     n = len(s)
     h, r_t, rn2, g = _rotated(sol)
-    d = sol.M.d
+    d = sol.d
     xn = float(np.linalg.norm(h))
     rn = float(np.sqrt(rn2))
     sqrt_C = np.sqrt((1.0 + xn * xn) * s * s + rn2)
@@ -302,13 +310,15 @@ def kappa_f2(sol: StlsSolution, A) -> ConditionReport:
 def relative_from_absolute(p: StlsProblem, sol: StlsSolution, absolute: float) -> float:
     """Rescale an absolute condition value by data and solution norms.
 
-    relative = absolute * ||[A, lam*b]||_F / ||x||, with the Frobenius norm
-    taken as hypot(||A||_F, lam*||b||) rather than of a copy of [A, lam*b].
+    relative = absolute * ||[A, lam*b]||_F / ||x||.  The Frobenius norm is
+    taken from the core, as hypot(||s_hat||, lam*||b_c||): Q is orthogonal,
+    so ``||A||_F = ||A_c||_F = ||s_hat||`` and ``||b|| = ||b_c||``, and the
+    m x n data is not read again.
     """
     xn = float(np.linalg.norm(sol.x))
     if xn <= 1e-300:
         raise ZeroSolutionError("solution is zero; relative condition undefined")
-    data_norm = np.hypot(np.linalg.norm(p.A), p.lam * np.linalg.norm(p.b))
+    data_norm = np.hypot(np.linalg.norm(sol.s_hat), p.lam * np.linalg.norm(sol.core.b))
     return float(absolute) * float(data_norm) / xn
 
 

@@ -88,20 +88,23 @@ class StlsProblem:
 class StlsSolution:
     """Solver output plus the quantities every downstream formula reuses.
 
+    Each fact is stored once, and nothing of the data's size m: everything
+    after the solve reads the (n+1) x n ``core``, so the QR of the solve is
+    the last pass over the data.  ``r``, ``sigma_hat_n``, ``ill_posed`` and
+    ``M`` are derived from the fields on demand.
+
     Attributes
     ----------
     x : (n,) ndarray
         Solution vector.
-    r : (m,) ndarray
-        Residual A @ x - b.
+    problem : StlsProblem
+        The problem that was solved, by reference (not a copy).  Only the
+        packed m x (n+1) products read its data, through ``r``.
     sigma_np1 : float
         Smallest singular value of the augmented matrix [A, lam*b].
-    sigma_hat_n : float
-        Smallest singular value of A.
-    M : numerics.SpdFactorization
-        ``A'A - sigma_np1**2 * I = V diag(d) V'`` with V the right singular
-        vectors of A (those of ``svd``) and
-        ``d = (s_hat - sigma_np1)(s_hat + sigma_np1)``.
+    d : (n,) ndarray
+        ``s_hat**2 - sigma_np1**2``, the eigenvalues of
+        ``M = A'A - sigma_np1**2 I`` in the basis V of ``svd``.
     genericity_gap : float
         sigma_hat_n - sigma_np1 (> 0 for a valid solution).
     core : StlsProblem
@@ -115,26 +118,46 @@ class StlsSolution:
         per vector; U and V themselves are never formed.
     c : (n,) ndarray
         ``U' b_c[:n]``, the core's b above its last entry in the basis U.
-    ill_posed : bool
-        True when the gap is positive but tiny relative to the largest
-        singular value of A; the solution is then numerically fragile.
     """
 
     x: np.ndarray
-    r: np.ndarray
+    problem: StlsProblem
     sigma_np1: float
-    sigma_hat_n: float
-    M: numerics.SpdFactorization
+    d: np.ndarray
     genericity_gap: float
     core: StlsProblem
     svd: numerics.FactoredSvd
     c: np.ndarray
-    ill_posed: bool = False
 
     @property
     def s_hat(self) -> np.ndarray:
         """Singular values of A, non-increasing."""
         return self.svd.s
+
+    @property
+    def sigma_hat_n(self) -> float:
+        """Smallest singular value of A."""
+        return float(self.svd.s[-1])
+
+    @property
+    def ill_posed(self) -> bool:
+        """True when the gap is positive but below ``ILL_POSED_GAP`` times
+        the largest singular value of A; the solution is then numerically
+        fragile."""
+        return bool(self.genericity_gap < ILL_POSED_GAP * float(self.svd.s[0]))
+
+    @property
+    def r(self) -> np.ndarray:
+        """The m-vector residual ``A @ x - b`` of the solved problem, formed
+        on each access for the packed m x (n+1) products; the condition
+        numbers read the core's residual instead."""
+        return self.problem.A @ self.x - self.problem.b
+
+    @property
+    def M(self) -> numerics.SpdFactorization:
+        """``A'A - sigma_np1**2 I = V diag(d) V'`` with V the right singular
+        vectors of ``svd``, as a factorization that solves with it."""
+        return numerics.SpdFactorization(self.svd, self.d)
 
 
 def _compress(p: StlsProblem) -> StlsProblem:
@@ -246,18 +269,8 @@ def solve_stls(p: StlsProblem) -> StlsSolution:
         raise DegenerateSingularVectorError(
             f"trailing component of the right singular vector is {trailing:.3e}"
         )
-    return StlsSolution(
-        x=x,
-        r=p.A @ x - p.b,
-        sigma_np1=sigma_np1,
-        sigma_hat_n=float(s_hat[-1]),
-        M=numerics.SpdFactorization(svd, d),
-        genericity_gap=gap,
-        core=core,
-        svd=svd,
-        c=c,
-        ill_posed=gap < ILL_POSED_GAP * float(s_hat[0]),
-    )
+    return StlsSolution(x=x, problem=p, sigma_np1=sigma_np1, d=d, genericity_gap=gap,
+                        core=core, svd=svd, c=c)
 
 
 def solve_stls_svd(p: StlsProblem) -> np.ndarray:

@@ -70,8 +70,8 @@ def test_pce_records_carry_lanczos_depth():
     write_bench_csv(records, buf)
     buf.seek(0)
     for trial, rec in enumerate(read_bench_csv(buf)):
-        _, configs, (problem, sol) = bench._trial(11, (0, trial), (14, 9, 5.0, 0.1))
-        expected = pce(sol, problem.A, configs["pce"]).diagnostics["iterations"]
+        _, configs, sol = bench._trial(11, (0, trial), (14, 9, 5.0, 0.1))
+        expected = pce(sol, sol.problem.A, configs["pce"]).diagnostics["iterations"]
         assert rec.iterations == expected >= 1
 
 

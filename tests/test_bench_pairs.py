@@ -36,9 +36,10 @@ def test_summary_counts_wins_by_direction_and_not_ties():
     assert q["q1"] <= q["median"] <= q["q3"]
 
 
-def _fake_checkouts(tmp_path, monkeypatch, shas):
+def _fake_checkouts(tmp_path, monkeypatch, shas, failed=None):
     """Two checkout directories whose HEADs read ``shas`` and whose runs
-    return a fixed result line, so ``main`` runs without perfbench."""
+    return a fixed result line of 10 attempted ops, ``failed[side]`` of
+    them failed (none by default), so ``main`` runs without perfbench."""
     roots = {}
     for side in ("parent", "change"):
         roots[side] = tmp_path / side
@@ -51,7 +52,9 @@ def _fake_checkouts(tmp_path, monkeypatch, shas):
     def run_once(root, workload, seed, seconds, trace=0):
         runs.append(seconds)
         return {"comments": ["# host"],
-                "result": {"metrics": {"op_p50_s": {"value": 1.0}}, "failed": 0, "correct": True}}
+                "result": {"metrics": {"op_p50_s": {"value": 1.0}}, "attempted": 10,
+                           "failed": (failed or {}).get(os.path.basename(root), 0),
+                           "correct": True}}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     return [f"--parent={roots['parent']}", f"--change={roots['change']}"], runs
@@ -98,7 +101,7 @@ def test_trace_runs_are_summarized_by_their_layers(tmp_path, monkeypatch):
     def fake_run(argv, **kwargs):
         argvs.append(argv)
         pce_s = 2.0 if os.path.join("parent", "perfbench") in argv[1] else 1.0
-        line = json.dumps({"correct": True, "failed": 0, "metrics": {
+        line = json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
             "estimate.pce_s": {"value": pce_s}, "bench.pool_busy_frac": {"value": 0.5}}})
         return SimpleNamespace(returncode=0, stdout="# host\n" + line + "\n", stderr="")
 
@@ -156,3 +159,17 @@ def test_verdict_is_printed_and_recorded(tmp_path, monkeypatch, capsys):
         summary = json.load(fh)["workloads"]["w1"]["summary"]
     assert summary["op_p50_s"]["verdict"] == "flat"
     assert "flat" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("failed, worse", [({"parent": 1, "change": 2}, True),
+                                           ({"parent": 2, "change": 2}, False),
+                                           ({"parent": 2, "change": 1}, False)])
+def test_failed_op_share_is_judged(tmp_path, monkeypatch, capsys, failed, worse):
+    # the share is failed over attempted across the pairs, 10 ops a run;
+    # a larger share on the change's side is a worse line
+    dirs, _ = _fake_checkouts(tmp_path, monkeypatch, {"parent": "p1", "change": "c1"}, failed)
+    assert bench_pairs.main(dirs + ["--workload", "w1", "--seeds", "1-2"]) == 0
+    out = capsys.readouterr().out
+    for side in ("parent", "change"):
+        assert f"{side}: correct=True failed ops={2 * failed[side]} of 20" in out
+    assert ("failed-op share: worse" in out) == worse

@@ -294,6 +294,21 @@ def test_kron_beyond_the_double_range_exit_code(tmp_path, capsys):
     assert err.startswith("stlscond: out of floating-point range:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("scale, method", [(1e100, "f1"), (1e100, "all"), (1e-100, "power")])
+def test_non_finite_condition_number_exit_code(tmp_path, capsys, scale, method):
+    # f1 and power divide by d**2, which overflows at 1e100 and underflows
+    # at 1e-100; the NaN that follows is not JSON, so no report carries it
+    rng = np.random.default_rng(3)
+    path = tmp_path / "scaled.json"
+    save_problem(StlsProblem(scale * rng.standard_normal((30, 8)),
+                             scale * rng.standard_normal(30), 1.0), path)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        assert cli.main(["cond", "--in", str(path), "--method", method]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("stlscond: out of floating-point range:") and err.count("\n") == 1
+
+
 def test_cond_zero_residual_exit_code(tmp_path):
     rng = np.random.default_rng(3)
     A = rng.standard_normal((8, 4))

@@ -36,7 +36,7 @@ from stlscond import (
     unit_sphere_sample,
 )
 from stlscond import estimate, exact, numerics
-from stlscond.estimate import wallis_factor
+from stlscond.estimate import METHODS, wallis_factor
 from stlscond.exact import _f2_operator
 
 KAPPA_DIAGONAL = np.sqrt(20.0 / 9.0)
@@ -478,6 +478,18 @@ def test_sce_probe_identity_against_dense(gen_problem):
         assert direct == pytest.approx(quad, rel=1e-10)
 
 
+@pytest.mark.parametrize("seed", [1, 3])
+def test_sce_median_ratio_is_near_one(seed):
+    # Gaussian probes are uniform on the sphere in any basis, as the Wallis
+    # factors assume; probes of uniform(0, 1) entries lean toward
+    # (1, ..., 1)/sqrt(n), and their median ratios read 1.174 and 0.813 here
+    p = generate(GeneratorSpec(m=120, n=60, lam=1.0, e_p=1e-2, seed=seed)).problem
+    sol = solve_stls(p)
+    exact_value = kappa_f2(sol, p.A).absolute
+    ratios = [sce(sol, p.A, SceConfig(k=3, seed=s)).absolute / exact_value for s in range(300)]
+    assert 0.88 <= np.median(ratios) <= 1.0
+
+
 def test_sce_rejects_oversized_sample(gen_problem):
     p, sol = gen_problem(8, 4, 1.0, 0.2, 1)
     with pytest.raises(SampleTooLargeError):
@@ -533,6 +545,22 @@ def test_post_solve_work_allocates_no_m_sized_array(gen_problem):
         finally:
             tracemalloc.stop()
         assert peak < p.A.nbytes / 4, (name, peak / p.A.nbytes)
+
+
+def test_the_qr_is_the_last_pass_over_the_data(gen_problem):
+    # the six methods and the relative condition number read the solution
+    # alone, so data overwritten after the solve changes none of their values
+    p, sol = gen_problem(60, 12, 1.0, 0.1, 7)
+    configs = {"power": PowerConfig(seed=1), "pce": PceConfig(seed=1), "sce": SceConfig(seed=1)}
+
+    def values():
+        reports = [METHODS[name](sol, p.A, configs) for name in METHODS]
+        return [rep.absolute for rep in reports] + [relative_from_absolute(p, sol, 1.0)]
+
+    before = values()
+    p.A[:] = np.nan
+    p.b[:] = np.nan
+    assert values() == before
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from stlscond import (
     GeneratorSpec,
     MemoryBudgetError,
     RankDeficientError,
-    SpdFactorization,
     StlsProblem,
     StlsError,
     StlsSolution,
@@ -102,7 +101,7 @@ def dense_referee(sol):
     eigvalsh of the n x n rotated f1 matrix, and the largest singular value
     of the (3n+2) x n W' that ``_f2_operator`` gives on the identity."""
     h, _, rn2, g = exact._rotated(sol)
-    d = sol.M.d
+    d = sol.d
     E = np.outer(g, -h)
     E += E.T
     E[np.diag_indices_from(E)] += (1.0 + float(h @ h)) * sol.s_hat ** 2 + rn2
@@ -215,7 +214,7 @@ def test_kron_over_budget_refused(gen_problem, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(exact, "KRON_BUDGET_BYTES", 20383)
     with pytest.raises(MemoryBudgetError):
         kappa_kron(sol, p.A)
-    assert np.isnan(bench._measure("kron", (p, sol), {})[0])
+    assert np.isnan(bench._measure("kron", sol, {})[0])
     assert cli.main(["cond", "--in", str(path), "--method", "kron"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "budget" in err
@@ -327,10 +326,9 @@ def test_relative_arithmetic_identity():
     p = StlsProblem(np.array([[3.0], [0.0]]), np.zeros(2), 1.0)
     sol = StlsSolution(
         x=np.array([6.0]),
-        r=np.zeros(2),
+        problem=p,
         sigma_np1=0.0,
-        sigma_hat_n=3.0,
-        M=SpdFactorization.from_matrix(np.eye(1)),
+        d=np.ones(1),
         genericity_gap=3.0,
         core=p,
         svd=FactoredSvd.explicit(np.eye(1), np.array([3.0]), np.eye(1)),

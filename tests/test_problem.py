@@ -228,7 +228,7 @@ def _secular_errors(p):
         d = [(si - sn + gap) * (si + sn - gap) for si in s]
         unit = np.finfo(float).eps * float(sn / gap)
         gap_err = float(abs(sol.genericity_gap - gap) / gap) / unit
-        d_err = max(float(abs(mp.mpf(float(a)) - b) / b) for a, b in zip(sol.M.d, d)) / unit
+        d_err = max(float(abs(mp.mpf(float(a)) - b) / b) for a, b in zip(sol.d, d)) / unit
     return gap_err, d_err
 
 

@@ -23,6 +23,10 @@ from the same file, and a verdict:
   are never worse);
 * ``flat``: neither.
 
+Then it prints each side's failed-op share, the sum of ``failed`` over the
+sum of ``attempted`` across the pairs, and a ``worse`` line when the
+change's share is larger than the parent's.
+
 ``--out`` keeps every result line, each run's ``#`` lines (the host line
 among them) and both checkouts' ``git rev-parse HEAD`` in one JSON file.
 A file that already holds runs of the same two commits gains or replaces
@@ -161,10 +165,16 @@ def main(argv=None) -> int:
                  for side in ("parent", "change")]
         wins = f"{s['change_wins']}/{s['pairs']}"
         print(f"{metric:<{width}} {cells[0]:>34} {cells[1]:>34} {wins:>5} {s['verdict']}")
+    share = {}
     for side in ("parent", "change"):
         failed = sum(p[side]["result"]["failed"] for p in pairs)
+        attempted = sum(p[side]["result"]["attempted"] for p in pairs)
         correct = all(p[side]["result"]["correct"] for p in pairs)
-        print(f"{side}: correct={correct} failed ops={failed}")
+        share[side] = failed / attempted if attempted else 0.0
+        print(f"{side}: correct={correct} failed ops={failed} of {attempted} "
+              f"(share {share[side]:.4g})")
+    if share["change"] > share["parent"]:
+        print(f"failed-op share: worse ({share['parent']:.4g} -> {share['change']:.4g})")
 
     if doc is not None:
         doc["workloads"][entry] = {"seconds": seconds, "trace": args.trace,
