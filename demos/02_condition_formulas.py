@@ -44,7 +44,7 @@ print(f"  materialized operator : {k_kron:.12e}")
 print(f"  quadratic form        : {k_f1:.12e}")
 print(f"  rectangular factor    : {k_f2:.12e}")
 print(f"  max relative spread   : {(max(k_kron,k_f1,k_f2)-min(k_kron,k_f1,k_f2))/k_f2:.2e}")
-print(f"  relative condition    : {relative_from_absolute(p, sol, k_f2):.6e}")
+print(f"  relative condition    : {relative_from_absolute(sol, k_f2):.6e}")
 
 # finite-difference validation
 t = 1e-7
@@ -70,9 +70,9 @@ print(f"  random-direction gains: {', '.join(f'{g:.3e}' for g in gains)}")
 print("  (every random gain sits below the condition number)")
 
 # unit scale: the Gram-based shortcut agrees once the shift is squared
-k_bg = kappa_tls_bg(p, sol).absolute
+k_bg = kappa_tls_bg(sol).absolute
 print(f"\nunit-scale Gram form    : {k_bg:.12e}  (dev {(abs(k_bg-k_f1)/k_f1):.2e})")
-k_raw = kappa_tls_bg(p, sol, squared=False).absolute
+k_raw = kappa_tls_bg(sol, squared=False).absolute
 print(f"unsquared-shift variant : {k_raw:.12e}  "
       f"(drifts by {abs(k_raw-k_f1)/k_f1:.2e}; kept only as a diagnostic)")
 

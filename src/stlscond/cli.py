@@ -2,7 +2,8 @@
 
 Subcommands: gen, solve, cond, bench-time, bench-ratio.  Exit codes are
 stable: 0 success, 2 usage error (including a dense K over the memory
-budget of ``kron``), 3 I/O failure, 4 non-unique problem, degenerate
+budget of ``kron`` and a problem or config file over the load budget of
+``problem.LOAD_BUDGET_BYTES``), 3 I/O failure, 4 non-unique problem, degenerate
 singular vector, a numerical iteration that did not converge or a
 quantity out of the double range, 5 degenerate quantity (zero residual
 or zero solution).
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .estimate import METHODS, PceConfig, PowerConfig, SceConfig
 from .generate import GeneratorSpec, generate
-from .problem import load_problem, problem_to_dict, read_json, solve_stls
+from .problem import load_problem, problem_to_dict, read_json, solve_stls, to_data_units
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -200,8 +201,8 @@ def cmd_solve(args) -> int:
     sol = solve_stls(p)
     doc = {
         "x": [float(v) for v in sol.x],
-        # ||r|| = ||Q'r||, the norm of the core's residual A_c x - b_c
-        "residual_norm": float(np.linalg.norm(exact._core(sol)[1])),
+        # ||r|| = ||Q'r|| = 2**e ||r_c||, with r_c = A_c x - b_c the core's
+        "residual_norm": to_data_units(float(np.linalg.norm(exact._core(sol)[1])), sol.e),
         "sigma_np1": sol.sigma_np1,
         "sigma_hat_n": sol.sigma_hat_n,
         "genericity_gap": sol.genericity_gap,
@@ -239,7 +240,7 @@ def cmd_cond(args) -> int:
             print(f"stlscond: skipped {method}: {exc}", file=sys.stderr)
             continue
         try:
-            rep.relative = exact.relative_from_absolute(p, sol, rep.absolute)
+            rep.relative = exact.relative_from_absolute(sol, rep.absolute)
         except ZeroSolutionError:
             zero_solution = True
             diag = dict(rep.diagnostics or {})

@@ -8,11 +8,15 @@ operator ``exact._f2_operator`` (its transpose gives ``kappa_f2``);
 diagonal plus rank two (``exact._f1_terms``, the form of ``kappa_f1``).
 Both work in the singular bases of the core's A, where each product costs
 O(n); each estimator rotates its start vector or probes into those bases
-once, so its values are those of the unrotated operators:
+once, so its values are those of the unrotated operators.  Both also work
+in the core's units (``problem.StlsSolution``), where every quantity is
+near 1 whatever the data's units; only the values an estimator returns
+are taken to the data's, as ``exact._kappa`` takes an exact form's:
 
 * ``power_method``  -- power iteration on K K'; the running scalar
   converges to the squared spectral norm, so its square root is the
-  condition number.
+  condition number.  It stops on a relative change of that scalar, so
+  its sweeps do not depend on the data's units either.
 * ``pce``           -- probabilistic estimate: a certified lower bound and a
   probabilistic upper bound on the spectral norm of W, tightened until
   their ratio is below ``1 + theta``; the midpoint is the estimate.
@@ -24,9 +28,11 @@ once, so its values are those of the unrotated operators:
   estimate's error does not depend on how K lies in the coordinates.
 
 ``apply_KT`` and ``apply_K`` are the public products with K' and K in the
-packed m x (n+1) perturbation form [dA, db] of the original data.  A solve
-with M = V diag(d) V' is two products with V; in the operator's basis it
-is a division by d.  ``pce(..., solver="cg")`` instead hands the operator
+packed m x (n+1) perturbation form [dA, db] of the original data, which
+they read in its own units: ``sol.M`` and the residual's square refuse
+with NonFiniteError beyond about 1e+-154 instead of returning a wrong
+value.  A solve with M = V diag(d) V' is two products with V; in the
+operator's basis it is a division by d.  ``pce(..., solver="cg")`` instead hands the operator
 ``y -> V' cg(V y)``, Jacobi-preconditioned conjugate gradients on M
 (relative residual 1e-12).
 
@@ -50,7 +56,7 @@ import numpy as np
 
 from . import exact, numerics
 from .errors import ConvergenceError, SampleTooLargeError
-from .exact import ConditionReport, _f2_operator, check_operator_inputs
+from .exact import ConditionReport, _f2_operator, _kappa, check_operator_inputs, residual_square
 from .problem import StlsSolution
 
 
@@ -74,8 +80,8 @@ def _check_field_types(cfg) -> None:
 @dataclass(frozen=True)
 class PowerConfig:
     """Termination rule for the power iteration: stop when two successive
-    values of the running scalar differ by less than ``tol`` or after
-    ``max_iter`` iterations."""
+    values v of the running scalar differ by at most ``tol * v``, a
+    relative change, or after ``max_iter`` iterations."""
 
     tol: float = 1e-8
     max_iter: int = 500
@@ -126,12 +132,12 @@ class SceConfig:
 
 def _cg_solver(sol: StlsSolution):
     """Conjugate-gradient solve of M z = y with a Jacobi preconditioner,
-    applying M through products with the core's A."""
+    applying M through products with the core's A, in the core's units."""
     import scipy.sparse.linalg
 
     A = sol.core.A
     n = A.shape[1]
-    shift = sol.sigma_np1 ** 2
+    shift = sol.sigma ** 2
 
     def apply_m(v):
         return A.T @ (A @ v) - shift * v
@@ -166,7 +172,7 @@ def apply_KT(sol: StlsSolution, A, y) -> np.ndarray:
     x, r = sol.x, sol.r
     z = sol.M.solve(y)
     Az = A @ z
-    w = (2.0 * float(r @ Az) / float(r @ r)) * r - Az
+    w = (2.0 * float(r @ Az) / residual_square(r)) * r - Az
     return np.column_stack([np.outer(w, x) - np.outer(r, z), -w])
 
 
@@ -182,7 +188,7 @@ def apply_K(sol: StlsSolution, A, P) -> np.ndarray:
     x, r = sol.x, sol.r
     Ap, bp = P[:, :n], P[:, n]
     s = Ap @ x - bp
-    t = (2.0 * float(r @ s) / float(r @ r)) * (A.T @ r) - A.T @ s - Ap.T @ r
+    t = (2.0 * float(r @ s) / residual_square(r)) * (A.T @ r) - A.T @ s - Ap.T @ r
     return sol.M.solve(t)
 
 
@@ -197,14 +203,23 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
     (``exact._f1_terms``), so a sweep ``Ey = L y - a (b'y) - b (a'y)``
     costs O(n).  The recorded scalar v is what a sweep through the
     rectangular factor W (W W' = K K') records, the norm of W'y before
-    normalization, here ``sqrt(y'Ey)``; it converges to the squared
-    condition number, so the estimate is sqrt(v).  The work vector is
-    renormalized every sweep (with the scale carried into v) to prevent
-    magnitude drift; this leaves the v sequence unchanged.  The start
-    vector enters as V'y0, which leaves the v sequence unchanged too.
+    normalization, here ``sqrt(y'Ey)``, times the norm ``||W q||`` of the
+    sweep before, q being its unit W'y: v = ||W'W q||, which converges to
+    the squared condition number, so the estimate is sqrt(v).  The first
+    sweep has no q before it and records the Rayleigh quotient
+    ``||W'y||**2`` of the unit start vector, a lower bound on the same
+    square.  The work vector is renormalized every sweep (with the scale
+    carried into v) to prevent magnitude drift; this leaves the v sequence
+    unchanged.  The start vector enters as V'y0, which leaves the v
+    sequence unchanged too.
 
-    A run that exhausts ``max_iter`` returns its last estimate flagged
-    ``converged: False`` in the diagnostics rather than raising.
+    The sweeps run in the core's units and stop once
+    ``|v - v_prev| <= tol * v``, a relative change, so the data's units
+    change neither the sweeps nor where they stop.  The diagnostics give
+    ``kappa_trace``, the running estimate sqrt(v) of each sweep in the
+    data's units (v itself would overflow there once the condition number
+    passes 1e154).  A run that exhausts ``max_iter`` returns its last
+    estimate flagged ``converged: False`` rather than raising.
     """
     check_operator_inputs(sol, A)
     n = len(sol.x)
@@ -220,10 +235,10 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
     if ynorm == 0.0:
         raise ValueError("initial vector must be nonzero")
     y = sol.svd.vt(y / ynorm)  # into the operator's basis
-    scale = 1.0
+    scale = None
     v = 0.0
     v_prev = None
-    v_trace: list[float] = []
+    v_trace: list[float] = []  # in the core's units
     converged = False
     iterations = 0
     Ey, work = np.empty(n), np.empty(n)
@@ -233,12 +248,12 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
         Ey -= np.multiply(a, float(b @ y), out=work)
         Ey -= np.multiply(b, float(a @ y), out=work)
         qnorm = math.sqrt(max(float(y @ Ey), 0.0))  # ||W'y||
-        v = scale * qnorm
+        v = qnorm * (qnorm if scale is None else scale)
         v_trace.append(v)
         if qnorm == 0.0:
             converged = True  # y is annihilated; the operator norm along it is 0
             break
-        if v_prev is not None and abs(v - v_prev) < cfg.tol:
+        if v_prev is not None and abs(v - v_prev) <= cfg.tol * v:
             converged = True
             break
         v_prev = v
@@ -250,13 +265,12 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
         Ey /= eynorm
         y, Ey = Ey, y
     return ConditionReport(
-        absolute=float(np.sqrt(v)),
+        absolute=_kappa(sol, math.sqrt(v)),
         method="POWER",
         diagnostics={
             "iterations": iterations,
             "converged": converged,
-            "v": float(v),
-            "v_trace": v_trace,
+            "kappa_trace": _kappa(sol, np.sqrt(v_trace)).tolist(),
         },
     )
 
@@ -458,6 +472,7 @@ def pce(sol: StlsSolution, A, cfg: PceConfig, solver=None) -> ConditionReport:
     op = _f2_operator(sol, msolve)
     v = numerics.unit_sphere_sample(op.shape[1], np.random.default_rng(cfg.seed))
     alpha, beta, steps = _lanczos_bracket(op, cfg, op.into_columns(v))
+    alpha, beta = _kappa(sol, alpha), _kappa(sol, beta)
     return ConditionReport(
         absolute=0.5 * (alpha + beta),
         method="PCE",
@@ -494,7 +509,7 @@ def sce(sol: StlsSolution, A, cfg: SceConfig) -> ConditionReport:
     probes = _f2_operator(sol).rmatmat(sol.svd.vt(Z))
     estimate = (wallis_factor(cfg.k) / wallis_factor(n)) * float(np.linalg.norm(probes))
     return ConditionReport(
-        absolute=estimate, method="SCE", diagnostics={"k": cfg.k}
+        absolute=_kappa(sol, estimate), method="SCE", diagnostics={"k": cfg.k}
     )
 
 

@@ -14,9 +14,12 @@ mathematically equal evaluations are provided:
 All three run on the solver's (n+1) x n compressed problem ``sol.core``
 (K K' depends on the data only through A'A, A'r and ||r||), where W is
 n x (3n+2) and K is n x (n+1)^2; ``build_K_dense`` alone builds the
-n x m(n+1) K of the original data.  ``kappa_f1`` and ``kappa_f2`` work in
-the singular bases of the core's A that the solver carries (U, V and
-s_hat): there the quadratic form is diagonal plus rank two, and an O(n)
+n x m(n+1) K of the original data.  The core is in its own units, 2**-e
+times the data's (``problem.StlsSolution``), so every quantity formed here
+is near 1 whatever the data's units; K maps the data to x, which has none,
+so a condition number leaves as 2**-e times its value on the core
+(``_kappa``).  ``kappa_f1`` and ``kappa_f2`` work in the singular bases of
+the core's A that the solver carries (U, V and s): there the quadratic form is diagonal plus rank two, and an O(n)
 orthogonal reduction takes W to an n x (n+1) diagonal plus rank one, whose
 Jordan-Wielandt form is diagonal plus rank two.  Both top eigenvalues come
 from ``numerics.top_eigenvalue_diag_rank2`` on n-vectors, so neither form
@@ -52,7 +55,7 @@ from .errors import (
     ZeroResidualError,
     ZeroSolutionError,
 )
-from .problem import StlsProblem, StlsSolution
+from .problem import StlsSolution, to_data_units
 
 # Residual scale below which the sensitivity operator (which divides by
 # ||r||^2) is considered undefined.
@@ -71,6 +74,13 @@ def _core(sol: StlsSolution):
     return A, A @ sol.x - sol.core.b
 
 
+def _kappa(sol: StlsSolution, value):
+    """A condition number of the core (or an array of them) in the data's
+    units: 2**-e times its value on the core, since K maps lengths to the
+    unit-free x."""
+    return to_data_units(value, -sol.e)
+
+
 def check_operator_inputs(sol: StlsSolution, A) -> None:
     """Shared preconditions for everything built on the operator K: ``A``
     is the data ``sol`` solves (checked by shape), the gap is positive and
@@ -78,14 +88,12 @@ def check_operator_inputs(sol: StlsSolution, A) -> None:
     expected = sol.problem.A.shape
     if np.shape(A) != expected:
         raise ValueError(f"A has shape {np.shape(A)}, expected {expected}")
-    if sol.genericity_gap <= 0.0:
-        raise NongenericProblemError(
-            f"uniqueness gap {sol.genericity_gap:.3e} is not positive"
-        )
-    # ||A_c||_F is ||s_hat||: the core's A is a strided view, and its norm
+    if sol.gap <= 0.0:
+        raise NongenericProblemError(f"uniqueness gap {sol.gap:.3e} is not positive")
+    # ||A_c||_F is ||s||: the core's A is a strided view, and its norm
     # would copy it
     tol = R_TOL_FACTOR * (
-        np.linalg.norm(sol.s_hat) * np.linalg.norm(sol.x) + np.linalg.norm(sol.core.b)
+        np.linalg.norm(sol.svd.s) * np.linalg.norm(sol.x) + np.linalg.norm(sol.core.b)
     )
     if np.linalg.norm(_core(sol)[1]) <= tol:
         raise ZeroResidualError(
@@ -121,19 +129,32 @@ class ConditionReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _build_K(sol: StlsSolution, A: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """K of the data A with residual r (original or core), after a budget
-    check from the shape alone.  Column j*m + i multiplies entry (i, j) of
-    dA, the trailing m columns db: with H = M^-1 ((2/||r||^2) A'r r' - A'),
-    block j is x_j H - M^-1 e_j r' and the trailing block is -H."""
+def residual_square(r: np.ndarray) -> float:
+    """``r @ r`` of a residual in the data's units, which the packed
+    products divide by; NonFiniteError when it leaves the normal double
+    range (the data beyond about 1e+-154), since it is not zero."""
+    with np.errstate(over="ignore", under="ignore"):
+        rr = float(r @ r)
+    if not np.finfo(float).tiny <= rr < np.inf:
+        raise NonFiniteError(f"||r||**2 is {rr}, beyond the double range")
+    return rr
+
+
+def _build_K(sol: StlsSolution, A: np.ndarray, r: np.ndarray,
+             M: numerics.SpdFactorization) -> np.ndarray:
+    """K of the data A with residual r and shifted Gram matrix M, those of
+    the original data or of the core, after a budget check from the shape
+    alone.  Column j*m + i multiplies entry (i, j) of dA, the trailing m
+    columns db: with H = M^-1 ((2/||r||^2) A'r r' - A'), block j is
+    x_j H - M^-1 e_j r' and the trailing block is -H."""
     m, n = A.shape
     nbytes = 8 * n * m * (n + 1)
     if nbytes > KRON_BUDGET_BYTES:
         raise MemoryBudgetError(f"dense K of a {m}x{n} problem needs {nbytes >> 20} "
                                 f"MiB, over the {KRON_BUDGET_BYTES >> 20} MiB budget")
     x = sol.x
-    H = sol.M.solve((2.0 / float(r @ r)) * np.outer(A.T @ r, r) - A.T)
-    Minv = sol.M.solve(np.eye(n))
+    H = M.solve((2.0 / residual_square(r)) * np.outer(A.T @ r, r) - A.T)
+    Minv = M.solve(np.eye(n))
     K = np.empty((n, m * (n + 1)))
     for j in range(n):
         block = K[:, j * m : (j + 1) * m]
@@ -148,7 +169,7 @@ def build_K_dense(sol: StlsSolution, A) -> np.ndarray:
     ``KRON_BUDGET_BYTES`` raises MemoryBudgetError before it is allocated."""
     A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
-    return _build_K(sol, A, sol.r)
+    return _build_K(sol, A, sol.r, sol.M)
 
 
 def kappa_kron(sol: StlsSolution, A) -> ConditionReport:
@@ -157,21 +178,23 @@ def kappa_kron(sol: StlsSolution, A) -> ConditionReport:
     is the square root of the top eigenvalue of K K', which needs no copy
     of K."""
     check_operator_inputs(sol, A)
-    K = _build_K(sol, *_core(sol))
+    K = _build_K(sol, *_core(sol), numerics.SpdFactorization(sol.svd, sol.d))
     top = float(np.linalg.eigvalsh(K @ K.T)[-1])
-    return ConditionReport(absolute=float(np.sqrt(top)), method="KRON")
+    return ConditionReport(absolute=_kappa(sol, float(np.sqrt(top))), method="KRON")
 
 
 def _rotated(sol: StlsSolution):
     """K K' in the eigenbasis V of M, from the solver's (n+1)-sized
-    quantities alone: h = V'x, the core residual r_c = A_c x - b_c in the
-    basis blockdiag(U, 1) as (rho, -R22), ||r_c||**2 and g = V'A_c'r_c.
-    ``U' r_c[:n] = s_hat h - c = mu c / d`` with mu = sigma_np1**2; the
-    second form has no cancellation when the residual is small."""
-    h = sol.s_hat * sol.c / sol.d
-    rho = sol.sigma_np1 ** 2 * sol.c / sol.d
+    quantities alone, in the core's units: h = V'x, the core residual
+    r_c = A_c x - b_c in the basis blockdiag(U, 1) as (rho, -R22),
+    ||r_c||**2 and g = V'A_c'r_c.  ``U' r_c[:n] = s h - c = mu c / d`` with
+    mu = sigma**2; the second form has no cancellation when the residual
+    is small."""
+    s = sol.svd.s
+    h = s * sol.c / sol.d
+    rho = sol.sigma ** 2 * sol.c / sol.d
     r_t = np.append(rho, -float(sol.core.b[-1]))
-    return h, r_t, float(r_t @ r_t), sol.s_hat * rho
+    return h, r_t, float(r_t @ r_t), s * rho
 
 
 def kappa_f1(sol: StlsSolution, A) -> ConditionReport:
@@ -189,15 +212,16 @@ def kappa_f1(sol: StlsSolution, A) -> ConditionReport:
     """
     check_operator_inputs(sol, A)
     top = numerics.top_eigenvalue_diag_rank2(*_f1_terms(sol))
-    return ConditionReport(absolute=float(np.sqrt(top)), method="F1")
+    return ConditionReport(absolute=_kappa(sol, float(np.sqrt(top))), method="F1")
 
 
 def _f1_terms(sol: StlsSolution):
     """``V'KK'V = diag(L) - (a b' + b a')`` as the n-vectors (L, a, b):
-    ``L = C/d**2``, ``a = g/d`` and ``b = h/d`` (see ``kappa_f1``)."""
+    ``L = C/d**2``, ``a = g/d`` and ``b = h/d`` (see ``kappa_f1``), in the
+    core's units."""
     h, _, rn2, g = _rotated(sol)
     d = sol.d
-    C = (1.0 + float(h @ h)) * sol.s_hat ** 2 + rn2
+    C = (1.0 + float(h @ h)) * sol.svd.s ** 2 + rn2
     return C / (d * d), g / d, h / d
 
 
@@ -213,14 +237,15 @@ def _f2_operator(sol: StlsSolution, msolve=None):
 
         D^-1 [[S, 0], ||x|| ([S, 0] - g r1'/||r||^2), ||r|| I - g h'/||r||],
 
-    S = diag(s_hat), D = diag(d), h = V'x, r1 = U1'r, g = V'A'r: each block
+    S = diag(s), D = diag(d), h = V'x, r1 = U1'r, g = V'A'r: each block
     is diagonal plus rank one, so a product costs O(n).  Its product with
     its adjoint is V' K K' V, so a vector y of the original basis enters as
     V'y; ``into_columns`` takes a vector of W's column space into the
     operator's, so a Lanczos run from it matches one on W.  ``msolve``
     solves with V'MV = D (the default divides by d); the adjoint takes a
-    vector or a block of columns and hands it to ``msolve`` unchanged."""
-    s = sol.s_hat
+    vector or a block of columns and hands it to ``msolve`` unchanged.  All
+    of it is in the core's units."""
+    s = sol.svd.s
     n = len(s)
     h, r_t, rn2, g = _rotated(sol)
     xn = float(np.linalg.norm(h))
@@ -278,7 +303,7 @@ def kappa_f2(sol: StlsSolution, A) -> ConditionReport:
     ``numerics.top_eigenvalue_diag_rank2`` takes it in O(n) memory.
     """
     check_operator_inputs(sol, A)
-    s = sol.s_hat
+    s = sol.svd.s
     n = len(s)
     h, r_t, rn2, g = _rotated(sol)
     d = sol.d
@@ -304,41 +329,44 @@ def kappa_f2(sol: StlsSolution, A) -> ConditionReport:
         np.concatenate([u, u, [0.0]]),
         np.concatenate([w, -w, [q_perp]]),
     )
-    return ConditionReport(absolute=top, method="F2")
+    return ConditionReport(absolute=_kappa(sol, top), method="F2")
 
 
-def relative_from_absolute(p: StlsProblem, sol: StlsSolution, absolute: float) -> float:
+def relative_from_absolute(sol: StlsSolution, absolute: float) -> float:
     """Rescale an absolute condition value by data and solution norms.
 
     relative = absolute * ||[A, lam*b]||_F / ||x||.  The Frobenius norm is
-    taken from the core, as hypot(||s_hat||, lam*||b_c||): Q is orthogonal,
-    so ``||A||_F = ||A_c||_F = ||s_hat||`` and ``||b|| = ||b_c||``, and the
-    m x n data is not read again.
+    taken from the core, as 2**e hypot(||s||, lam*||b_c||): Q is
+    orthogonal, so ``||A||_F = 2**e ||A_c||_F = 2**e ||s||`` and
+    ``||b|| = 2**e ||b_c||``, and the m x n data is not read again.  The
+    factor 2**e goes to ``absolute``, whose product with it is the value on
+    the core, so the data's units never enter.
     """
     xn = float(np.linalg.norm(sol.x))
     if xn <= 1e-300:
         raise ZeroSolutionError("solution is zero; relative condition undefined")
-    data_norm = np.hypot(np.linalg.norm(sol.s_hat), p.lam * np.linalg.norm(sol.core.b))
-    return float(absolute) * float(data_norm) / xn
+    core_norm = np.hypot(np.linalg.norm(sol.svd.s), sol.problem.lam * np.linalg.norm(sol.core.b))
+    return to_data_units(float(absolute), sol.e) * float(core_norm) / xn
 
 
-def kappa_tls_bg(p: StlsProblem, sol: StlsSolution, squared: bool = True) -> ConditionReport:
-    """Gram-based form for the unscaled (lam = 1) problem.
+def kappa_tls_bg(sol: StlsSolution, squared: bool = True) -> ConditionReport:
+    """Gram-based form for the unscaled (lam = 1) problem, in the data's
+    units.
 
     With the squared shift (default) this equals ``kappa_f1`` exactly at
     the solution, via the identities A'r = sigma^2 x and
     ||r||^2 = sigma^2 (1 + ||x||^2).  ``squared=False`` evaluates the
     variant with an unsquared shift, kept only to quantify how far it
-    drifts from the equivalent forms.
+    drifts from the equivalent forms; it adds sigma to sigma**2, so its
+    value depends on the data's units.
     """
-    if p.lam != 1.0:
-        raise ValueError(f"this form applies to lam = 1 problems, got lam={p.lam}")
-    A = sol.core.A
-    if sol.genericity_gap <= 0.0:
-        raise NongenericProblemError(
-            f"uniqueness gap {sol.genericity_gap:.3e} is not positive"
-        )
-    n = p.n
+    lam = sol.problem.lam
+    if lam != 1.0:
+        raise ValueError(f"this form applies to lam = 1 problems, got lam={lam}")
+    A = to_data_units(sol.core.A, sol.e)
+    if sol.gap <= 0.0:
+        raise NongenericProblemError(f"uniqueness gap {sol.gap:.3e} is not positive")
+    n = sol.problem.n
     x = sol.x
     xx = 1.0 + float(x @ x)
     shift = sol.sigma_np1 ** 2 if squared else sol.sigma_np1

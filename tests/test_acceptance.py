@@ -131,7 +131,7 @@ def test_criterion_3_tls_and_ols_specializations():
         gp = generate(GeneratorSpec(m=12 + seed, n=8, lam=1.0, e_p=0.1, seed=seed))
         sol = solve_stls(gp.problem)
         k_f2 = kappa_f2(sol, gp.problem.A).absolute
-        k_bg = kappa_tls_bg(gp.problem, sol).absolute
+        k_bg = kappa_tls_bg(sol).absolute
         worst_tls = max(worst_tls, abs(k_f2 - k_bg) / k_f2)
     assert worst_tls <= 1e-8
 
@@ -291,7 +291,7 @@ def test_criterion_9_degenerate_handling(tmp_path, diagonal_problem, diagonal_so
 
     # zero solution: relative conditioning is undefined
     with pytest.raises(ZeroSolutionError):
-        relative_from_absolute(diagonal_problem, diagonal_solution, 1.0)
+        relative_from_absolute(diagonal_solution, 1.0)
 
     # nongeneric fixture exits the CLI with code 4
     path = tmp_path / "nongeneric.json"

@@ -279,34 +279,59 @@ def test_out_of_range_exit_code(tmp_path, capsys, cmd):
     assert err.startswith("stlscond: out of floating-point range:") and err.count("\n") == 1
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _scaled_cli_run(tmp_path, capsys, seed, scale, argv):
+    """Exit code and stdout, parsed as strict JSON, of ``stlscond *argv``
+    on a 30x8 Gaussian problem times ``scale``, and the same at scale 1."""
+    docs = []
+    for c in (1.0, scale):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / f"scaled-{c}.json"
+        save_problem(StlsProblem(c * rng.standard_normal((30, 8)),
+                                 c * rng.standard_normal(30), 1.0), path)
+        code = cli.main([*argv, "--in", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        docs.append(json.loads(out, parse_constant=_refuse_constant))
+    return docs
+
+
 def test_kron_beyond_the_double_range_exit_code(tmp_path, capsys):
-    # kron's products of data-sized vectors overflow at 1e150 and the NaN
-    # reaches dormbr, whose LAPACKE check answers with a negative info: the
-    # data's fault, so exit 4 and one stderr line, not a traceback
-    rng = np.random.default_rng(0)
-    path = tmp_path / "huge.json"
-    save_problem(StlsProblem(1e150 * rng.standard_normal((30, 8)),
-                             1e150 * rng.standard_normal(30), 1.0), path)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(["cond", "--in", str(path), "--method", "kron"]) == 4
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("stlscond: out of floating-point range:") and err.count("\n") == 1
+    # kron's products of data-sized vectors overflowed at 1e150, and the
+    # NaN reached dormbr; K is now built on the unit-scale core, so kron
+    # gives kappa there like at any scale
+    ref, doc = _scaled_cli_run(tmp_path, capsys, 0, 1e150, ["cond", "--method", "kron"])
+    assert doc["absolute"] * 1e150 == pytest.approx(ref["absolute"], rel=1e-12)
 
 
-@pytest.mark.parametrize("scale, method", [(1e100, "f1"), (1e100, "all"), (1e-100, "power")])
+@pytest.mark.parametrize("scale, method", [(1e100, "f1"), (1e100, "all"), (1e-100, "power"),
+                                           (1e200, "all"), (1e-200, "all")])
 def test_non_finite_condition_number_exit_code(tmp_path, capsys, scale, method):
-    # f1 and power divide by d**2, which overflows at 1e100 and underflows
-    # at 1e-100; the NaN that follows is not JSON, so no report carries it
-    rng = np.random.default_rng(3)
-    path = tmp_path / "scaled.json"
-    save_problem(StlsProblem(scale * rng.standard_normal((30, 8)),
-                             scale * rng.standard_normal(30), 1.0), path)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        assert cli.main(["cond", "--in", str(path), "--method", method]) == 4
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("stlscond: out of floating-point range:") and err.count("\n") == 1
+    # f1 and power divided by the data's d**2, which overflowed at 1e100 and
+    # underflowed at 1e-100, and beyond 1e+-154 every method read a zero
+    # residual; on the unit-scale core each method gives kappa, and the
+    # JSON has no NaN or Infinity
+    ref, doc = _scaled_cli_run(tmp_path, capsys, 3, scale, ["cond", "--method", method])
+    reports = (doc["reports"], ref["reports"]) if method == "all" else ([doc], [ref])
+    assert len(reports[0]) == (6 if method == "all" else 1)
+    for rep, rep_ref in zip(*reports):
+        assert rep["method"] == rep_ref["method"]
+        assert rep["absolute"] * scale == pytest.approx(rep_ref["absolute"], rel=1e-12)
+        assert rep["relative"] == pytest.approx(rep_ref["relative"], rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_solve_in_any_units_prints_json(tmp_path, capsys, scale):
+    # the residual norm was the data's 2**e times the core's too late:
+    # Infinity, which is not JSON, at 1e200 and 0.0 at 1e-200
+    ref, doc = _scaled_cli_run(tmp_path, capsys, 3, scale, ["solve"])
+    assert ref["residual_norm"] == pytest.approx(9.788, rel=1e-3)
+    for key in ("residual_norm", "sigma_np1", "sigma_hat_n", "genericity_gap"):
+        assert doc[key] / scale == pytest.approx(ref[key], rel=1e-12), key
+    assert np.allclose(doc["x"], ref["x"], rtol=1e-12, atol=0.0)
 
 
 def test_cond_zero_residual_exit_code(tmp_path):
@@ -352,6 +377,25 @@ def test_cond_estimator_config_file(problem_file, tmp_path):
                  "--power-tol", "1e-8")
     doc2 = json.loads(r2.stdout)
     assert doc2["diagnostics"]["converged"] is True
+
+
+@pytest.mark.parametrize("over", ["problem", "config"])
+def test_file_over_the_load_budget_is_refused(problem_file, tmp_path, monkeypatch, capsys, over):
+    # the size is checked before the file is opened: a load peaks at 3-4
+    # times it.  The config file is padded past the problem file's size
+    from stlscond import problem
+
+    size = os.path.getsize(problem_file)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 1}' + " " * (size if over == "config" else 0))
+    budget = size - 1 if over == "problem" else size
+    monkeypatch.setattr(problem, "LOAD_BUDGET_BYTES", budget)
+    assert cli.main(["cond", "--in", str(problem_file), "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("stlscond: over memory budget:") and err.count("\n") == 1
+    monkeypatch.setattr(problem, "LOAD_BUDGET_BYTES", max(size, os.path.getsize(cfg)))
+    assert cli.main(["cond", "--in", str(problem_file), "--config", str(cfg)]) == 0
 
 
 def test_missing_input_is_io_error():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from stlscond import (
     ConvergenceError,
     GeneratorSpec,
+    NonFiniteError,
     PceConfig,
     PowerConfig,
     SampleTooLargeError,
@@ -122,13 +123,15 @@ def test_factor_route_matches_packed_boundary(n, extra, lam, e_p, k, seed):
     except StlsError:
         assume(False)
     # W works in the eigenbasis V of M: its product with its adjoint is
-    # V' K K' V, so y enters as V'y and W W'V'y leaves as V'K K'y
+    # V' K K' V, so y enters as V'y and W W'V'y leaves as V'K K'y.  It also
+    # works in the core's units, where K is 2**e times the data's
     op = _f2_operator(sol)
     V = sol.svd.v(np.eye(n))
     q = op.rmatvec(V.T @ y)
-    assert np.linalg.norm(q) == pytest.approx(np.linalg.norm(P), rel=1e-12)
+    assert np.ldexp(np.linalg.norm(q), -sol.e) == pytest.approx(np.linalg.norm(P), rel=1e-12)
     expected = apply_K(sol, p.A, P)
-    assert np.linalg.norm(V @ op.matvec(q) - expected) <= 1e-12 * np.linalg.norm(expected)
+    WWy = np.ldexp(V @ op.matvec(q), -2 * sol.e)
+    assert np.linalg.norm(WWy - expected) <= 1e-12 * np.linalg.norm(expected)
     by_column = np.column_stack([op.rmatvec(Y[:, j]) for j in range(k)])
     assert np.linalg.norm(op.rmatmat(Y) - by_column) <= 1e-12 * np.linalg.norm(by_column)
 
@@ -165,10 +168,11 @@ def test_power_matches_exact_form(gen_problem):
 def test_power_monotone_tail(gen_problem):
     p, sol = gen_problem(16, 10, 0.5, 0.2, 2)
     rep = power_method(sol, p.A, PowerConfig(seed=3))
-    trace = rep.diagnostics["v_trace"]
+    trace = rep.diagnostics["kappa_trace"]
     assert len(trace) >= 2
+    assert trace[-1] == rep.absolute
     for before, after in zip(trace[1:], trace[2:]):
-        assert after >= before - 1e-12 * max(1.0, before)
+        assert after >= before * (1.0 - 1e-12)
 
 
 def test_power_unconverged_is_flagged_not_raised(gen_problem):
@@ -185,24 +189,31 @@ def test_power_rejects_zero_start(gen_problem):
         power_method(sol, p.A, PowerConfig(), y0=np.zeros(4))
 
 
+def _kappa_trace(sol, trace):
+    """The running estimates sqrt(v) of a power iteration in the core's
+    units, in the data's."""
+    return np.ldexp(np.sqrt(trace), -sol.e).tolist()
+
+
 def _power_through_factor(sol, cfg):
     """Referee: the power iteration on W W' = K K' through the products of
-    the rectangular factor W, recording ||W'y|| with the scale carried."""
+    the rectangular factor W, recording ||W'y|| times the scale carried
+    (||W'y||**2 at the first sweep), stopped on a relative change."""
     op = _f2_operator(sol)
     y = np.random.default_rng(cfg.seed).standard_normal(len(sol.x))
     y = sol.svd.vt(y / np.linalg.norm(y))
-    scale, v_prev, trace = 1.0, None, []
+    scale, v_prev, trace = None, None, []
     for it in range(1, cfg.max_iter + 1):
         q = op.rmatvec(y)
         qnorm = float(np.linalg.norm(q))
-        trace.append(scale * qnorm)
-        if v_prev is not None and abs(trace[-1] - v_prev) < cfg.tol:
-            return it, trace
+        trace.append(qnorm * (qnorm if scale is None else scale))
+        if v_prev is not None and abs(trace[-1] - v_prev) <= cfg.tol * trace[-1]:
+            return it, _kappa_trace(sol, trace)
         v_prev = trace[-1]
         y = op.matvec(q / qnorm)
         scale = float(np.linalg.norm(y))
         y = y / scale
-    return cfg.max_iter, trace
+    return cfg.max_iter, _kappa_trace(sol, trace)
 
 
 @pytest.mark.parametrize("m, n, lam, e_p, seed, tol", [
@@ -210,9 +221,8 @@ def _power_through_factor(sol, cfg):
     (60, 40, 5.0, 1e-3, 2, 1e-8),
     (120, 80, 20.0, 1e-6, 3, 1e-8),
     (80, 50, 0.5, 0.3, 4, 1e-8),
-    # kappa near 1e4, v near 1e8: tol is set 1e-12 relative to v, since an
-    # absolute 1e-8 lies below the spacing of floats near v and leaves the
-    # stopping sweep to rounding
+    # kappa near 1e4, with a loose relative tol that stops the iteration
+    # far from its limit
     (200, 150, 0.05, 1e-3, 5, 1e-4),
 ])
 def test_power_matches_iteration_through_the_factor(gen_problem, m, n, lam, e_p, seed, tol):
@@ -221,23 +231,24 @@ def test_power_matches_iteration_through_the_factor(gen_problem, m, n, lam, e_p,
     rep = power_method(sol, p.A, cfg)
     iterations, trace = _power_through_factor(sol, cfg)
     assert rep.diagnostics["iterations"] == iterations
-    assert np.allclose(rep.diagnostics["v_trace"], trace, rtol=1e-12, atol=0.0)
+    assert np.allclose(rep.diagnostics["kappa_trace"], trace, rtol=1e-12, atol=0.0)
     if tol == 1e-4:
         assert rep.absolute > 5e3
 
 
 def _power_old_expression(sol, cfg):
     """power_method's sweep as it was written before it ran in place, the
-    reference its v_trace must equal bit for bit."""
+    reference its kappa_trace must equal bit for bit."""
     L, a, b = exact._f1_terms(sol)
     y = np.random.default_rng(cfg.seed).standard_normal(len(sol.x))
     y = sol.svd.vt(y / float(np.linalg.norm(y)))
-    scale, v_prev, trace = 1.0, None, []
+    scale, v_prev, trace = None, None, []
     for _ in range(cfg.max_iter):
         Ey = L * y - a * float(b @ y) - b * float(a @ y)
         qnorm = math.sqrt(max(float(y @ Ey), 0.0))
-        trace.append(scale * qnorm)
-        if qnorm == 0.0 or (v_prev is not None and abs(trace[-1] - v_prev) < cfg.tol):
+        trace.append(qnorm * (qnorm if scale is None else scale))
+        if qnorm == 0.0 or (v_prev is not None
+                            and abs(trace[-1] - v_prev) <= cfg.tol * trace[-1]):
             break
         v_prev = trace[-1]
         eynorm = float(np.linalg.norm(Ey))
@@ -245,7 +256,7 @@ def _power_old_expression(sol, cfg):
             break
         scale = eynorm / qnorm
         y = Ey / eynorm
-    return trace
+    return _kappa_trace(sol, trace)
 
 
 @pytest.mark.parametrize("m, n, lam, e_p, seed", [
@@ -254,7 +265,8 @@ def _power_old_expression(sol, cfg):
 def test_power_sweep_is_bitwise_the_old_expression(gen_problem, m, n, lam, e_p, seed):
     p, sol = gen_problem(m, n, lam, e_p, seed)
     for cfg in (PowerConfig(seed=seed), PowerConfig(tol=1e-30, max_iter=60, seed=seed)):
-        assert power_method(sol, p.A, cfg).diagnostics["v_trace"] == _power_old_expression(sol, cfg)
+        assert (power_method(sol, p.A, cfg).diagnostics["kappa_trace"]
+                == _power_old_expression(sol, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +547,7 @@ def test_post_solve_work_allocates_no_m_sized_array(gen_problem):
         "power": lambda: power_method(sol, p.A, PowerConfig(tol=1e-300, max_iter=20)),
         "pce": lambda: pce(sol, p.A, PceConfig()),
         "sce": lambda: sce(sol, p.A, SceConfig()),
-        "relative": lambda: relative_from_absolute(p, sol, 1.0),
+        "relative": lambda: relative_from_absolute(sol, 1.0),
     }
     for name, call in calls.items():
         tracemalloc.start()
@@ -547,6 +559,64 @@ def test_post_solve_work_allocates_no_m_sized_array(gen_problem):
         assert peak < p.A.nbytes / 4, (name, peak / p.A.nbytes)
 
 
+def _six_kappas(p):
+    sol = solve_stls(p)
+    configs = {"power": PowerConfig(seed=1), "pce": PceConfig(seed=2),
+               "sce": SceConfig(k=min(3, p.n), seed=3)}
+    return sol, np.array([METHODS[name](sol, p.A, configs).absolute for name in METHODS])
+
+
+def _exponent(value):
+    return math.frexp(value)[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra=st.integers(1, 6),
+    lam=st.floats(0.05, 20.0),
+    e_p=st.floats(1e-3, 0.9),
+    t=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_method_is_unit_free(n, extra, lam, e_p, t, seed):
+    # (A, b) -> 2**k (A, b) is exact, keeps x and divides kappa by 2**k.
+    # The scales run from the lowest k at which 2**k (A, b) has no
+    # subnormal entry to the highest at which its Frobenius norm is below
+    # 2**1020 (above that LAPACK's QR guards its column norms against
+    # overflow and rounds differently), both ends included, as far as
+    # 2**-k kappa is a normal double
+    p = generate(GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed)).problem
+    try:
+        sol, kappas = _six_kappas(p)
+    except StlsError:
+        assume(False)
+    data = np.abs(np.r_[p.A.ravel(), p.b])
+    k_lo = max(-1021 - _exponent(data[data > 0].min()), _exponent(kappas.max()) - 1020)
+    k_hi = min(1020 - _exponent(np.linalg.norm(data)), _exponent(kappas.min()) + 1021)
+    for k in {k_lo, k_hi, k_lo + round(t * (k_hi - k_lo))}:
+        sol_k, kappas_k = _six_kappas(StlsProblem(np.ldexp(p.A, k), np.ldexp(p.b, k), lam))
+        assert np.linalg.norm(sol_k.x - sol.x) <= 1e-13 * np.linalg.norm(sol.x), k
+        assert np.all(np.abs(np.ldexp(kappas_k, k) - kappas) <= 1e-13 * kappas), k
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_packed_products_refuse_beyond_the_double_range(gen_problem, scale):
+    # the packed products read the data in its own units, where M's
+    # eigenvalues and ||r||**2 leave the double range; a wrong finite
+    # value (apply_KT returned zeros at 1e200) is never an answer
+    p, _ = gen_problem(12, 5, 1.0, 0.1, 0)
+    scaled = StlsProblem(scale * p.A, scale * p.b, p.lam)
+    sol = solve_stls(scaled)
+    assert kappa_f2(sol, scaled.A).absolute > 0.0
+    with pytest.raises(NonFiniteError):
+        apply_KT(sol, scaled.A, np.ones(p.n))
+    with pytest.raises(NonFiniteError):
+        apply_K(sol, scaled.A, np.ones((p.m, p.n + 1)))
+    with pytest.raises(NonFiniteError):
+        build_K_dense(sol, scaled.A)
+
+
 def test_the_qr_is_the_last_pass_over_the_data(gen_problem):
     # the six methods and the relative condition number read the solution
     # alone, so data overwritten after the solve changes none of their values
@@ -555,7 +625,7 @@ def test_the_qr_is_the_last_pass_over_the_data(gen_problem):
 
     def values():
         reports = [METHODS[name](sol, p.A, configs) for name in METHODS]
-        return [rep.absolute for rep in reports] + [relative_from_absolute(p, sol, 1.0)]
+        return [rep.absolute for rep in reports] + [relative_from_absolute(sol, 1.0)]
 
     before = values()
     p.A[:] = np.nan

@@ -71,7 +71,7 @@ def test_kappa_diagonal_all_forms(diagonal_problem, diagonal_solution):
         kappa_kron(diagonal_solution, A),
         kappa_f1(diagonal_solution, A),
         kappa_f2(diagonal_solution, A),
-        kappa_tls_bg(diagonal_problem, diagonal_solution),
+        kappa_tls_bg(diagonal_solution),
     ):
         assert rep.absolute == pytest.approx(KAPPA_DIAGONAL, rel=1e-12)
     assert kappa_kron(diagonal_solution, A).method == "KRON"
@@ -99,16 +99,17 @@ def test_f2_factor_shape(gen_problem):
 def dense_referee(sol):
     """kappa_f1 and kappa_f2 by the dense routes the O(n) ones replaced:
     eigvalsh of the n x n rotated f1 matrix, and the largest singular value
-    of the (3n+2) x n W' that ``_f2_operator`` gives on the identity."""
+    of the (3n+2) x n W' that ``_f2_operator`` gives on the identity.  Both
+    are formed in the core's units and returned in the data's."""
     h, _, rn2, g = exact._rotated(sol)
     d = sol.d
     E = np.outer(g, -h)
     E += E.T
-    E[np.diag_indices_from(E)] += (1.0 + float(h @ h)) * sol.s_hat ** 2 + rn2
+    E[np.diag_indices_from(E)] += (1.0 + float(h @ h)) * sol.svd.s ** 2 + rn2
     E /= np.outer(d, d)
     f1 = float(np.sqrt(np.linalg.eigvalsh(E)[-1]))
     f2 = float(numerics.singular_values(exact._f2_operator(sol).rmatmat(np.eye(len(d))))[0])
-    return f1, f2
+    return float(np.ldexp(f1, -sol.e)), float(np.ldexp(f2, -sol.e))
 
 
 @pytest.mark.parametrize("e_p", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
@@ -192,7 +193,7 @@ def test_scaling_property(n, extra, lam, e_p, c, seed):
     try:
         sol = solve_stls(p)
         kappas = [f(sol, p.A).absolute for f in (kappa_kron, kappa_f1, kappa_f2)]
-        ku = relative_from_absolute(p, sol, kappas[2]) * np.finfo(float).eps
+        ku = relative_from_absolute(sol, kappas[2]) * np.finfo(float).eps
     except StlsError:
         assume(False)
     sol_c = solve_stls(scaled)
@@ -201,8 +202,8 @@ def test_scaling_property(n, extra, lam, e_p, c, seed):
     for f, k in zip((kappa_kron, kappa_f1, kappa_f2), kappas):
         k_c = f(sol_c, scaled.A).absolute
         assert k_c == pytest.approx(k / c, rel=1e-8 + 1e4 * ku)
-        assert relative_from_absolute(scaled, sol_c, k_c) == pytest.approx(
-            relative_from_absolute(p, sol, k), rel=1e-8 + 1e4 * ku)
+        assert relative_from_absolute(sol_c, k_c) == pytest.approx(
+            relative_from_absolute(sol, k), rel=1e-8 + 1e4 * ku)
 
 
 def test_kron_over_budget_refused(gen_problem, tmp_path, monkeypatch, capsys):
@@ -316,47 +317,51 @@ def test_zero_residual_rejected():
 def test_relative_matches_direct_recomputation(gen_problem):
     p, sol = gen_problem(20, 10, 1.0, 0.1, 4)
     absolute = kappa_f2(sol, p.A).absolute
-    rel = relative_from_absolute(p, sol, absolute)
+    rel = relative_from_absolute(sol, absolute)
     expected = absolute * np.linalg.norm(p.augmented(), "fro") / np.linalg.norm(sol.x)
     assert rel == pytest.approx(expected, rel=1e-14)
 
 
 def test_relative_arithmetic_identity():
-    # ||[A, lam*b]||_F = 3, ||x|| = 6, absolute = 2 -> relative = 1
+    # ||[A, lam*b]||_F = 3, ||x|| = 6, absolute = 2 -> relative = 1, with
+    # the core in units of 2**-2 of the data's: A_c = A / 4
     p = StlsProblem(np.array([[3.0], [0.0]]), np.zeros(2), 1.0)
+    core = StlsProblem(p.A / 4.0, p.b, p.lam)
     sol = StlsSolution(
         x=np.array([6.0]),
         problem=p,
-        sigma_np1=0.0,
+        e=2,
+        sigma=0.0,
         d=np.ones(1),
-        genericity_gap=3.0,
-        core=p,
-        svd=FactoredSvd.explicit(np.eye(1), np.array([3.0]), np.eye(1)),
+        gap=0.75,
+        core=core,
+        svd=FactoredSvd.explicit(np.eye(1), np.array([0.75]), np.eye(1)),
         c=np.zeros(1),
     )
-    assert relative_from_absolute(p, sol, 2.0) == pytest.approx(1.0, abs=1e-15)
+    assert sol.s_hat[0] == sol.genericity_gap == 3.0
+    assert relative_from_absolute(sol, 2.0) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_relative_zero_solution_rejected(diagonal_problem, diagonal_solution):
+def test_relative_zero_solution_rejected(diagonal_solution):
     with pytest.raises(ZeroSolutionError):
-        relative_from_absolute(diagonal_problem, diagonal_solution, 1.0)
+        relative_from_absolute(diagonal_solution, 1.0)
 
 
 def test_tls_gram_form_requires_unit_scale(gen_problem):
-    p, sol = gen_problem(8, 4, 2.0, 0.2, 3)
+    _, sol = gen_problem(8, 4, 2.0, 0.2, 3)
     with pytest.raises(ValueError):
-        kappa_tls_bg(p, sol)
+        kappa_tls_bg(sol)
 
 
 def test_tls_gram_form_matches_other_routes(gen_problem):
     p, sol = gen_problem(10, 6, 1.0, 0.1, 8)
     k_f1 = kappa_f1(sol, p.A).absolute
-    k_bg = kappa_tls_bg(p, sol).absolute
+    k_bg = kappa_tls_bg(sol).absolute
     assert abs(k_bg - k_f1) <= 1e-9 * k_f1
 
     p2, sol2 = gen_problem(10, 6, 1.0, 0.001, 8)
     k_kron = kappa_kron(sol2, p2.A).absolute
-    k_bg2 = kappa_tls_bg(p2, sol2).absolute
+    k_bg2 = kappa_tls_bg(sol2).absolute
     assert abs(k_bg2 - k_kron) <= 1e-8 * k_kron
 
 
@@ -365,9 +370,9 @@ def test_tls_gram_form_unsquared_variant_differs(gen_problem):
     # the three equivalent routes
     p, sol = gen_problem(10, 6, 1.0, 0.1, 8)
     k_f1 = kappa_f1(sol, p.A).absolute
-    k_raw = kappa_tls_bg(p, sol, squared=False).absolute
+    k_raw = kappa_tls_bg(sol, squared=False).absolute
     assert abs(k_raw - k_f1) > 1e-6 * k_f1
-    assert kappa_tls_bg(p, sol, squared=False).diagnostics == {"squared_shift": False}
+    assert kappa_tls_bg(sol, squared=False).diagnostics == {"squared_shift": False}
 
 
 def test_ols_orthonormal_fixture():
@@ -405,7 +410,7 @@ def test_ols_rank_deficient_rejected():
 def test_report_serialization_roundtrip(gen_problem):
     p, sol = gen_problem(8, 4, 1.0, 0.2, 12)
     rep = kappa_f2(sol, p.A)
-    rep.relative = relative_from_absolute(p, sol, rep.absolute)
+    rep.relative = relative_from_absolute(sol, rep.absolute)
     doc = json.loads(rep.to_json())
     assert doc["method"] == "F2"
     assert doc["absolute"] == rep.absolute

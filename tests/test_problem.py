@@ -148,7 +148,7 @@ def test_forward_error_within_condition_bound_property(n, extra, lam, e_p, seed)
     gp = generate(GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed))
     try:
         sol = solve_stls(gp.problem)
-        k_rel = relative_from_absolute(gp.problem, sol, kappa_f2(sol, gp.problem.A).absolute)
+        k_rel = relative_from_absolute(sol, kappa_f2(sol, gp.problem.A).absolute)
     except StlsError:
         assume(False)
     x_true = exact_solution(gp)
@@ -203,14 +203,14 @@ def test_secular_root_iteration_cap(monkeypatch, dlasd4_failing):
 
 
 def _secular_errors(p):
-    """The errors of solve_stls's gap and d = s_hat**2 - sigma_np1**2 against
-    a 50-digit root of the secular equation on the same double inputs
-    s_hat, z = lam c and z0 = lam R22, relative and in units of
-    u s_hat_n / gap."""
+    """The errors of solve_stls's gap and d = s**2 - sigma**2 against a
+    50-digit root of the secular equation on the same double inputs of the
+    core, s, z = lam c and z0 = lam R22, relative and in units of
+    u s_n / gap."""
     mp = pytest.importorskip("mpmath")
     sol = solve_stls(p)
     with mp.workdps(50):
-        s = [mp.mpf(float(v)) for v in sol.s_hat]
+        s = [mp.mpf(float(v)) for v in sol.svd.s]
         z = [mp.mpf(float(v)) for v in p.lam * sol.c]
         z0 = mp.mpf(p.lam * float(sol.core.b[p.n]))
         sn = s[-1]
@@ -227,7 +227,7 @@ def _secular_errors(p):
         gap = (lo + hi) / 2
         d = [(si - sn + gap) * (si + sn - gap) for si in s]
         unit = np.finfo(float).eps * float(sn / gap)
-        gap_err = float(abs(sol.genericity_gap - gap) / gap) / unit
+        gap_err = float(abs(sol.gap - gap) / gap) / unit
         d_err = max(float(abs(mp.mpf(float(a)) - b) / b) for a, b in zip(sol.d, d)) / unit
     return gap_err, d_err
 
@@ -318,7 +318,7 @@ def test_orthogonal_invariance_property(n, extra, lam, e_p, seed):
     try:
         sol = solve_stls(p)
         k_f2 = kappa_f2(sol, p.A).absolute
-        ku = relative_from_absolute(p, sol, k_f2) * np.finfo(float).eps
+        ku = relative_from_absolute(sol, k_f2) * np.finfo(float).eps
     except StlsError:
         assume(False)
     sol_q = solve_stls(rotated)
