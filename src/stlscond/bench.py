@@ -116,7 +116,8 @@ def _trial(seed, key, cell, power_cfg=None, pce_cfg=None, sce_cfg=None):
 
     Returns (problem seed, configs, sol): a given config supplies all but
     its seed, which is always derived, and ``sol`` is the solution of the
-    generated problem, or None when generation or the solve fails.
+    generated problem, or None when generation or the solve fails.  A cell
+    that ``GeneratorSpec`` refuses raises.
     """
     pseed = derive_seed(seed, *key)
 
@@ -129,8 +130,9 @@ def _trial(seed, key, cell, power_cfg=None, pce_cfg=None, sce_cfg=None):
         "sce": seeded(sce_cfg or SceConfig(), 3),
     }
     m, n, lam, e_p = cell
+    spec = GeneratorSpec(m=m, n=n, lam=lam, e_p=e_p, seed=pseed)
     try:
-        sol = solve_stls(generate(GeneratorSpec(m=m, n=n, lam=lam, e_p=e_p, seed=pseed)).problem)
+        sol = solve_stls(generate(spec).problem)
     except StlsError:
         sol = None
     return pseed, configs, sol

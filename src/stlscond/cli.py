@@ -2,11 +2,12 @@
 
 Subcommands: gen, solve, cond, bench-time, bench-ratio.  Exit codes are
 stable: 0 success, 2 usage error (including a dense K over the memory
-budget of ``kron`` and a problem or config file over the load budget of
-``problem.LOAD_BUDGET_BYTES``), 3 I/O failure, 4 non-unique problem, degenerate
-singular vector, a numerical iteration that did not converge or a
-quantity out of the double range, 5 degenerate quantity (zero residual
-or zero solution).
+budget of ``kron``, a generated problem over the same budget, a problem
+or config file over the load budget of ``problem.LOAD_BUDGET_BYTES``, and
+an allocation the host refuses), 3 I/O failure, 4 non-unique problem,
+degenerate singular vector, a numerical iteration that did not converge
+or a quantity out of the double range, 5 degenerate quantity (zero
+residual or zero solution).
 ``cond --method all`` skips ``kron`` over its memory budget instead of
 failing, and names it with the reason under "skipped" (JSON) and on stderr.
 """
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
     except (ZeroResidualError, ZeroSolutionError) as exc:
         print(f"stlscond: degenerate problem: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except MemoryBudgetError as exc:
+    except (MemoryBudgetError, MemoryError) as exc:
         print(f"stlscond: over memory budget: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, SampleTooLargeError) as exc:

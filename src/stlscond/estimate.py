@@ -3,20 +3,16 @@
 Three estimators, all driven by the solver's compressed problem, so none
 of them reads the m x n data.  ``pce`` and ``sce`` take products with the
 rectangular factor W of K K' (W W' = K K'), the matrix-free n x (3n+2)
-operator ``exact._f2_operator`` (its transpose gives ``kappa_f2``);
-``power_method`` sweeps K K' itself, which in the eigenbasis of M is
-diagonal plus rank two (``exact._f1_terms``, the form of ``kappa_f1``).
-Both work in the singular bases of the core's A, where each product costs
-O(n); each estimator rotates its start vector or probes into those bases
-once, so its values are those of the unrotated operators.  Both also work
-in the core's units (``problem.StlsSolution``), where every quantity is
-near 1 whatever the data's units; only the values an estimator returns
-are taken to the data's, as ``exact._kappa`` takes an exact form's:
+operator ``exact._f2_operator``; ``power_method`` sweeps K K' itself,
+diagonal plus rank two in the eigenbasis of M (``exact._f1_terms``).
+Both work in the singular bases and the units of the core, where each
+product costs O(n) and every quantity is near 1; each estimator rotates
+its start vector or probes into those bases once, so its values are
+those of the unrotated operators, and ``exact._kappa`` takes them to the
+data's units:
 
 * ``power_method``  -- power iteration on K K'; the running scalar
-  converges to the squared spectral norm, so its square root is the
-  condition number.  It stops on a relative change of that scalar, so
-  its sweeps do not depend on the data's units either.
+  converges to the squared spectral norm.  It stops on a relative change.
 * ``pce``           -- probabilistic estimate: a certified lower bound and a
   probabilistic upper bound on the spectral norm of W, tightened until
   their ratio is below ``1 + theta``; the midpoint is the estimate.
@@ -28,13 +24,11 @@ are taken to the data's, as ``exact._kappa`` takes an exact form's:
   estimate's error does not depend on how K lies in the coordinates.
 
 ``apply_KT`` and ``apply_K`` are the public products with K' and K in the
-packed m x (n+1) perturbation form [dA, db] of the original data, which
-they read in its own units: ``sol.M`` and the residual's square refuse
-with NonFiniteError beyond about 1e+-154 instead of returning a wrong
-value.  A solve with M = V diag(d) V' is two products with V; in the
-operator's basis it is a division by d.  ``pce(..., solver="cg")`` instead hands the operator
-``y -> V' cg(V y)``, Jacobi-preconditioned conjugate gradients on M
-(relative residual 1e-12).
+packed m x (n+1) perturbation form [dA, db] of the original data, formed
+on the core's scale in any units.  A solve with M = V diag(d) V' is two
+products with V; in the operator's basis it is a division by d.
+``pce(..., solver="cg")`` instead hands the operator ``y -> V' cg(V y)``,
+Jacobi-preconditioned conjugate gradients on M (relative residual 1e-12).
 
 scipy is imported where it is called, never at module level:
 ``scipy.sparse.linalg`` only for ``solver="cg"``.  The three estimators
@@ -56,8 +50,9 @@ import numpy as np
 
 from . import exact, numerics
 from .errors import ConvergenceError, SampleTooLargeError
-from .exact import ConditionReport, _f2_operator, _kappa, check_operator_inputs, residual_square
-from .problem import StlsSolution
+from .exact import (ConditionReport, _f2_operator, _kappa, _leave_core_units, _scale_first,
+                    check_operator_inputs)
+from .problem import StlsSolution, scaled_product
 
 
 def _check_field_types(cfg) -> None:
@@ -163,33 +158,41 @@ def _cg_solver(sol: StlsSolution):
 # ---------------------------------------------------------------------------
 
 def apply_KT(sol: StlsSolution, A, y) -> np.ndarray:
-    """Adjoint product: the m x (n+1) matrix whose column-major vec is K'y."""
+    """Adjoint product: the m x (n+1) matrix whose column-major vec is K'y,
+    formed on the core's scale (``exact._scale_first``)."""
     A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != A.shape[1]:
         raise ValueError(f"y has length {y.shape[0]}, expected {A.shape[1]}")
-    x, r = sol.x, sol.r
-    z = sol.M.solve(y)
-    Az = A @ z
-    w = (2.0 * float(r @ Az) / residual_square(r)) * r - Az
-    return np.column_stack([np.outer(w, x) - np.outer(r, z), -w])
+    e, x, p = sol.e, sol.x, sol.problem
+    r = scaled_product(p.A, x, e, p.b)
+    z = numerics.SpdFactorization(sol.svd, sol.d).solve(y)
+    Az = scaled_product(A, z, e)
+    w = (2.0 * float(r @ Az) / float(r @ r)) * r - Az
+    first = _scale_first(e, (w, x), (r, z))
+    if first:
+        w, z = np.ldexp(w, -e), np.ldexp(z, -e)
+    out = np.column_stack([np.outer(w, x) - np.outer(r, z), -w])
+    return out if first else _leave_core_units(out, e)
 
 
 def apply_K(sol: StlsSolution, A, P) -> np.ndarray:
     """Forward product: K applied to the perturbation packed as the
-    m x (n+1) matrix [dA, db]."""
+    m x (n+1) matrix [dA, db], formed on the core's scale."""
     A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
     P = np.asarray(P, dtype=float)
     m, n = A.shape
     if P.shape != (m, n + 1):
         raise ValueError(f"P has shape {P.shape}, expected {(m, n + 1)}")
-    x, r = sol.x, sol.r
-    Ap, bp = P[:, :n], P[:, n]
-    s = Ap @ x - bp
-    t = (2.0 * float(r @ s) / residual_square(r)) * (A.T @ r) - A.T @ s - Ap.T @ r
-    return sol.M.solve(t)
+    e, x, p = sol.e, sol.x, sol.problem
+    Ap = P[:, :n]
+    r = scaled_product(p.A, x, e, p.b)
+    s = scaled_product(Ap, x, e, P[:, n])
+    t = ((2.0 * float(r @ s) / float(r @ r)) * scaled_product(A.T, r, e)
+         - scaled_product(A.T, s, e) - scaled_product(Ap.T, r, e))
+    return _leave_core_units(numerics.SpdFactorization(sol.svd, sol.d).solve(t), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +205,22 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
     There ``V'KK'V = diag(L) - (a b' + b a')`` is diagonal plus rank two
     (``exact._f1_terms``), so a sweep ``Ey = L y - a (b'y) - b (a'y)``
     costs O(n).  The recorded scalar v is what a sweep through the
-    rectangular factor W (W W' = K K') records, the norm of W'y before
-    normalization, here ``sqrt(y'Ey)``, times the norm ``||W q||`` of the
-    sweep before, q being its unit W'y: v = ||W'W q||, which converges to
-    the squared condition number, so the estimate is sqrt(v).  The first
-    sweep has no q before it and records the Rayleigh quotient
-    ``||W'y||**2`` of the unit start vector, a lower bound on the same
-    square.  The work vector is renormalized every sweep (with the scale
-    carried into v) to prevent magnitude drift; this leaves the v sequence
-    unchanged.  The start vector enters as V'y0, which leaves the v
-    sequence unchanged too.
+    rectangular factor W (W W' = K K') records: ``||W'y|| = sqrt(y'Ey)``
+    times the norm ``||W q||`` of the sweep before, q being its unit W'y,
+    so v = ||W'W q|| converges to the squared condition number.  The first
+    sweep records the Rayleigh quotient ``||W'y||**2`` of the unit start
+    vector, a lower bound on it.  Neither renormalizing the work vector
+    every sweep (its scale carried into v) nor entering the start vector
+    as V'y0 changes the v sequence.
 
     The sweeps run in the core's units and stop once
-    ``|v - v_prev| <= tol * v``, a relative change, so the data's units
-    change neither the sweeps nor where they stop.  The diagnostics give
-    ``kappa_trace``, the running estimate sqrt(v) of each sweep in the
-    data's units (v itself would overflow there once the condition number
-    passes 1e154).  A run that exhausts ``max_iter`` returns its last
-    estimate flagged ``converged: False`` rather than raising.
+    ``|v - v_prev| <= tol * v``, so the data's units change neither the
+    sweeps nor where they stop.  ``kappa_trace`` gives sqrt(v) of each
+    sweep in the data's units.  A run that exhausts ``max_iter`` returns
+    its last estimate flagged ``converged: False`` rather than raising.
+    ``converged`` means stationary, v's relative change fell to ``tol``, and
+    is no error bound: where K's top two singular values nearly coincide
+    the sweeps plateau low (3.5e-3 at sigma_1/sigma_2 = 1.0035).
     """
     check_operator_inputs(sol, A)
     n = len(sol.x)

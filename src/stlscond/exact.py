@@ -13,22 +13,20 @@ mathematically equal evaluations are provided:
 
 All three run on the solver's (n+1) x n compressed problem ``sol.core``
 (K K' depends on the data only through A'A, A'r and ||r||), where W is
-n x (3n+2) and K is n x (n+1)^2; ``build_K_dense`` alone builds the
-n x m(n+1) K of the original data.  The core is in its own units, 2**-e
-times the data's (``problem.StlsSolution``), so every quantity formed here
-is near 1 whatever the data's units; K maps the data to x, which has none,
-so a condition number leaves as 2**-e times its value on the core
-(``_kappa``).  ``kappa_f1`` and ``kappa_f2`` work in the singular bases of
-the core's A that the solver carries (U, V and s): there the quadratic form is diagonal plus rank two, and an O(n)
-orthogonal reduction takes W to an n x (n+1) diagonal plus rank one, whose
-Jordan-Wielandt form is diagonal plus rank two.  Both top eigenvalues come
-from ``numerics.top_eigenvalue_diag_rank2`` on n-vectors, so neither form
-allocates an n x n array: each costs O(n) per bisection step after the
-solve.  W is written once, as the matrix-free operator ``_f2_operator``
-the estimators use (O(n) per product).  ``kappa_kron`` builds K in the
-original basis through solves with M, independently of that rotation, and
-takes its norm from the n x n Gram matrix K K'.  A K over
-``KRON_BUDGET_BYTES`` is refused.
+n x (3n+2) and K is n x (n+1)^2, and in its units, 2**-e times the
+data's, so every quantity formed here is near 1; K maps the data to the
+unit-free x, so a condition number leaves as 2**-e times its value on the
+core (``_kappa``).  ``build_K_dense`` alone builds the n x m(n+1) K of the
+original data, from the same M.  In the singular bases of the core's A
+the quadratic form is diagonal plus rank two, and an O(n) orthogonal
+reduction takes W to an n x (n+1) diagonal plus rank one, whose
+Jordan-Wielandt form is diagonal plus rank two: ``kappa_f1`` and
+``kappa_f2`` take both top eigenvalues from
+``numerics.top_eigenvalue_diag_rank2`` on n-vectors, at O(n) per
+bisection step.  W is written once, as the matrix-free operator
+``_f2_operator`` the estimators use.  ``kappa_kron`` builds K in the
+original basis through solves with M and takes its norm from the n x n
+Gram matrix K K'.  A K over ``KRON_BUDGET_BYTES`` is refused.
 
 Everything here runs on numpy alone: the module loads no scipy, so
 ``stlscond cond --method f2`` (or f1, kron) starts without its import cost.
@@ -55,7 +53,7 @@ from .errors import (
     ZeroResidualError,
     ZeroSolutionError,
 )
-from .problem import StlsSolution, to_data_units
+from .problem import StlsSolution, scaled_product, to_data_units
 
 # Residual scale below which the sensitivity operator (which divides by
 # ||r||^2) is considered undefined.
@@ -129,39 +127,52 @@ class ConditionReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def residual_square(r: np.ndarray) -> float:
-    """``r @ r`` of a residual in the data's units, which the packed
-    products divide by; NonFiniteError when it leaves the normal double
-    range (the data beyond about 1e+-154), since it is not zero."""
-    with np.errstate(over="ignore", under="ignore"):
-        rr = float(r @ r)
-    if not np.finfo(float).tiny <= rr < np.inf:
-        raise NonFiniteError(f"||r||**2 is {rr}, beyond the double range")
-    return rr
+def _scale_first(e: int, *pairs) -> bool:
+    """Whether a sum of products ``a_i b_j``, one per pair (a, b), can take
+    2**-e in its factors, exact and with no pass over the result: when the
+    finite ``2**-e sum(max|a| max|b|)`` bounds every entry (rounding is
+    monotone), no product overflows.  Else ``_leave_core_units`` takes the
+    result from the core's scale after."""
+    bound = sum(float(np.max(np.abs(a))) * float(np.max(np.abs(b))) for a, b in pairs)
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.ldexp(bound, -e)))
 
 
-def _build_K(sol: StlsSolution, A: np.ndarray, r: np.ndarray,
-             M: numerics.SpdFactorization) -> np.ndarray:
-    """K of the data A with residual r and shifted Gram matrix M, those of
-    the original data or of the core, after a budget check from the shape
-    alone.  Column j*m + i multiplies entry (i, j) of dA, the trailing m
-    columns db: with H = M^-1 ((2/||r||^2) A'r r' - A'), block j is
-    x_j H - M^-1 e_j r' and the trailing block is -H."""
+def _leave_core_units(out, e: int):
+    """``out`` times 2**-e, in place; NonFiniteError if an entry is not finite."""
+    with np.errstate(over="ignore"):
+        np.ldexp(out, -e, out=out)
+    if not np.isfinite(out).all():
+        raise NonFiniteError("an entry of the product is beyond the double range")
+    return out
+
+
+def _build_K(sol: StlsSolution, A: np.ndarray, r: np.ndarray, e: int) -> np.ndarray:
+    """K of data A in units 2**e (0 for the core) with residual r in the
+    core's, after a budget check from the shape alone.  Column j*m + i
+    multiplies entry (i, j) of dA, the trailing m columns db: with
+    H = M^-1 ((2/||r||^2) A'r r' - A'), block j is x_j H - M^-1 e_j r' and
+    the trailing block is -H, built on the core's scale (``_scale_first``)."""
     m, n = A.shape
     nbytes = 8 * n * m * (n + 1)
     if nbytes > KRON_BUDGET_BYTES:
         raise MemoryBudgetError(f"dense K of a {m}x{n} problem needs {nbytes >> 20} "
                                 f"MiB, over the {KRON_BUDGET_BYTES >> 20} MiB budget")
     x = sol.x
-    H = M.solve((2.0 / residual_square(r)) * np.outer(A.T @ r, r) - A.T)
+    M = numerics.SpdFactorization(sol.svd, sol.d)
+    H = M.solve((2.0 / float(r @ r)) * np.outer(scaled_product(A.T, r, e), r)
+                - np.ldexp(A.T, -e))
     Minv = M.solve(np.eye(n))
+    first = _scale_first(e, (x, H), (Minv, r))
+    if first:
+        H, r = np.ldexp(H, -e), np.ldexp(r, -e)
     K = np.empty((n, m * (n + 1)))
     for j in range(n):
         block = K[:, j * m : (j + 1) * m]
         np.multiply(H, x[j], out=block)
         block -= np.outer(Minv[:, j], r)
     K[:, n * m :] = -H
-    return K
+    return K if first else _leave_core_units(K, e)
 
 
 def build_K_dense(sol: StlsSolution, A) -> np.ndarray:
@@ -169,7 +180,7 @@ def build_K_dense(sol: StlsSolution, A) -> np.ndarray:
     ``KRON_BUDGET_BYTES`` raises MemoryBudgetError before it is allocated."""
     A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
-    return _build_K(sol, A, sol.r, sol.M)
+    return _build_K(sol, A, scaled_product(sol.problem.A, sol.x, sol.e, sol.problem.b), sol.e)
 
 
 def kappa_kron(sol: StlsSolution, A) -> ConditionReport:
@@ -178,7 +189,7 @@ def kappa_kron(sol: StlsSolution, A) -> ConditionReport:
     is the square root of the top eigenvalue of K K', which needs no copy
     of K."""
     check_operator_inputs(sol, A)
-    K = _build_K(sol, *_core(sol), numerics.SpdFactorization(sol.svd, sol.d))
+    K = _build_K(sol, *_core(sol), 0)
     top = float(np.linalg.eigvalsh(K @ K.T)[-1])
     return ConditionReport(absolute=_kappa(sol, float(np.sqrt(top))), method="KRON")
 
@@ -350,30 +361,30 @@ def relative_from_absolute(sol: StlsSolution, absolute: float) -> float:
 
 
 def kappa_tls_bg(sol: StlsSolution, squared: bool = True) -> ConditionReport:
-    """Gram-based form for the unscaled (lam = 1) problem, in the data's
-    units.
+    """Gram-based form for the unscaled (lam = 1) problem, on the core.
 
     With the squared shift (default) this equals ``kappa_f1`` exactly at
     the solution, via the identities A'r = sigma^2 x and
     ||r||^2 = sigma^2 (1 + ||x||^2).  ``squared=False`` evaluates the
     variant with an unsquared shift, kept only to quantify how far it
     drifts from the equivalent forms; it adds sigma to sigma**2, so its
-    value depends on the data's units.
+    value depends on the data's units (on the core its shift is 2**-e sigma).
     """
     lam = sol.problem.lam
     if lam != 1.0:
         raise ValueError(f"this form applies to lam = 1 problems, got lam={lam}")
-    A = to_data_units(sol.core.A, sol.e)
     if sol.gap <= 0.0:
         raise NongenericProblemError(f"uniqueness gap {sol.gap:.3e} is not positive")
+    A = sol.core.A
     n = sol.problem.n
     x = sol.x
     xx = 1.0 + float(x @ x)
-    shift = sol.sigma_np1 ** 2 if squared else sol.sigma_np1
+    shift = sol.sigma ** 2 if squared else np.ldexp(sol.sigma, -sol.e)
     B = A.T @ A + shift * (np.eye(n) - (2.0 / xx) * np.outer(x, x))
-    E = xx * sol.M.solve(sol.M.solve(B).T)
+    M = numerics.SpdFactorization(sol.svd, sol.d)
+    E = xx * M.solve(M.solve(B).T)
     return ConditionReport(
-        absolute=float(np.sqrt(numerics.spectral_norm_dense(E))),
+        absolute=_kappa(sol, float(np.sqrt(numerics.spectral_norm_dense(E)))),
         method="TLS_BG",
         diagnostics={"squared_shift": bool(squared)},
     )

@@ -18,12 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
+from .errors import MemoryBudgetError
+from .exact import KRON_BUDGET_BYTES
 from .problem import StlsProblem
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Size, scale, spectral-gap parameter and seed for one random problem."""
+    """Size, scale, spectral-gap parameter and seed for one random problem;
+    an m x (n+1) matrix over ``KRON_BUDGET_BYTES`` raises MemoryBudgetError."""
 
     m: int
     n: int
@@ -38,6 +41,9 @@ class GeneratorSpec:
             raise ValueError(f"e_p must lie in (0, 1), got {self.e_p}")
         if not (np.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"scale must be positive and finite, got {self.lam}")
+        if 8 * self.m * (self.n + 1) > KRON_BUDGET_BYTES:
+            raise MemoryBudgetError(f"a {self.m}x{self.n} problem is over the "
+                                    f"{KRON_BUDGET_BYTES >> 20} MiB budget")
 
     def to_dict(self) -> dict:
         return {
@@ -82,7 +88,8 @@ def generate(spec: GeneratorSpec) -> GeneratedProblem:
     C -= 2.0 * np.outer(y, y @ C)
     C -= 2.0 * np.outer(C @ z, z)
     A = np.ascontiguousarray(C[:, :n])
-    b = C[:, n] / spec.lam
+    with np.errstate(over="ignore"):
+        b = C[:, n] / spec.lam  # not finite for a tiny lam, which StlsProblem refuses
     return GeneratedProblem(
         problem=StlsProblem(A, b, spec.lam),
         known_singular_values=d,

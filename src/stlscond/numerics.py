@@ -412,14 +412,12 @@ def spectral_norm_dense(X) -> float:
 @dataclass(frozen=True, eq=False)
 class SpdFactorization:
     """Eigendecomposition ``M = V diag(d) V'`` of a symmetric positive
-    definite matrix, with V the right singular vectors of ``basis``.
-
-    Solves ``M z = y`` as ``z = V ((V'y) / d)`` for any right-hand side,
-    through the products of ``basis``, so V is never formed.
-    ``from_matrix`` raises :class:`NotPositiveDefiniteError` when an
-    eigenvalue is not positive, which callers use as a definiteness probe
-    (loss of definiteness signals a uniqueness violation upstream).
-    """
+    definite matrix, with V the right singular vectors of ``basis``: solves
+    ``M z = y`` as ``z = V ((V'y) / d)`` through the products of ``basis``,
+    so V is never formed.  The library's one M is the solution's
+    ``SpdFactorization(sol.svd, sol.d)``; ``from_matrix``, which raises
+    :class:`NotPositiveDefiniteError` when an eigenvalue is not positive,
+    serves the tests and the benchmark."""
 
     basis: FactoredSvd  # its V holds the orthogonal eigenvectors, one per column
     d: np.ndarray  # positive eigenvalues

@@ -111,14 +111,12 @@ class StlsProblem:
 class StlsSolution:
     """Solver output plus the quantities every downstream formula reuses.
 
-    Each fact is stored once, and nothing of the data's size m: everything
-    after the solve reads the (n+1) x n ``core``, so the QR of the solve is
-    the last pass over the data.  Every field but ``x``, ``problem`` and
-    ``e`` is in the core's units, 2**-e times the data's, where the largest
-    entry of [R11, lam*R12] lies in [1/2, 1): the condition methods run on
-    them and return a value to the data's units as it leaves.  The
-    properties ``sigma_np1``, ``genericity_gap``, ``sigma_hat_n``,
-    ``s_hat``, ``r`` and ``M`` are in the data's units, derived on demand.
+    Each fact is stored once, and nothing of the data's size m: every
+    condition method reads the (n+1) x n ``core``, so the QR of the solve
+    is its last pass over the data.  Every field but ``x``, ``problem`` and
+    ``e`` is in the core's units, 2**-e times the data's; the properties
+    ``sigma_np1``, ``genericity_gap``, ``sigma_hat_n``, ``s_hat`` and ``r``
+    are in the data's, derived on demand.
 
     Attributes
     ----------
@@ -126,7 +124,7 @@ class StlsSolution:
         Solution vector, which has no units.
     problem : StlsProblem
         The problem that was solved, by reference (not a copy).  Only the
-        packed m x (n+1) products read its data, through ``r``.
+        packed m x (n+1) products read its data (``scaled_product``).
     e : int
         The exponent of the core's units: a length in the core is 2**-e
         times the same length in the data.
@@ -190,23 +188,17 @@ class StlsSolution:
     @property
     def r(self) -> np.ndarray:
         """The m-vector residual ``A @ x - b`` of the solved problem, formed
-        on each access for the packed m x (n+1) products; the condition
-        numbers read the core's residual instead."""
+        on each access; the condition numbers read the core's residual
+        instead."""
         return self.problem.A @ self.x - self.problem.b
 
-    @property
-    def M(self) -> numerics.SpdFactorization:
-        """``A'A - sigma_np1**2 I = V diag(d 4**e) V'`` with V the right
-        singular vectors of ``svd``, as a factorization that solves with it,
-        for the packed m x (n+1) products on the data.  Raises
-        NonFiniteError when an eigenvalue leaves the normal double range,
-        which happens for data beyond about 1e+-154."""
-        with np.errstate(over="ignore", under="ignore"):
-            d = np.ldexp(self.d, 2 * self.e)
-        if not (np.isfinite(d).all() and d.min() >= np.finfo(float).tiny):
-            raise NonFiniteError("the eigenvalues of A'A - sigma_np1**2 I in the data's "
-                                 "units are beyond the double range")
-        return numerics.SpdFactorization(self.svd, d)
+
+def scaled_product(X, v, e: int, b=0.0) -> np.ndarray:
+    """``2**-e (X v - b)`` for data X, b in units 2**e, half of 2**-e
+    applied before the product and half after, so that neither leaves the
+    double range near its ends; exact unless an entry underflows."""
+    a = e // 2
+    return np.ldexp(X @ np.ldexp(v, -a) - np.ldexp(b, -a), a - e)
 
 
 def _compress(p: StlsProblem) -> tuple[StlsProblem, int]:

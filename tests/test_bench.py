@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stlscond import (
+    MemoryBudgetError,
     bench,
     pce,
     run_power_spread,
@@ -78,6 +79,16 @@ def test_pce_records_carry_lanczos_depth():
 def test_timing_bench_rejects_unknown_method():
     with pytest.raises(ValueError):
         run_timing_bench([(10, 6)], [1.0], [0.1], trials=1, methods=["qr"])
+
+
+def test_oversized_cell_is_refused_not_flagged():
+    # the generator refuses it before allocating, and the refusal is the
+    # caller's error, not a failed trial to record as a NaN row
+    with pytest.raises(MemoryBudgetError):
+        run_timing_bench([(10, 6), (10**6, 10**6 - 1)], [1.0], [0.1], trials=1,
+                         methods=["f2"])
+    with pytest.raises(MemoryBudgetError):
+        run_power_spread(10**6, 10**6 - 1, 1.0, 0.1, groups=1, inits=1)
 
 
 def test_bench_csv_roundtrip():

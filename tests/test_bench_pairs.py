@@ -143,6 +143,16 @@ def test_verdicts_gain_worse_and_flat():
                              ({"op_p50_s": 0.5}, "flat")):
         assert bench_pairs.summarize(_pairs(parent, slow), lower, bounds)["op_p50_s"][
             "verdict"] == expected
+    # the parent's runs spread wider than the bound (q3 - q1 = 0.45 at a
+    # median of 1): 10% slower is unresolved, not flat, and so is 10%
+    # faster; a change whose every run beats every parent run is resolved
+    wide = [1.0, 1.3, 0.7, 1.2, 0.8, 1.35, 0.65, 1.1, 0.9, 1.0]
+    for factor, expected in ((1.1, "unresolved"), (0.9, "unresolved"), (0.6, "flat")):
+        change = [0.6] * 10 if factor == 0.6 else [factor * p for p in wide]
+        assert bench_pairs.summarize(_pairs(wide, change), lower, {"op_p50_s": 0.24})[
+            "op_p50_s"]["verdict"] == expected
+    assert bench_pairs.summarize(_pairs(wide, [1.1 * p for p in wide]), lower)[
+        "op_p50_s"]["verdict"] == "flat"
     # "higher" is better: the reciprocal metric gives the same verdicts
     higher = {"ops_per_s": "higher"}
     assert bench_pairs.summarize(_pairs(parent, [0.8] * 10), higher,

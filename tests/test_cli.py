@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from stlscond import (
@@ -630,6 +630,87 @@ def test_bench_ratio_vary_initial_needs_a_group():
     assert r.returncode == 2
     assert r.stderr.startswith("stlscond: invalid arguments:")
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--m", "1000000", "--n", "999999", "--lambda", "1", "--ep", "0.5"],
+    ["bench-time", "--sizes", "8x3,1000000x999999", "--lambdas", "1", "--ep", "0.5"],
+    ["bench-ratio", "--sizes", "1000000x999999", "--lambdas", "1", "--ep", "0.5"],
+    ["bench-ratio", "--sizes", "1000000x999999", "--lambdas", "1", "--ep", "0.5",
+     "--vary-initial", "2"],
+])
+def test_oversized_problem_is_refused_before_allocating(capsys, args):
+    # the m x (n+1) matrix would take 7.3 TiB: the generator refuses it
+    # from the shape, and no trial turns the refusal into NaN rows
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("stlscond: over memory budget:") and err.count("\n") == 1
+
+
+def test_host_memory_error_is_usage_error(problem_file, monkeypatch, capsys):
+    # an allocation the host refuses, as kron's K does under a small
+    # address-space limit, exits 2 like a budget refusal, without a traceback
+    from stlscond import exact
+
+    def refuse(sol, A):
+        raise MemoryError("Unable to allocate 957. MiB for an array")
+
+    monkeypatch.setattr(exact, "kappa_kron", refuse)
+    assert cli.main(["cond", "--in", str(problem_file), "--method", "kron"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("stlscond: over memory budget: Unable to allocate")
+
+
+# malformed --sizes cells; a valid one is at most 8 x 7, and an oversized
+# one is refused from its shape before anything is allocated
+BAD_SIZES = ["", "x", "8", "8x", "x3", "8x3x2", "3x8", "3x3", "0x0", "-8x3", "8x0", "8.5x3",
+             "eightx3", "8 x 3"]
+BAD_FLOATS = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1e400", "1", "5e-324", "1e300"]
+
+
+@st.composite
+def size_texts(draw):
+    cells = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["valid", "valid", "valid", "bad", "oversized"]))
+        if kind == "bad":
+            cells.append(draw(st.sampled_from(BAD_SIZES)))
+            continue
+        m = draw(st.integers(2, 8) if kind == "valid" else st.integers(2**27, 10**20))
+        cells.append(f"{m}x{draw(st.integers(1, m - 1))}")
+    return ",".join(cells)
+
+
+def float_texts(valid):
+    # mostly valid, so that most draws get as far as the trials
+    return st.lists(st.one_of(*[valid.map(repr)] * 3, st.sampled_from(BAD_FLOATS)), min_size=1,
+                    max_size=2).map(",".join)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cmd=st.sampled_from(["bench-time", "bench-ratio"]), sizes=size_texts(),
+       lambdas=float_texts(st.floats(1e-3, 1e3)), ep=float_texts(st.floats(1e-3, 0.99)),
+       trials=st.sampled_from(["1", "2", "1", "2", "-1", "0", "", "1.5", "two"]),
+       methods=st.lists(st.sampled_from([*METHODS, *METHODS, "", "qr", "all", "F2"]),
+                        min_size=1, max_size=3).map(",".join),
+       vary=st.sampled_from([None, None, "1", "3", "-1", "0", "", "two"]))
+def test_bench_argument_errors_exit_with_a_documented_code(cmd, sizes, lambdas, ep, trials,
+                                                           methods, vary):
+    argv = [cmd, f"--sizes={sizes}", f"--lambdas={lambdas}", f"--ep={ep}", f"--trials={trials}"]
+    if cmd == "bench-time":
+        argv.append(f"--methods={methods}")
+    elif vary is not None:
+        argv.append(f"--vary-initial={vary}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4, 5), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    event(f"exit {code}")
+    if code:
+        assert out.getvalue() == "", argv
 
 
 def test_bench_value_columns_match_library(tmp_path):

@@ -592,29 +592,41 @@ def test_every_method_is_unit_free(n, extra, lam, e_p, t, seed):
     except StlsError:
         assume(False)
     data = np.abs(np.r_[p.A.ravel(), p.b])
+    products = _packed_products(p, sol, 1.0)
     k_lo = max(-1021 - _exponent(data[data > 0].min()), _exponent(kappas.max()) - 1020)
     k_hi = min(1020 - _exponent(np.linalg.norm(data)), _exponent(kappas.min()) + 1021)
     for k in {k_lo, k_hi, k_lo + round(t * (k_hi - k_lo))}:
         sol_k, kappas_k = _six_kappas(StlsProblem(np.ldexp(p.A, k), np.ldexp(p.b, k), lam))
         assert np.linalg.norm(sol_k.x - sol.x) <= 1e-13 * np.linalg.norm(sol.x), k
         assert np.all(np.abs(np.ldexp(kappas_k, k) - kappas) <= 1e-13 * kappas), k
+        for got, want in zip(_packed_products(p, sol_k, 2.0**k), products):
+            assert _close(got, want), k
+
+
+def _packed_products(p, sol, c):
+    """apply_KT, apply_K and build_K_dense on the data of ``sol``, which is
+    c times that of ``p``, with operands drawn from a fixed seed: y has no
+    units and the perturbation P is c times its draw, so K'y and K are 1/c
+    times their values on ``p`` and KP is the same."""
+    rng = np.random.default_rng(5)
+    y, P = rng.standard_normal(p.n), rng.standard_normal((p.m, p.n + 1))
+    A = sol.problem.A
+    return [apply_KT(sol, A, y) * c, apply_K(sol, A, P * c), build_K_dense(sol, A) * c]
+
+
+def _close(a, b, tol=1e-13):
+    return np.linalg.norm(a - b) <= tol * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
-def test_packed_products_refuse_beyond_the_double_range(gen_problem, scale):
-    # the packed products read the data in its own units, where M's
-    # eigenvalues and ||r||**2 leave the double range; a wrong finite
-    # value (apply_KT returned zeros at 1e200) is never an answer
-    p, _ = gen_problem(12, 5, 1.0, 0.1, 0)
+def test_packed_products_hold_beyond_1e154(gen_problem, scale):
+    # the data's M, 4**e times the core's, and ||r||**2 leave the double
+    # range there; the products solve with the core's M instead
+    p, sol = gen_problem(12, 5, 1.0, 0.1, 0)
     scaled = StlsProblem(scale * p.A, scale * p.b, p.lam)
-    sol = solve_stls(scaled)
-    assert kappa_f2(sol, scaled.A).absolute > 0.0
-    with pytest.raises(NonFiniteError):
-        apply_KT(sol, scaled.A, np.ones(p.n))
-    with pytest.raises(NonFiniteError):
-        apply_K(sol, scaled.A, np.ones((p.m, p.n + 1)))
-    with pytest.raises(NonFiniteError):
-        build_K_dense(sol, scaled.A)
+    for got, want in zip(_packed_products(p, solve_stls(scaled), scale),
+                         _packed_products(p, sol, 1.0)):
+        assert _close(got, want)
 
 
 def test_the_qr_is_the_last_pass_over_the_data(gen_problem):

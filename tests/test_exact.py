@@ -83,7 +83,8 @@ def test_f1_cross_terms_vanish_when_residual_orthogonal(diagonal_problem, diagon
     A = diagonal_problem.A
     sol = diagonal_solution
     reduced = (1.0 + sol.x @ sol.x) * (A.T @ A) + (sol.r @ sol.r) * np.eye(2)
-    E = sol.M.solve(sol.M.solve(reduced).T)
+    M = A.T @ A - sol.sigma_np1**2 * np.eye(2)
+    E = np.linalg.solve(M, np.linalg.solve(M, reduced).T)
     expected = np.sqrt(np.linalg.norm(E, 2))
     assert kappa_f1(sol, A).absolute == pytest.approx(expected, rel=1e-13)
 

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from stlscond import GeneratorSpec, check_genericity, generate, spectral_norm_dense, svd
+from stlscond import (
+    GeneratorSpec,
+    MemoryBudgetError,
+    check_genericity,
+    generate,
+    spectral_norm_dense,
+    svd,
+)
+from stlscond.exact import KRON_BUDGET_BYTES
 
 
 def test_known_spectrum_small_case():
@@ -77,3 +85,15 @@ def test_provenance_payload():
     doc = gp.provenance(spec)
     assert doc["spec"] == {"m": 5, "n": 3, "lambda": 1.0, "e_p": 0.1, "seed": 42}
     assert doc["known_singular_values"] == [3.0, 2.0, 1.0, 0.9]
+
+
+def test_spec_over_the_budget_is_refused_before_allocating():
+    # an m x (n+1) augmented matrix of exactly the budget passes; one more
+    # row does not.  Only the specs are built, so nothing is allocated
+    n = 127
+    m = KRON_BUDGET_BYTES // (8 * (n + 1))
+    GeneratorSpec(m=m, n=n, lam=1.0, e_p=0.5, seed=0)
+    with pytest.raises(MemoryBudgetError, match="over the 1024 MiB budget"):
+        GeneratorSpec(m=m + 1, n=n, lam=1.0, e_p=0.5, seed=0)
+    with pytest.raises(MemoryBudgetError):
+        GeneratorSpec(m=1_000_000, n=999_999, lam=1.0, e_p=0.5, seed=0)

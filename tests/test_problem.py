@@ -81,8 +81,10 @@ def test_solve_diagonal_fixture(diagonal_problem):
     assert sol.sigma_hat_n == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(sol.x, [0.0, 0.0], atol=1e-15)
     assert np.allclose(sol.r, [0.0, 0.0, -0.5], atol=1e-15)
-    # M = diag(3.75, 0.75)
-    assert np.allclose(sol.M.solve(np.eye(2)), np.diag([1 / 3.75, 1 / 0.75]), rtol=1e-14)
+    # M = A'A - sigma_np1**2 I = diag(3.75, 0.75), and d holds its eigenvalues
+    M = diagonal_problem.A.T @ diagonal_problem.A - sol.sigma_np1**2 * np.eye(2)
+    assert np.allclose(M, np.diag([3.75, 0.75]), rtol=1e-14)
+    assert np.allclose(np.sort(np.ldexp(sol.d, 2 * sol.e)), [0.75, 3.75], rtol=1e-14)
     assert not sol.ill_posed
 
 
@@ -293,8 +295,10 @@ def test_secular_deflation_matches_svd_route(A, b, binding, monkeypatch):
     assert np.linalg.norm(sol.x - x) <= 1e-14 * np.linalg.norm(x)
     assert sol.sigma_np1 == pytest.approx(s[-1], rel=1e-14, abs=1e-15)
     assert sol.genericity_gap == pytest.approx(sol.sigma_hat_n - s[-1], rel=1e-14)
+    # M = A'A - sigma_np1**2 I is V diag(d 4**e) V', V the right singular vectors of A
     M = p.A.T @ p.A - sol.sigma_np1**2 * np.eye(p.n)
-    assert np.allclose(sol.M.solve(M @ x), x, rtol=1e-13, atol=0.0)
+    d = np.ldexp(sol.d, 2 * sol.e)
+    assert np.allclose(sol.svd.v((sol.svd.vt(M @ x).T / d).T), x, rtol=1e-13, atol=0.0)
 
 
 @settings(max_examples=40, deadline=None)

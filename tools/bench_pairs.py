@@ -21,7 +21,11 @@ from the same file, and a verdict:
 * ``worse``: the change's median is worse than the parent's by more than
   the metric's relative ``bound`` in the same file (metrics without one
   are never worse);
-* ``flat``: neither.
+* ``unresolved``: neither, but the parent's own q3 - q1 is wider than
+  the bound times its median, so a change as large as the bound could
+  hide in the spread, and not every change run is better than every
+  parent run;
+* ``flat``: none of these.
 
 Then it prints each side's failed-op share, the sum of ``failed`` over the
 sum of ``attempted`` across the pairs, and a ``worse`` line when the
@@ -89,21 +93,29 @@ def open_out(path: str, shas: dict) -> dict:
 
 
 def verdict(s: dict, bound: float | None) -> str:
-    """``gain``, ``worse`` or ``flat`` for one metric's summary ``s``."""
+    """``gain``, ``worse``, ``unresolved`` or ``flat`` for one metric's
+    summary ``s``."""
     sign = 1.0 if s["better"] == "lower" else -1.0
     parent, change = s["parent"], s["change"]
     gain = sign * (parent["median"] - change["median"])  # > 0: the change is better
-    if 10 * s["change_wins"] >= 9 * s["pairs"] and gain > parent["q3"] - parent["q1"]:
+    spread = parent["q3"] - parent["q1"]
+    if 10 * s["change_wins"] >= 9 * s["pairs"] and gain > spread:
         return "gain"
-    if bound is not None and -gain > bound * abs(parent["median"]):
+    if bound is None:
+        return "flat"
+    if -gain > bound * abs(parent["median"]):
         return "worse"
+    # the change's worst run against the parent's best
+    worst, best = (change["max"], parent["min"]) if sign > 0 else (-change["min"], -parent["max"])
+    if spread > bound * abs(parent["median"]) and not worst < best:
+        return "unresolved"
     return "flat"
 
 
 def summarize(pairs: list[dict], better: dict, bounds: dict | None = None) -> dict:
-    """Per metric: each side's median and quartiles, the change's wins and
-    the verdict, with ``bounds`` the relative bound of each metric that
-    has one."""
+    """Per metric: each side's median, quartiles and extremes, the
+    change's wins and the verdict, with ``bounds`` the relative bound of
+    each metric that has one."""
     out = {}
     for metric, direction in better.items():
         values = {side: [p[side]["result"]["metrics"][metric]["value"] for p in pairs]
@@ -113,7 +125,8 @@ def summarize(pairs: list[dict], better: dict, bounds: dict | None = None) -> di
         out[metric] = {"better": direction, "change_wins": wins, "pairs": len(pairs)}
         for side, xs in values.items():
             q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
-            out[metric][side] = {"median": med, "q1": q1, "q3": q3}
+            out[metric][side] = {"median": med, "q1": q1, "q3": q3, "min": min(xs),
+                                 "max": max(xs)}
         out[metric]["verdict"] = verdict(out[metric], (bounds or {}).get(metric))
     return out
 
