@@ -188,9 +188,11 @@ class StlsSolution:
     @property
     def r(self) -> np.ndarray:
         """The m-vector residual ``A @ x - b`` of the solved problem, formed
-        on each access; the condition numbers read the core's residual
-        instead."""
-        return self.problem.A @ self.x - self.problem.b
+        on each access through ``scaled_product``, so that one beyond the
+        double range raises NonFiniteError; the condition numbers read the
+        core's residual instead."""
+        p = self.problem
+        return to_data_units(scaled_product(p.A, self.x, self.e, p.b), self.e)
 
 
 def scaled_product(X, v, e: int, b=0.0) -> np.ndarray:

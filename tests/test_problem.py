@@ -96,6 +96,19 @@ def test_solve_nongeneric_raises():
         solve_stls_svd(p)
 
 
+def test_residual_beyond_the_double_range_is_refused():
+    # the data's Frobenius norm is below 2**1020, but x = 21.4 and the
+    # residual 2**e ||r_c|| is beyond the largest double: r overflowed in
+    # A @ x and came back as inf
+    p = generate(GeneratorSpec(m=4, n=1, lam=5.247422849999433, e_p=0.0647083625933468,
+                               seed=2677868109)).problem
+    sol = solve_stls(StlsProblem(np.ldexp(p.A, 1020), np.ldexp(p.b, 1020), p.lam))
+    with pytest.raises(NonFiniteError):
+        sol.r
+    sol = solve_stls(p)
+    assert np.array_equal(sol.r, p.A @ sol.x - p.b)
+
+
 def test_solution_invariants_on_generated_problems():
     for seed in range(5):
         gp = generate(GeneratorSpec(m=12, n=7, lam=2.0, e_p=0.2, seed=seed))
