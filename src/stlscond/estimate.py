@@ -50,9 +50,8 @@ import numpy as np
 
 from . import exact, numerics
 from .errors import ConvergenceError, SampleTooLargeError
-from .exact import (ConditionReport, _f2_operator, _kappa, _leave_core_units, _scale_first,
-                    check_operator_inputs)
-from .problem import StlsSolution, scaled_product
+from .exact import ConditionReport, _f2_operator, _kappa, check_operator_inputs
+from .problem import StlsSolution, scaled_product, to_data_units
 
 
 def _check_field_types(cfg) -> None:
@@ -159,7 +158,7 @@ def _cg_solver(sol: StlsSolution):
 
 def apply_KT(sol: StlsSolution, A, y) -> np.ndarray:
     """Adjoint product: the m x (n+1) matrix whose column-major vec is K'y,
-    formed on the core's scale (``exact._scale_first``)."""
+    formed on the core's scale and taken to the data's by ``exact._kappa``."""
     A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
     y = np.asarray(y, dtype=float).ravel()
@@ -170,16 +169,14 @@ def apply_KT(sol: StlsSolution, A, y) -> np.ndarray:
     z = numerics.SpdFactorization(sol.svd, sol.d).solve(y)
     Az = scaled_product(A, z, e)
     w = (2.0 * float(r @ Az) / float(r @ r)) * r - Az
-    first = _scale_first(e, (w, x), (r, z))
-    if first:
-        w, z = np.ldexp(w, -e), np.ldexp(z, -e)
     out = np.column_stack([np.outer(w, x) - np.outer(r, z), -w])
-    return out if first else _leave_core_units(out, e)
+    return _kappa(sol, out, out=out)
 
 
 def apply_K(sol: StlsSolution, A, P) -> np.ndarray:
     """Forward product: K applied to the perturbation packed as the
-    m x (n+1) matrix [dA, db], formed on the core's scale."""
+    m x (n+1) matrix [dA, db], formed on the core's scale: P enters it as
+    2**-e P, and KP, a perturbation of the unit-free x, leaves unscaled."""
     A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
     P = np.asarray(P, dtype=float)
@@ -192,7 +189,7 @@ def apply_K(sol: StlsSolution, A, P) -> np.ndarray:
     s = scaled_product(Ap, x, e, P[:, n])
     t = ((2.0 * float(r @ s) / float(r @ r)) * scaled_product(A.T, r, e)
          - scaled_product(A.T, s, e) - scaled_product(Ap.T, r, e))
-    return _leave_core_units(numerics.SpdFactorization(sol.svd, sol.d).solve(t), 0)
+    return to_data_units(numerics.SpdFactorization(sol.svd, sol.d).solve(t), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -72,11 +72,11 @@ def _core(sol: StlsSolution):
     return A, A @ sol.x - sol.core.b
 
 
-def _kappa(sol: StlsSolution, value):
-    """A condition number of the core (or an array of them) in the data's
-    units: 2**-e times its value on the core, since K maps lengths to the
-    unit-free x."""
-    return to_data_units(value, -sol.e)
+def _kappa(sol: StlsSolution, value, out=None):
+    """A condition number of the core, or an array proportional to K such
+    as K itself or K'y, in the data's units: 2**-e times its value on the
+    core, since K maps lengths to the unit-free x (``to_data_units``)."""
+    return to_data_units(value, -sol.e, out)
 
 
 def check_operator_inputs(sol: StlsSolution, A) -> None:
@@ -127,32 +127,12 @@ class ConditionReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _scale_first(e: int, *pairs) -> bool:
-    """Whether a sum of products ``a_i b_j``, one per pair (a, b), can take
-    2**-e in its factors, exact and with no pass over the result: when the
-    finite ``2**-e sum(max|a| max|b|)`` bounds every entry (rounding is
-    monotone), no product overflows.  Else ``_leave_core_units`` takes the
-    result from the core's scale after."""
-    bound = sum(float(np.max(np.abs(a))) * float(np.max(np.abs(b))) for a, b in pairs)
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(np.ldexp(bound, -e)))
-
-
-def _leave_core_units(out, e: int):
-    """``out`` times 2**-e, in place; NonFiniteError if an entry is not finite."""
-    with np.errstate(over="ignore"):
-        np.ldexp(out, -e, out=out)
-    if not np.isfinite(out).all():
-        raise NonFiniteError("an entry of the product is beyond the double range")
-    return out
-
-
 def _build_K(sol: StlsSolution, A: np.ndarray, r: np.ndarray, e: int) -> np.ndarray:
     """K of data A in units 2**e (0 for the core) with residual r in the
-    core's, after a budget check from the shape alone.  Column j*m + i
-    multiplies entry (i, j) of dA, the trailing m columns db: with
-    H = M^-1 ((2/||r||^2) A'r r' - A'), block j is x_j H - M^-1 e_j r' and
-    the trailing block is -H, built on the core's scale (``_scale_first``)."""
+    core's, on the core's scale, after a budget check from the shape alone.
+    Column j*m + i multiplies entry (i, j) of dA, the trailing m columns
+    db: with H = M^-1 ((2/||r||^2) A'r r' - A'), block j is
+    x_j H - M^-1 e_j r' and the trailing block is -H."""
     m, n = A.shape
     nbytes = 8 * n * m * (n + 1)
     if nbytes > KRON_BUDGET_BYTES:
@@ -163,16 +143,13 @@ def _build_K(sol: StlsSolution, A: np.ndarray, r: np.ndarray, e: int) -> np.ndar
     H = M.solve((2.0 / float(r @ r)) * np.outer(scaled_product(A.T, r, e), r)
                 - np.ldexp(A.T, -e))
     Minv = M.solve(np.eye(n))
-    first = _scale_first(e, (x, H), (Minv, r))
-    if first:
-        H, r = np.ldexp(H, -e), np.ldexp(r, -e)
     K = np.empty((n, m * (n + 1)))
     for j in range(n):
         block = K[:, j * m : (j + 1) * m]
         np.multiply(H, x[j], out=block)
         block -= np.outer(Minv[:, j], r)
     K[:, n * m :] = -H
-    return K if first else _leave_core_units(K, e)
+    return K
 
 
 def build_K_dense(sol: StlsSolution, A) -> np.ndarray:
@@ -180,7 +157,8 @@ def build_K_dense(sol: StlsSolution, A) -> np.ndarray:
     ``KRON_BUDGET_BYTES`` raises MemoryBudgetError before it is allocated."""
     A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
-    return _build_K(sol, A, scaled_product(sol.problem.A, sol.x, sol.e, sol.problem.b), sol.e)
+    K = _build_K(sol, A, scaled_product(sol.problem.A, sol.x, sol.e, sol.problem.b), sol.e)
+    return _kappa(sol, K, out=K)
 
 
 def kappa_kron(sol: StlsSolution, A) -> ConditionReport:

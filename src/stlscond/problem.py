@@ -48,12 +48,13 @@ ILL_POSED_GAP = 1e-8
 LOAD_BUDGET_BYTES = 1 << 28
 
 
-def to_data_units(value, e):
-    """``value * 2**e``, the core's value in the data's units: exact, unless
-    it leaves the double range, which raises NonFiniteError (a result that
-    underflows rounds toward zero)."""
+def to_data_units(value, e, out=None):
+    """``value * 2**e``, the core's value in the data's units, into the
+    array ``out`` if given (``value`` itself, to spare a copy): exact,
+    unless it leaves the double range, which raises NonFiniteError (a
+    result that underflows rounds toward zero)."""
     with np.errstate(over="ignore"):
-        out = np.ldexp(value, e)
+        out = np.ldexp(value, e, out=out)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError(f"a value of 2**{e} times the core's is beyond the double range")
     return out if np.ndim(out) else float(out)

@@ -629,6 +629,26 @@ def test_packed_products_hold_beyond_1e154(gen_problem, scale):
         assert _close(got, want)
 
 
+def test_packed_products_leaving_the_double_range_raise(gen_problem):
+    # data scaled down 2**1008 to 2**1016 times, with |x| < 1: K'y and K,
+    # 2**-k times their values on the core, reach the top of the double
+    # range there; each is returned finite or refused, never inf or NaN
+    p, sol = gen_problem(12, 5, 1.0, 1e-3, 0)
+    assert np.abs(sol.x).max() < 1.0
+    y = np.random.default_rng(5).standard_normal(p.n)
+    for k in range(-1008, -1017, -1):
+        sol_k = solve_stls(StlsProblem(np.ldexp(p.A, k), np.ldexp(p.b, k), p.lam))
+        A = sol_k.problem.A
+        for product in (lambda: apply_KT(sol_k, A, y), lambda: build_K_dense(sol_k, A)):
+            try:
+                assert np.isfinite(product()).all(), k
+            except NonFiniteError:
+                pass
+    for product in (lambda: apply_KT(sol_k, A, y), lambda: build_K_dense(sol_k, A)):
+        with pytest.raises(NonFiniteError):
+            product()
+
+
 def test_the_qr_is_the_last_pass_over_the_data(gen_problem):
     # the six methods and the relative condition number read the solution
     # alone, so data overwritten after the solve changes none of their values
