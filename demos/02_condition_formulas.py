@@ -7,7 +7,7 @@ change.  This script evaluates it by
 
   * materializing K            (n x (n+1)^2 on the compressed problem),
   * an n x n quadratic form    (equal to K K' after sandwiching),
-  * an n x (3n+2) factor       (no Gram products; the numerically
+  * an n x (n+1) factor        (no Gram products; the numerically
                                 preferred route),
 
 then validates the value against finite differences: the worst perturbation
@@ -72,9 +72,6 @@ print("  (every random gain sits below the condition number)")
 # unit scale: the Gram-based shortcut agrees once the shift is squared
 k_bg = kappa_tls_bg(sol).absolute
 print(f"\nunit-scale Gram form    : {k_bg:.12e}  (dev {(abs(k_bg-k_f1)/k_f1):.2e})")
-k_raw = kappa_tls_bg(sol, squared=False).absolute
-print(f"unsquared-shift variant : {k_raw:.12e}  "
-      f"(drifts by {abs(k_raw-k_f1)/k_f1:.2e}; kept only as a diagnostic)")
 
 # vanishing scale approaches ordinary least squares
 rng = np.random.default_rng(5)

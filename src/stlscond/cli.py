@@ -308,6 +308,8 @@ def cmd_bench_ratio(args) -> int:
     sizes = _parse_sizes(args.sizes)
     lambdas = _parse_floats(args.lambdas)
     e_ps = _parse_floats(args.ep)
+    if args.vary_initial < 0:
+        raise ValueError(f"--vary-initial must be >= 0, got {args.vary_initial}")
     configs = _estimator_configs(args)
     if args.vary_initial > 0:
         if len(sizes) != 1 or len(lambdas) != 1 or len(e_ps) != 1:

@@ -2,14 +2,14 @@
 
 Three estimators, all driven by the solver's compressed problem, so none
 of them reads the m x n data.  ``pce`` and ``sce`` take products with the
-rectangular factor W of K K' (W W' = K K'), the matrix-free n x (3n+2)
-operator ``exact._f2_operator``; ``power_method`` sweeps K K' itself,
-diagonal plus rank two in the eigenbasis of M (``exact._f1_terms``).
-Both work in the singular bases and the units of the core, where each
-product costs O(n) and every quantity is near 1; each estimator rotates
-its start vector or probes into those bases once, so its values are
-those of the unrotated operators, and ``exact._kappa`` takes them to the
-data's units:
+rectangular factor W of K K' (W W' = K K'), reduced to the matrix-free
+n x (n+1) operator ``exact._f2_operator`` that ``kappa_f2`` also reads;
+``power_method`` sweeps K K' itself, diagonal plus rank two in the
+eigenbasis of M (``exact._f1_terms``).  Both work in the singular bases
+and the units of the core, where each product costs O(n) and every
+quantity is near 1; each estimator rotates its start vector or probes
+into those bases once, so its values are those of the unrotated
+operators, and ``exact._kappa`` takes them to the data's units:
 
 * ``power_method``  -- power iteration on K K'; the running scalar
   converges to the squared spectral norm.  It stops on a relative change.
@@ -56,8 +56,9 @@ from .problem import StlsSolution, scaled_product, to_data_units
 
 def _check_field_types(cfg) -> None:
     """Reject a non-number in a config field, a non-integer in an integer
-    field, and an integer beyond the double range in a float field (config
-    values may come from a user's JSON file, whose integers are exact)."""
+    field, and an infinite or NaN value or an integer beyond the double
+    range in a float field (config values may come from a user's JSON file,
+    whose integers are exact and whose 1e400 reads as inf)."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         kind = numbers.Integral if f.type == "int" else numbers.Real
@@ -66,9 +67,11 @@ def _check_field_types(cfg) -> None:
             raise ValueError(f"{f.name} must be {what}, got {value!r}")
         if kind is numbers.Real:
             try:
-                float(value)
-            except OverflowError:
-                raise ValueError(f"{f.name} is beyond the double range") from None
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer beyond the double range
+                finite = False
+            if not finite:
+                raise ValueError(f"{f.name} must be a finite double")
 
 
 @dataclass(frozen=True)
@@ -379,8 +382,9 @@ def _lanczos_bracket(op, cfg: PceConfig, v):
 
     The iteration deepens until ``beta <= (1 + theta) * alpha`` or the
     space is exhausted, in which case both bounds equal the exact norm.
-    ``op`` has ``shape``, ``matvec`` and ``rmatvec``, such as
-    ``exact._f2_operator`` or a scipy linear operator.  Returns
+    ``op`` has ``shape``, ``matvec`` and ``rmatvec``, such as the
+    n x (n+1) ``exact._f2_operator`` or a scipy linear operator, and ``v``
+    lies in its column space.  Returns
     ``(alpha, beta, steps)`` with alpha <= beta, steps being the Lanczos
     depth reached.
 
@@ -454,9 +458,12 @@ def pce(sol: StlsSolution, A, cfg: PceConfig, solver=None) -> ConditionReport:
     eigendecomposition of M.  The diagnostics give the bracket and the
     Lanczos depth it took as ``iterations``.
 
-    The operator works in rotated bases (see ``exact._f2_operator``), so
-    the start vector drawn from ``cfg.seed`` enters rotated the same way,
-    and the bracket is the one of the unrotated W."""
+    The operator is the n x (n+1) reduction of W (``exact._f2_terms``),
+    whose first n column coordinates are those of the eigenbasis V of M.
+    The start vector is drawn from ``cfg.seed`` uniform on the sphere in
+    R^(n+1), and its first n coordinates enter as V'v, as power's and
+    sce's do, so the bracket does not depend on the SVD's choice of
+    basis."""
     check_operator_inputs(sol, A)
     if solver not in (None, "factor", "cg"):
         raise ValueError(f"unknown solver {solver!r}; expected 'factor' or 'cg'")
@@ -469,7 +476,8 @@ def pce(sol: StlsSolution, A, cfg: PceConfig, solver=None) -> ConditionReport:
 
     op = _f2_operator(sol, msolve)
     v = numerics.unit_sphere_sample(op.shape[1], np.random.default_rng(cfg.seed))
-    alpha, beta, steps = _lanczos_bracket(op, cfg, op.into_columns(v))
+    v[:-1] = sol.svd.vt(v[:-1])  # into the operator's basis
+    alpha, beta, steps = _lanczos_bracket(op, cfg, v)
     alpha, beta = _kappa(sol, alpha), _kappa(sol, beta)
     return ConditionReport(
         absolute=0.5 * (alpha + beta),

@@ -12,19 +12,20 @@ mathematically equal evaluations are provided:
   (W W' = K K'), free of any Gram product A'A.
 
 All three run on the solver's (n+1) x n compressed problem ``sol.core``
-(K K' depends on the data only through A'A, A'r and ||r||), where W is
-n x (3n+2) and K is n x (n+1)^2, and in its units, 2**-e times the
+(K K' depends on the data only through A'A, A'r and ||r||), where K is
+n x (n+1)^2 and W reduces to n x (n+1), and in its units, 2**-e times the
 data's, so every quantity formed here is near 1; K maps the data to the
 unit-free x, so a condition number leaves as 2**-e times its value on the
 core (``_kappa``).  ``build_K_dense`` alone builds the n x m(n+1) K of the
 original data, from the same M.  In the singular bases of the core's A
 the quadratic form is diagonal plus rank two, and an O(n) orthogonal
-reduction takes W to an n x (n+1) diagonal plus rank one, whose
-Jordan-Wielandt form is diagonal plus rank two: ``kappa_f1`` and
-``kappa_f2`` take both top eigenvalues from
+reduction (``_f2_terms``) takes W to an n x (n+1) diagonal plus rank
+one, whose Jordan-Wielandt form is diagonal plus rank two: ``kappa_f1``
+and ``kappa_f2`` take both top eigenvalues from
 ``numerics.top_eigenvalue_diag_rank2`` on n-vectors, at O(n) per
-bisection step.  W is written once, as the matrix-free operator
-``_f2_operator`` the estimators use.  ``kappa_kron`` builds K in the
+bisection step.  W is written once, in that reduced form, which
+``kappa_f2`` and the estimators' matrix-free operator ``_f2_operator``
+both read.  ``kappa_kron`` builds K in the
 original basis through solves with M and takes its norm from the n x n
 Gram matrix K K'.  A K over ``KRON_BUDGET_BYTES`` is refused.
 
@@ -214,88 +215,26 @@ def _f1_terms(sol: StlsSolution):
     return C / (d * d), g / d, h / d
 
 
-def _f2_operator(sol: StlsSolution, msolve=None):
+def _f2_terms(sol: StlsSolution):
     """The rectangular factor W of K K' (W W' = K K') on the compressed
-    problem, rotated into the eigenbasis of M, as a matrix-free
-    n x (3n+2) operator with ``shape``, ``matvec``, ``rmatvec`` and
-    ``rmatmat``.  On the core (A = A_c, r = r_c)
+    problem, reduced to n x (n+1) as ``D^-1 G0`` with
+    ``G0 = [diag(sqrt(C)), 0] - g w'``; returns ``(sqrt(C), g, w)``, in the
+    core's units.  On the core (A = A_c, r = r_c)
 
-        W = M^-1 [A', ||x|| (A' - A'r r'/||r||^2), ||r|| I - A'r x'/||r||];
+        W = M^-1 [A', ||x|| (A' - A'r r'/||r||^2), ||r|| I - A'r x'/||r||],
 
-    the operator is ``V' W blockdiag(U1, U1, V)`` with U1 = blockdiag(U, 1),
-
-        D^-1 [[S, 0], ||x|| ([S, 0] - g r1'/||r||^2), ||r|| I - g h'/||r||],
-
-    S = diag(s), D = diag(d), h = V'x, r1 = U1'r, g = V'A'r: each block
-    is diagonal plus rank one, so a product costs O(n).  Its product with
-    its adjoint is V' K K' V, so a vector y of the original basis enters as
-    V'y; ``into_columns`` takes a vector of W's column space into the
-    operator's, so a Lanczos run from it matches one on W.  ``msolve``
-    solves with V'MV = D (the default divides by d); the adjoint takes a
-    vector or a block of columns and hands it to ``msolve`` unchanged.  All
-    of it is in the core's units."""
+    and rotated into the eigenbasis V of M as ``V' W blockdiag(U1, U1, V)``
+    with U1 = blockdiag(U, 1) it is ``D^-1 (B0 - g q')``, where
+    ``B0 = [[S, 0], ||x|| [S, 0], ||r|| I]``, S = diag(s), D = diag(d),
+    ``q = (0, ||x|| r1/||r||^2, h/||r||)``, h = V'x, r1 = U1'r and
+    g = V'A'r.  The rows of B0 are orthogonal with norms ``sqrt(C)`` (C as
+    in ``kappa_f1``), so completing ``Q0 = diag(C)^-1/2 B0`` by the unit
+    q_perp, q less its projection on the rows of Q0, to the orthonormal
+    rows Q gives ``W = D^-1 G0 Q`` with ``w = Q q = (Q0 q, ||q_perp||)``:
+    G = D^-1 G0 has the same W W' and the same singular values."""
     s = sol.svd.s
     n = len(s)
     h, r_t, rn2, g = _rotated(sol)
-    xn = float(np.linalg.norm(h))
-    rn = float(np.sqrt(rn2))
-    if msolve is None:
-        d = sol.d
-
-        def msolve(y):
-            return (y.T / d).T
-
-    def matvec(v):
-        v = np.asarray(v, dtype=float).ravel()
-        v1, v2, v3 = v[: n + 1], v[n + 1 : 2 * n + 2], v[2 * n + 2 :]
-        t = s * v1[:n]
-        t += xn * (s * v2[:n] - g * (float(r_t @ v2) / rn2))
-        t += rn * v3 - g * (float(h @ v3) / rn)
-        return msolve(t)
-
-    def rmatmat(q):
-        q = np.asarray(q, dtype=float)
-        Z = msolve(q)
-        SZ = (Z.T * s).T
-        gZ = g @ Z
-        out = np.zeros((3 * n + 2,) + q.shape[1:])
-        out[:n] = SZ
-        out[n + 1 : 2 * n + 1] = xn * SZ
-        out[n + 1 : 2 * n + 2] -= np.multiply.outer(r_t, (xn / rn2) * gZ)
-        out[2 * n + 2 :] = rn * Z - np.multiply.outer(h, gZ / rn)
-        return out
-
-    def into_columns(v):
-        u12 = sol.svd.ut(np.column_stack([v[:n], v[n + 1 : 2 * n + 1]]))
-        return np.concatenate([u12[:, 0], v[n : n + 1], u12[:, 1],
-                               v[2 * n + 1 : 2 * n + 2], sol.svd.vt(v[2 * n + 2 :])])
-
-    return SimpleNamespace(shape=(n, 3 * n + 2), matvec=matvec, rmatvec=rmatmat,
-                           rmatmat=rmatmat, into_columns=into_columns)
-
-
-def kappa_f2(sol: StlsSolution, A) -> ConditionReport:
-    """Absolute condition number from the rectangular factor (the route
-    recommended for numerical stability: no squaring anywhere).
-
-    In ``_f2_operator``'s bases ``W = D^-1 (B0 - g q')`` with
-    ``B0 = [[S, 0], ||x|| [S, 0], ||r|| I]`` and
-    ``q = (0, ||x|| r1/||r||^2, h/||r||)``.  The rows of B0 are orthogonal
-    with norms ``sqrt(C)`` (C as in ``kappa_f1``), so completing
-    ``Q0 = diag(C)^-1/2 B0`` to an orthogonal matrix takes W to the
-    n x (n+1) ``G = [diag(gamma), 0] - u w'`` with the same singular
-    values: ``gamma = sqrt(C)/d``, ``u = g/d`` and ``w = (Q0 q, ||q_perp||)``,
-    q_perp being q less its projection on the rows of Q0.  The largest
-    singular value of G is the top eigenvalue of its Jordan-Wielandt form
-    ``[[0, G], [G', 0]]``, which the rotation pairing e_i with f_i turns
-    into diagonal plus rank two with the poles ``gamma``, ``-gamma`` and 0;
-    ``numerics.top_eigenvalue_diag_rank2`` takes it in O(n) memory.
-    """
-    check_operator_inputs(sol, A)
-    s = sol.svd.s
-    n = len(s)
-    h, r_t, rn2, g = _rotated(sol)
-    d = sol.d
     xn = float(np.linalg.norm(h))
     rn = float(np.sqrt(rn2))
     sqrt_C = np.sqrt((1.0 + xn * xn) * s * s + rn2)
@@ -309,14 +248,64 @@ def kappa_f2(sol: StlsSolution, A) -> ConditionReport:
     perp2[:n] -= xn * s * p
     q_perp = float(np.sqrt(np.sum((s * p) ** 2) + perp2 @ perp2
                            + np.sum((q3 - rn * p) ** 2)))
+    return sqrt_C, g, np.append(Q0q, q_perp)
+
+
+def _f2_operator(sol: StlsSolution, msolve=None):
+    """The reduced rectangular factor ``G = D^-1 G0`` of ``_f2_terms``
+    (G G' = V' K K' V) as a matrix-free n x (n+1) operator with ``shape``,
+    ``matvec``, ``rmatvec`` and ``rmatmat``; each product costs O(n).  A
+    vector y of the original basis enters its adjoint as V'y, and the first
+    n coordinates of its column space are those of V.  ``msolve`` solves
+    with V'MV = D (the default divides by d); the adjoint takes a vector or
+    a block of columns and hands it to ``msolve`` unchanged.  All of it is
+    in the core's units."""
+    sqrt_C, g, w = _f2_terms(sol)
+    n = len(sqrt_C)
+    if msolve is None:
+        d = sol.d
+
+        def msolve(y):
+            return (y.T / d).T
+
+    def matvec(v):
+        v = np.asarray(v, dtype=float).ravel()
+        return msolve(sqrt_C * v[:n] - g * float(w @ v))
+
+    def rmatmat(q):
+        Z = msolve(np.asarray(q, dtype=float))
+        out = np.zeros((n + 1,) + Z.shape[1:])
+        out[:n] = (Z.T * sqrt_C).T
+        out -= np.multiply.outer(w, g @ Z)
+        return out
+
+    return SimpleNamespace(shape=(n, n + 1), matvec=matvec, rmatvec=rmatmat,
+                           rmatmat=rmatmat)
+
+
+def kappa_f2(sol: StlsSolution, A) -> ConditionReport:
+    """Absolute condition number from the rectangular factor (the route
+    recommended for numerical stability: no squaring anywhere).
+
+    ``_f2_terms`` reduces W to the n x (n+1) ``G = [diag(gamma), 0] - u w'``
+    with the same singular values: ``gamma = sqrt(C)/d`` and ``u = g/d``.
+    The largest singular value of G is the top eigenvalue of its
+    Jordan-Wielandt form ``[[0, G], [G', 0]]``, which the rotation pairing
+    e_i with f_i turns into diagonal plus rank two with the poles
+    ``gamma``, ``-gamma`` and 0; ``numerics.top_eigenvalue_diag_rank2``
+    takes it in O(n) memory.
+    """
+    check_operator_inputs(sol, A)
+    sqrt_C, g, w = _f2_terms(sol)
+    d = sol.d
     # [[0, G], [G', 0]] on the basis (e_i + f_i)/sqrt2, (e_i - f_i)/sqrt2, f_{n+1}
     gamma = sqrt_C / d
     u = np.sqrt(0.5) * (g / d)
-    w = np.sqrt(0.5) * Q0q
+    w_n = np.sqrt(0.5) * w[:-1]
     top = numerics.top_eigenvalue_diag_rank2(
         np.concatenate([gamma, -gamma, [0.0]]),
         np.concatenate([u, u, [0.0]]),
-        np.concatenate([w, -w, [q_perp]]),
+        np.concatenate([w_n, -w_n, w[-1:]]),
     )
     return ConditionReport(absolute=_kappa(sol, top), method="F2")
 
@@ -338,15 +327,12 @@ def relative_from_absolute(sol: StlsSolution, absolute: float) -> float:
     return to_data_units(float(absolute), sol.e) * float(core_norm) / xn
 
 
-def kappa_tls_bg(sol: StlsSolution, squared: bool = True) -> ConditionReport:
+def kappa_tls_bg(sol: StlsSolution) -> ConditionReport:
     """Gram-based form for the unscaled (lam = 1) problem, on the core.
 
-    With the squared shift (default) this equals ``kappa_f1`` exactly at
-    the solution, via the identities A'r = sigma^2 x and
-    ||r||^2 = sigma^2 (1 + ||x||^2).  ``squared=False`` evaluates the
-    variant with an unsquared shift, kept only to quantify how far it
-    drifts from the equivalent forms; it adds sigma to sigma**2, so its
-    value depends on the data's units (on the core its shift is 2**-e sigma).
+    With the squared shift this equals ``kappa_f1`` exactly at the
+    solution, via the identities A'r = sigma^2 x and
+    ||r||^2 = sigma^2 (1 + ||x||^2).
     """
     lam = sol.problem.lam
     if lam != 1.0:
@@ -357,14 +343,12 @@ def kappa_tls_bg(sol: StlsSolution, squared: bool = True) -> ConditionReport:
     n = sol.problem.n
     x = sol.x
     xx = 1.0 + float(x @ x)
-    shift = sol.sigma ** 2 if squared else np.ldexp(sol.sigma, -sol.e)
-    B = A.T @ A + shift * (np.eye(n) - (2.0 / xx) * np.outer(x, x))
+    B = A.T @ A + sol.sigma ** 2 * (np.eye(n) - (2.0 / xx) * np.outer(x, x))
     M = numerics.SpdFactorization(sol.svd, sol.d)
     E = xx * M.solve(M.solve(B).T)
     return ConditionReport(
         absolute=_kappa(sol, float(np.sqrt(numerics.spectral_norm_dense(E)))),
         method="TLS_BG",
-        diagnostics={"squared_shift": bool(squared)},
     )
 
 

@@ -86,6 +86,28 @@ def test_out_file_of_other_commits_is_refused(tmp_path, monkeypatch, capsys):
     assert "p0" in err and "c0" in err and "p1" in err and "c1" in err
 
 
+def test_failed_run_keeps_the_completed_pairs(tmp_path, monkeypatch, capsys):
+    # the third run fails: the first pair is summarized and kept in --out,
+    # and the tool exits 1 with the run's stderr tail, not a traceback
+    dirs, runs = _fake_checkouts(tmp_path, monkeypatch, {"parent": "p1", "change": "c1"})
+    completed = bench_pairs.run_once
+
+    def run_once(*args, **kwargs):
+        if len(runs) == 2:
+            raise RuntimeError("run.py exited 1: MemoryError in the worker")
+        return completed(*args, **kwargs)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(dirs + ["--workload", "w1", "--seeds", "1-3", f"--out={out}"]) == 1
+    entry = json.loads(out.read_text())["workloads"]["w1"]
+    assert [p["seed"] for p in entry["pairs"]] == [1]
+    assert entry["summary"]["op_p50_s"]["pairs"] == 1
+    captured = capsys.readouterr()
+    assert "MemoryError in the worker" in captured.err and "Traceback" not in captured.err
+    assert "1 pairs" in captured.out
+
+
 def test_trace_runs_are_summarized_by_their_layers(tmp_path, monkeypatch):
     # --trace 1 is handed to run.py, the summary takes the per-layer
     # metrics and their directions, and the entry sits beside the untraced one

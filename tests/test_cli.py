@@ -189,12 +189,19 @@ def test_cond_methods_agree(problem_file):
     ("gen", "--m", "5", "--n", "3", "--lambda", "1", "--ep", "0.1",
      "--format", "csv"),
     ("solve", "--seed", "1"),
+    # an infinite tolerance would stop power after two sweeps and pce after
+    # one step, far from kappa, and call the result converged
+    ("cond", "--method", "power", "--power-tol", "inf"),
+    ("cond", "--method", "pce", "--pce-theta", "inf"),
+    ("bench-ratio", "--sizes", "8x3", "--lambdas", "1", "--ep", "0.1",
+     "--vary-initial", "-3"),
 ])
 def test_unknown_method_or_option_is_usage_error(problem_file, args):
     if args[0] in ("cond", "solve"):
         args = (args[0], "--in", str(problem_file), *args[1:])
     r = run_cli(*args)
     assert r.returncode == 2
+    assert r.stdout == ""
     assert r.stderr.strip()
     assert "Traceback" not in r.stderr
 
@@ -208,6 +215,7 @@ def test_unknown_method_or_option_is_usage_error(problem_file, args):
     pytest.param(b"[" * 200_000, id="deep-nesting"),
     pytest.param(b"\xff\xfe{", id="not-utf8"),
     pytest.param(b'{"power": {"tol": 1e-6}', id="truncated"),
+    pytest.param(b'{"power": {"tol": 1e400}}', id="tol-beyond-the-double-range"),
 ])
 def test_malformed_config_is_usage_error(problem_file, tmp_path, config):
     cfg = tmp_path / "cfg.json"

@@ -533,6 +533,13 @@ def test_config_validation():
         SceConfig(k=1.5)
     with pytest.raises(ValueError):
         SceConfig(seed=True)
+    for bad in (math.inf, math.nan, 10**400):
+        with pytest.raises(ValueError):
+            PowerConfig(tol=bad)
+        with pytest.raises(ValueError):
+            PceConfig(theta=bad)
+        with pytest.raises(ValueError):
+            PceConfig(eps=bad)
     assert PowerConfig(tol=1, max_iter=np.int64(5)).max_iter == 5
 
 
@@ -601,6 +608,31 @@ def test_every_method_is_unit_free(n, extra, lam, e_p, t, seed):
         assert np.all(np.abs(np.ldexp(kappas_k, k) - kappas) <= 1e-13 * kappas), k
         for got, want in zip(_packed_products(p, sol_k, 2.0**k), products):
             assert _close(got, want), k
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra=st.integers(1, 6),
+    lam=st.floats(0.05, 20.0),
+    e_p=st.floats(1e-3, 0.9),
+    c=st.sampled_from([3.0, 0.7, 10.0, 1e100 / 7, 3e-100]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_power_sweep_count_is_unit_free(n, extra, lam, e_p, c, seed):
+    # (A, b) -> c (A, b) with c not a power of two rounds the data, so the
+    # core differs in its last bits, yet the stop is on a relative change
+    # and power takes the same number of sweeps
+    p = generate(GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed)).problem
+    cfg = PowerConfig(seed=1)
+    try:
+        rep = power_method(solve_stls(p), p.A, cfg)
+        pc = StlsProblem(p.A * c, p.b * c, lam)
+        rep_c = power_method(solve_stls(pc), pc.A, cfg)
+    except StlsError:
+        assume(False)
+    assert rep_c.diagnostics["iterations"] == rep.diagnostics["iterations"]
+    assert rep_c.diagnostics["converged"] == rep.diagnostics["converged"]
 
 
 def _packed_products(p, sol, c):

@@ -91,25 +91,35 @@ def test_f1_cross_terms_vanish_when_residual_orthogonal(diagonal_problem, diagon
 
 def test_f2_factor_shape(gen_problem):
     p, sol = gen_problem(5, 3, 1.0, 0.3, 1)
-    # W lives on the 4 x 3 compressed problem: n x (3n+2)
+    # W lives on the 4 x 3 compressed problem, reduced to n x (n+1)
     op = exact._f2_operator(sol)
-    assert op.shape == (3, 11)
-    assert op.rmatmat(np.eye(3)).shape == (11, 3)
+    assert op.shape == (3, 4)
+    assert op.rmatmat(np.eye(3)).shape == (4, 3)
 
 
 def dense_referee(sol):
     """kappa_f1 and kappa_f2 by the dense routes the O(n) ones replaced:
     eigvalsh of the n x n rotated f1 matrix, and the largest singular value
-    of the (3n+2) x n W' that ``_f2_operator`` gives on the identity.  Both
-    are formed in the core's units and returned in the data's."""
-    h, _, rn2, g = exact._rotated(sol)
-    d = sol.d
+    of the unreduced n x (3n+2) W, rotated into the bases of M's
+    eigenvectors and the core's singular vectors,
+
+        D^-1 [[S, 0], ||x|| ([S, 0] - g r1'/||r||^2), ||r|| I - g h'/||r||].
+
+    Both are formed in the core's units and returned in the data's."""
+    h, r_t, rn2, g = exact._rotated(sol)
+    d, s = sol.d, sol.svd.s
+    n = len(d)
     E = np.outer(g, -h)
     E += E.T
-    E[np.diag_indices_from(E)] += (1.0 + float(h @ h)) * sol.svd.s ** 2 + rn2
+    E[np.diag_indices_from(E)] += (1.0 + float(h @ h)) * s ** 2 + rn2
     E /= np.outer(d, d)
     f1 = float(np.sqrt(np.linalg.eigvalsh(E)[-1]))
-    f2 = float(numerics.singular_values(exact._f2_operator(sol).rmatmat(np.eye(len(d))))[0])
+    xn, rn = float(np.linalg.norm(h)), float(np.sqrt(rn2))
+    S0 = np.hstack([np.diag(s), np.zeros((n, 1))])
+    W = np.hstack([S0, xn * (S0 - np.outer(g, r_t) / rn2),
+                   rn * np.eye(n) - np.outer(g, h) / rn]) / d[:, None]
+    assert W.shape == (n, 3 * n + 2)
+    f2 = float(numerics.singular_values(W)[0])
     return float(np.ldexp(f1, -sol.e)), float(np.ldexp(f2, -sol.e))
 
 
@@ -364,16 +374,6 @@ def test_tls_gram_form_matches_other_routes(gen_problem):
     k_kron = kappa_kron(sol2, p2.A).absolute
     k_bg2 = kappa_tls_bg(sol2).absolute
     assert abs(k_bg2 - k_kron) <= 1e-8 * k_kron
-
-
-def test_tls_gram_form_unsquared_variant_differs(gen_problem):
-    # kept as a diagnostic: with the shift unsquared the value drifts off
-    # the three equivalent routes
-    p, sol = gen_problem(10, 6, 1.0, 0.1, 8)
-    k_f1 = kappa_f1(sol, p.A).absolute
-    k_raw = kappa_tls_bg(sol, squared=False).absolute
-    assert abs(k_raw - k_f1) > 1e-6 * k_f1
-    assert kappa_tls_bg(sol, squared=False).diagnostics == {"squared_shift": False}
 
 
 def test_ols_orthonormal_fixture():

@@ -37,7 +37,10 @@ A file that already holds runs of the same two commits gains or replaces
 the entry of this workload (``W --trace 1`` for traced runs), so one file
 can hold every workload, traced and not; a file
 that holds runs of another pair of commits is left as it is, and the tool
-exits 2 before running anything.
+exits 2 before running anything.  A run that fails (exits non-zero,
+prints no result line or times out) ends the tool with exit 1 and the
+run's stderr tail; the pairs completed before it are summarized and kept
+in ``--out`` as above.
 """
 
 from __future__ import annotations
@@ -158,15 +161,39 @@ def main(argv=None) -> int:
             print(f"bench_pairs: {err}", file=sys.stderr)
             return 2
 
-    pairs = []
+    pairs, failure = [], None
     for i, seed in enumerate(parse_seeds(args.seeds)):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            print(f"# seed {seed}: {side}", file=sys.stderr, flush=True)
-            pair[side] = run_once(roots[side], args.workload, seed, seconds, args.trace)
+        try:
+            for side in order:
+                print(f"# seed {seed}: {side}", file=sys.stderr, flush=True)
+                pair[side] = run_once(roots[side], args.workload, seed, seconds, args.trace)
+        except (RuntimeError, subprocess.TimeoutExpired) as err:
+            failure = err
+            break
         pairs.append(pair)
 
+    if pairs:
+        summary = report(pairs, better, bounds, entry, shas, seconds)
+        if doc is not None:
+            doc["workloads"][entry] = {"seconds": seconds, "trace": args.trace,
+                                       "summary": summary, "pairs": pairs}
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+    if failure is not None:
+        print(f"bench_pairs: {failure}", file=sys.stderr)
+        if pairs and doc is not None:
+            print(f"bench_pairs: {len(pairs)} completed pairs kept in {args.out}",
+                  file=sys.stderr)
+        return 1
+    return 0
+
+
+def report(pairs, better, bounds, entry, shas, seconds) -> dict:
+    """Print the summary of ``pairs`` and each side's failed-op share, and
+    return the summary."""
     summary = summarize(pairs, better, bounds)
     print(f"{entry}: parent {shas['parent'][:12]}  change {shas['change'][:12]}  "
           f"{len(pairs)} pairs, {seconds:g} s runs")
@@ -188,14 +215,7 @@ def main(argv=None) -> int:
               f"(share {share[side]:.4g})")
     if share["change"] > share["parent"]:
         print(f"failed-op share: worse ({share['parent']:.4g} -> {share['change']:.4g})")
-
-    if doc is not None:
-        doc["workloads"][entry] = {"seconds": seconds, "trace": args.trace,
-                                   "summary": summary, "pairs": pairs}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    return 0
+    return summary
 
 
 if __name__ == "__main__":
