@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,13 +66,8 @@ def _check_field_types(cfg) -> None:
         if isinstance(value, bool) or not isinstance(value, kind):
             what = "an integer" if kind is numbers.Integral else "a number"
             raise ValueError(f"{f.name} must be {what}, got {value!r}")
-        if kind is numbers.Real:
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an integer beyond the double range
-                finite = False
-            if not finite:
-                raise ValueError(f"{f.name} must be a finite double")
+        if kind is numbers.Real and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{f.name} must be finite and within the double range")
 
 
 @dataclass(frozen=True)
@@ -458,12 +454,10 @@ def pce(sol: StlsSolution, A, cfg: PceConfig, solver=None) -> ConditionReport:
     eigendecomposition of M.  The diagnostics give the bracket and the
     Lanczos depth it took as ``iterations``.
 
-    The operator is the n x (n+1) reduction of W (``exact._f2_terms``),
-    whose first n column coordinates are those of the eigenbasis V of M.
-    The start vector is drawn from ``cfg.seed`` uniform on the sphere in
-    R^(n+1), and its first n coordinates enter as V'v, as power's and
-    sce's do, so the bracket does not depend on the SVD's choice of
-    basis."""
+    The start vector, uniform on the sphere in R^(n+1) from ``cfg.seed``,
+    enters its first n coordinates as V'v, as power's start vector and
+    sce's probes do (see ``exact._f2_operator``), so the bracket does not
+    depend on the SVD's choice of basis."""
     check_operator_inputs(sol, A)
     if solver not in (None, "factor", "cg"):
         raise ValueError(f"unknown solver {solver!r}; expected 'factor' or 'cg'")
