@@ -5,13 +5,19 @@ Two record types with fixed, versioned CSV schemas (schema version 1):
 * timing rows:  m,n,lambda,e_p,seed,method,value,wall_time_seconds,iterations,trial_index
 * ratio rows:   trial_index,ratio1,ratio2,ratio3
 
+One codec writes and reads both, a cell per field of the record: None is
+an empty cell and any other value its ``str`` (a float's repr), read back
+by the field's type.
+
 Timing measures the condition evaluation only; problem generation and the
 solve are excluded.  Value columns are reproducible for a fixed root seed:
 per-trial problem and estimator seeds are derived through
-``numpy.random.SeedSequence`` with the (cell index, trial index) spawn key.
-Wall-time columns are exempt from reproducibility.  Trials run one at a
-time, so each wall time is one method's alone, as the timing comparison
-needs; output order is by (cell, trial).
+``numpy.random.SeedSequence`` with the (cell index, trial index) spawn key,
+and the power-method spread's start vectors from the seed of its
+``PowerConfig`` with the (group, vector) key.  Wall-time columns are exempt
+from reproducibility.  Trials run one at a time, so each wall time is one
+method's alone, as the timing comparison needs; output order is by (cell,
+trial).
 """
 
 from __future__ import annotations
@@ -20,12 +26,12 @@ import csv
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import StlsError
-from .estimate import METHODS, PceConfig, PowerConfig, SceConfig, power_method
+from .estimate import METHODS, PceConfig, PowerConfig, SceConfig
 from .generate import GeneratorSpec, generate
 from .problem import solve_stls
 
@@ -54,25 +60,6 @@ class BenchRecord:
     iterations: int | None
     trial_index: int
 
-    def to_row(self) -> list[str]:
-        return [
-            str(self.m), str(self.n), repr(self.lam), repr(self.e_p),
-            str(self.seed), self.method, repr(self.value),
-            repr(self.wall_time_seconds),
-            "" if self.iterations is None else str(self.iterations),
-            str(self.trial_index),
-        ]
-
-    @classmethod
-    def from_row(cls, row: list[str]) -> "BenchRecord":
-        return cls(
-            m=int(row[0]), n=int(row[1]), lam=float(row[2]), e_p=float(row[3]),
-            seed=int(row[4]), method=row[5], value=float(row[6]),
-            wall_time_seconds=float(row[7]),
-            iterations=None if row[8] == "" else int(row[8]),
-            trial_index=int(row[9]),
-        )
-
 
 @dataclass
 class RatioRecord:
@@ -83,19 +70,6 @@ class RatioRecord:
     ratio1: float
     ratio2: float
     ratio3: float
-
-    def to_row(self) -> list[str]:
-        return [
-            str(self.trial_index),
-            repr(self.ratio1), repr(self.ratio2), repr(self.ratio3),
-        ]
-
-    @classmethod
-    def from_row(cls, row: list[str]) -> "RatioRecord":
-        return cls(
-            trial_index=int(row[0]), ratio1=float(row[1]),
-            ratio2=float(row[2]), ratio3=float(row[3]),
-        )
 
 
 def derive_seed(root: int, *key: int) -> int:
@@ -221,16 +195,10 @@ def run_timing_bench(
 def summarize_timing(records):
     """Per-(cell, method) mean and variance of wall time."""
     groups: dict[tuple, list[BenchRecord]] = {}
-    order = []
     for rec in records:
-        key = (rec.m, rec.n, rec.lam, rec.e_p, rec.method)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
+        groups.setdefault((rec.m, rec.n, rec.lam, rec.e_p, rec.method), []).append(rec)
     summaries = []
-    for key in order:
-        rows = groups[key]
+    for key, rows in groups.items():
         ok_rows = [r for r in rows if not math.isnan(r.value)]
         times = np.array([r.wall_time_seconds for r in ok_rows])
         summaries.append(
@@ -305,11 +273,12 @@ def run_power_spread(m, n, lam, e_p, groups, inits, seed=0, power_cfg=None):
     """Distribution of power-method cost across initial vectors.
 
     Generates and solves ``groups`` problems; for each, runs the power
-    method from ``inits`` different random initial vectors.  Rows use the
-    timing schema: seed identifies the problem group, trial_index the
-    initial vector; value is the estimate, iterations the sweep count.  A
-    failed or unconverged run is a NaN-valued flagged row and the run
-    continues.
+    method from ``inits`` different random initial vectors, the one of
+    ``power_cfg`` with its seed derived from the root seed, the group and
+    the vector's index.  Rows use the timing schema: seed identifies the
+    problem group, trial_index the initial vector; value is the estimate,
+    iterations the sweep count.  A failed or unconverged run is a
+    NaN-valued flagged row and the run continues.
     """
     if groups < 1 or inits < 1:
         raise ValueError(f"groups and inits must be >= 1, got {groups} and {inits}")
@@ -320,15 +289,9 @@ def run_power_spread(m, n, lam, e_p, groups, inits, seed=0, power_cfg=None):
         pseed, configs, sol = group_inputs[gi]
         value, iters, wall = float("nan"), None, 0.0
         if sol is not None:
-            rng = np.random.default_rng(derive_seed(seed, gi, trial, 1))
-            y0 = rng.standard_normal(n)
+            start = {"power": replace(configs["power"], seed=derive_seed(seed, gi, trial, 1))}
             t0 = time.perf_counter()
-            try:
-                rep = power_method(sol, sol.problem.A, configs["power"], y0=y0)
-                value = rep.absolute if rep.diagnostics["converged"] else float("nan")
-                iters = rep.diagnostics["iterations"]
-            except StlsError:
-                pass
+            value, iters = _measure("power", sol, start)
             wall = time.perf_counter() - t0
         return BenchRecord(*cell, pseed, "power", value, wall, iters, trial)
 
@@ -339,32 +302,44 @@ def run_power_spread(m, n, lam, e_p, groups, inits, seed=0, power_cfg=None):
 # CSV round-trip
 # ---------------------------------------------------------------------------
 
-def write_bench_csv(records, fh) -> None:
+_CELL_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "int | None": lambda cell: None if cell == "" else int(cell),
+}
+
+
+def _write_csv(columns, records, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(BENCH_COLUMNS)
+    writer.writerow(columns)
     for rec in records:
-        writer.writerow(rec.to_row())
+        writer.writerow(
+            ["" if value is None else str(value)
+             for value in (getattr(rec, f.name) for f in fields(rec))]
+        )
+
+
+def _read_csv(cls, columns, fh):
+    reader = csv.reader(fh)
+    header = next(reader)
+    if header != columns:
+        raise ValueError(f"unexpected {cls.__name__} CSV header: {header}")
+    parsers = [_CELL_PARSERS[f.type] for f in fields(cls)]
+    return [cls(*(parse(cell) for parse, cell in zip(parsers, row))) for row in reader if row]
+
+
+def write_bench_csv(records, fh) -> None:
+    _write_csv(BENCH_COLUMNS, records, fh)
 
 
 def read_bench_csv(fh):
-    reader = csv.reader(fh)
-    header = next(reader)
-    if header != BENCH_COLUMNS:
-        raise ValueError(f"unexpected timing CSV header: {header}")
-    return [BenchRecord.from_row(row) for row in reader if row]
+    return _read_csv(BenchRecord, BENCH_COLUMNS, fh)
 
 
 def write_ratio_csv(groups, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(RATIO_COLUMNS)
-    for _, recs in groups:
-        for rec in recs:
-            writer.writerow(rec.to_row())
+    _write_csv(RATIO_COLUMNS, (rec for _, recs in groups for rec in recs), fh)
 
 
 def read_ratio_csv(fh):
-    reader = csv.reader(fh)
-    header = next(reader)
-    if header != RATIO_COLUMNS:
-        raise ValueError(f"unexpected ratio CSV header: {header}")
-    return [RatioRecord.from_row(row) for row in reader if row]
+    return _read_csv(RatioRecord, RATIO_COLUMNS, fh)

@@ -95,11 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bt = subs.add_parser("bench-time", help="wall-time benchmark over a grid "
                            "(large cells such as 1000x700 are supported but slow)")
-    p_bt.add_argument("--sizes", required=True,
-                      help="comma-separated m x n cells, e.g. 200x150,100x70")
-    p_bt.add_argument("--lambdas", required=True, help="comma-separated scales")
-    p_bt.add_argument("--ep", required=True, help="comma-separated gap parameters")
-    p_bt.add_argument("--trials", type=int, default=1)
+    _grid_options(p_bt)
     p_bt.add_argument("--methods", default="kron,f2",
                       help="comma-separated subset of " + ",".join(METHODS))
     _estimator_options(p_bt)
@@ -107,10 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bt.set_defaults(func=cmd_bench_time)
 
     p_br = subs.add_parser("bench-ratio", help="estimator/exact accuracy ratios")
-    p_br.add_argument("--sizes", required=True)
-    p_br.add_argument("--lambdas", required=True)
-    p_br.add_argument("--ep", required=True)
-    p_br.add_argument("--trials", type=int, default=1)
+    _grid_options(p_br)
     p_br.add_argument("--vary-initial", type=int, default=0, metavar="N",
                       help="instead of ratios, run the power method from N initial "
                            "vectors on each of --trials problem groups (single cell); "
@@ -120,6 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_br.set_defaults(func=cmd_bench_ratio)
 
     return parser
+
+
+def _grid_options(sub):
+    sub.add_argument("--sizes", required=True,
+                     help="comma-separated m x n cells, e.g. 200x150,100x70")
+    sub.add_argument("--lambdas", required=True, help="comma-separated scales")
+    sub.add_argument("--ep", required=True, help="comma-separated gap parameters")
+    sub.add_argument("--trials", type=int, default=1)
 
 
 def _estimator_options(sub):
@@ -267,16 +268,17 @@ def cmd_cond(args) -> int:
     return EXIT_DEGENERATE if zero_solution else EXIT_OK
 
 
-def _parse_sizes(text):
+def _grid(args):
+    """(sizes, lambdas, e_ps) from --sizes, --lambdas and --ep."""
     sizes = []
-    for chunk in text.split(","):
+    for chunk in args.sizes.split(","):
         chunk = chunk.strip().lower()
         try:
             m_str, n_str = chunk.split("x")
             sizes.append((int(m_str), int(n_str)))
         except ValueError as exc:
             raise ValueError(f"bad size cell {chunk!r}; expected MxN") from exc
-    return sizes
+    return sizes, _parse_floats(args.lambdas), _parse_floats(args.ep)
 
 
 def _parse_floats(text):
@@ -284,12 +286,11 @@ def _parse_floats(text):
 
 
 def cmd_bench_time(args) -> int:
-    sizes = _parse_sizes(args.sizes)
+    grid = _grid(args)
     methods = [mth.strip() for mth in args.methods.split(",")]
     configs = _estimator_configs(args)
     records, summaries = run_timing_bench(
-        sizes, _parse_floats(args.lambdas), _parse_floats(args.ep),
-        trials=args.trials, methods=methods, seed=args.seed,
+        *grid, trials=args.trials, methods=methods, seed=args.seed,
         power_cfg=configs["power"], pce_cfg=configs["pce"], sce_cfg=configs["sce"],
     )
     with _output(args) as fh:
@@ -305,9 +306,7 @@ def cmd_bench_time(args) -> int:
 
 
 def cmd_bench_ratio(args) -> int:
-    sizes = _parse_sizes(args.sizes)
-    lambdas = _parse_floats(args.lambdas)
-    e_ps = _parse_floats(args.ep)
+    sizes, lambdas, e_ps = _grid(args)
     if args.vary_initial < 0:
         raise ValueError(f"--vary-initial must be >= 0, got {args.vary_initial}")
     configs = _estimator_configs(args)
@@ -341,6 +340,21 @@ def cmd_bench_ratio(args) -> int:
     return EXIT_OK
 
 
+# (error kinds, exit code, stderr label) of the errors a command may end
+# in; the first match wins, and an error not listed propagates
+_EXITS = (
+    (ProblemFormatError, EXIT_IO, "problem file error"),
+    (OSError, EXIT_IO, "I/O error"),
+    ((NongenericProblemError, NotPositiveDefiniteError, DegenerateSingularVectorError),
+     EXIT_NONGENERIC, "nongeneric problem"),
+    (ConvergenceError, EXIT_NONGENERIC, "did not converge"),
+    (NonFiniteError, EXIT_NONGENERIC, "out of floating-point range"),
+    ((ZeroResidualError, ZeroSolutionError), EXIT_DEGENERATE, "degenerate problem"),
+    ((MemoryBudgetError, MemoryError), EXIT_USAGE, "over memory budget"),
+    ((ValueError, SampleTooLargeError), EXIT_USAGE, "invalid arguments"),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -350,31 +364,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ProblemFormatError as exc:
-        print(f"stlscond: problem file error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"stlscond: I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (NongenericProblemError, NotPositiveDefiniteError, DegenerateSingularVectorError) as exc:
-        print(f"stlscond: nongeneric problem: {exc}", file=sys.stderr)
-        return EXIT_NONGENERIC
-    except ConvergenceError as exc:
-        print(f"stlscond: did not converge: {exc}", file=sys.stderr)
-        return EXIT_NONGENERIC
-    except NonFiniteError as exc:
-        print(f"stlscond: out of floating-point range: {exc}", file=sys.stderr)
-        return EXIT_NONGENERIC
-    except (ZeroResidualError, ZeroSolutionError) as exc:
-        print(f"stlscond: degenerate problem: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (MemoryBudgetError, MemoryError) as exc:
-        print(f"stlscond: over memory budget: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, SampleTooLargeError) as exc:
-        print(f"stlscond: invalid arguments: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    except Exception as exc:
+        for kinds, code, label in _EXITS:
+            if isinstance(exc, kinds):
+                print(f"stlscond: {label}: {exc}", file=sys.stderr)
+                return code
+        raise

@@ -158,15 +158,14 @@ def _cg_solver(sol: StlsSolution):
 def apply_KT(sol: StlsSolution, A, y) -> np.ndarray:
     """Adjoint product: the m x (n+1) matrix whose column-major vec is K'y,
     formed on the core's scale and taken to the data's by ``exact._kappa``."""
-    A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != A.shape[1]:
-        raise ValueError(f"y has length {y.shape[0]}, expected {A.shape[1]}")
     e, x, p = sol.e, sol.x, sol.problem
+    y = np.asarray(y, dtype=float).ravel()
+    if y.shape[0] != p.n:
+        raise ValueError(f"y has length {y.shape[0]}, expected {p.n}")
     r = scaled_product(p.A, x, e, p.b)
     z = numerics.SpdFactorization(sol.svd, sol.d).solve(y)
-    Az = scaled_product(A, z, e)
+    Az = scaled_product(p.A, z, e)
     w = (2.0 * float(r @ Az) / float(r @ r)) * r - Az
     out = np.column_stack([np.outer(w, x) - np.outer(r, z), -w])
     return _kappa(sol, out, out=out)
@@ -176,18 +175,17 @@ def apply_K(sol: StlsSolution, A, P) -> np.ndarray:
     """Forward product: K applied to the perturbation packed as the
     m x (n+1) matrix [dA, db], formed on the core's scale: P enters it as
     2**-e P, and KP, a perturbation of the unit-free x, leaves unscaled."""
-    A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
+    e, x, p = sol.e, sol.x, sol.problem
     P = np.asarray(P, dtype=float)
-    m, n = A.shape
+    m, n = p.A.shape
     if P.shape != (m, n + 1):
         raise ValueError(f"P has shape {P.shape}, expected {(m, n + 1)}")
-    e, x, p = sol.e, sol.x, sol.problem
     Ap = P[:, :n]
     r = scaled_product(p.A, x, e, p.b)
     s = scaled_product(Ap, x, e, P[:, n])
-    t = ((2.0 * float(r @ s) / float(r @ r)) * scaled_product(A.T, r, e)
-         - scaled_product(A.T, s, e) - scaled_product(Ap.T, r, e))
+    t = ((2.0 * float(r @ s) / float(r @ r)) * scaled_product(p.A.T, r, e)
+         - scaled_product(p.A.T, s, e) - scaled_product(Ap.T, r, e))
     return to_data_units(numerics.SpdFactorization(sol.svd, sol.d).solve(t), 0)
 
 
@@ -195,7 +193,7 @@ def apply_K(sol: StlsSolution, A, P) -> np.ndarray:
 # Power method
 # ---------------------------------------------------------------------------
 
-def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionReport:
+def power_method(sol: StlsSolution, A, cfg: PowerConfig) -> ConditionReport:
     """Power iteration on K K', in the eigenbasis V of M.
 
     There ``V'KK'V = diag(L) - (a b' + b a')`` is diagonal plus rank two
@@ -205,9 +203,10 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
     times the norm ``||W q||`` of the sweep before, q being its unit W'y,
     so v = ||W'W q|| converges to the squared condition number.  The first
     sweep records the Rayleigh quotient ``||W'y||**2`` of the unit start
-    vector, a lower bound on it.  Neither renormalizing the work vector
-    every sweep (its scale carried into v) nor entering the start vector
-    as V'y0 changes the v sequence.
+    vector, a lower bound on it.  The start vector is the Gaussian draw of
+    ``cfg.seed``, normalized.  Neither renormalizing the work vector every
+    sweep (its scale carried into v) nor entering the start vector as V'y
+    changes the v sequence.
 
     The sweeps run in the core's units and stop once
     ``|v - v_prev| <= tol * v``, so the data's units change neither the
@@ -221,17 +220,8 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig, y0=None) -> ConditionRe
     check_operator_inputs(sol, A)
     n = len(sol.x)
     L, a, b = exact._f1_terms(sol)
-    if y0 is None:
-        rng = np.random.default_rng(cfg.seed)
-        y = rng.standard_normal(n)
-    else:
-        y = np.array(y0, dtype=float).ravel()
-        if y.shape[0] != n:
-            raise ValueError(f"y0 has length {y.shape[0]}, expected {n}")
-    ynorm = float(np.linalg.norm(y))
-    if ynorm == 0.0:
-        raise ValueError("initial vector must be nonzero")
-    y = sol.svd.vt(y / ynorm)  # into the operator's basis
+    y = np.random.default_rng(cfg.seed).standard_normal(n)
+    y = sol.svd.vt(y / float(np.linalg.norm(y)))  # into the operator's basis
     scale = None
     v = 0.0
     v_prev = None

@@ -82,11 +82,10 @@ def _kappa(sol: StlsSolution, value, out=None):
 
 def check_operator_inputs(sol: StlsSolution, A) -> None:
     """Shared preconditions for everything built on the operator K: ``A``
-    is the data ``sol`` solves (checked by shape), the gap is positive and
-    the residual is not numerically zero."""
-    expected = sol.problem.A.shape
-    if np.shape(A) != expected:
-        raise ValueError(f"A has shape {np.shape(A)}, expected {expected}")
+    is the data ``sol`` solves (that array or an equal one), the gap is
+    positive and the residual is not numerically zero."""
+    if A is not sol.problem.A and not np.array_equal(A, sol.problem.A):
+        raise ValueError("A is not the data the solution solves")
     if sol.gap <= 0.0:
         raise NongenericProblemError(f"uniqueness gap {sol.gap:.3e} is not positive")
     # ||A_c||_F is ||s||: the core's A is a strided view, and its norm
@@ -156,9 +155,9 @@ def _build_K(sol: StlsSolution, A: np.ndarray, r: np.ndarray, e: int) -> np.ndar
 def build_K_dense(sol: StlsSolution, A) -> np.ndarray:
     """The n x m(n+1) sensitivity operator K of the m x n data; a K over
     ``KRON_BUDGET_BYTES`` raises MemoryBudgetError before it is allocated."""
-    A = np.asarray(A, dtype=float)
     check_operator_inputs(sol, A)
-    K = _build_K(sol, A, scaled_product(sol.problem.A, sol.x, sol.e, sol.problem.b), sol.e)
+    p = sol.problem
+    K = _build_K(sol, p.A, scaled_product(p.A, sol.x, sol.e, p.b), sol.e)
     return _kappa(sol, K, out=K)
 
 

@@ -224,3 +224,54 @@ def test_timing_summary_statistics():
     assert s["mean_wall_time"] == pytest.approx(float(times.mean()))
     assert s["var_wall_time"] == pytest.approx(float(times.var(ddof=1)))
     assert s["failures"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the CSV formats, pinned as text
+# ---------------------------------------------------------------------------
+
+def test_bench_csv_text():
+    # None is an empty cell, a float its repr (nan included)
+    buf = io.StringIO()
+    write_bench_csv([BenchRecord(10, 6, 1.0, 0.1, 99, "power", float("nan"), 0.01, None, 2),
+                     BenchRecord(30, 12, 0.5, 0.01, 2**64 - 1, "pce", 11.868503556837423,
+                                 1e-05, 7, 0)], buf)
+    assert buf.getvalue() == (
+        "m,n,lambda,e_p,seed,method,value,wall_time_seconds,iterations,trial_index\n"
+        "10,6,1.0,0.1,99,power,nan,0.01,,2\n"
+        "30,12,0.5,0.01,18446744073709551615,pce,11.868503556837423,1e-05,7,0\n"
+    )
+    buf.seek(0)
+    back = read_bench_csv(buf)
+    assert back[1] == BenchRecord(30, 12, 0.5, 0.01, 2**64 - 1, "pce", 11.868503556837423,
+                                  1e-05, 7, 0)
+    assert back[0].iterations is None and math.isnan(back[0].value)
+
+
+def test_ratio_csv_text():
+    rec = RatioRecord(3, 0.9999999999999999, 1.0020075375012782, float("nan"))
+    buf = io.StringIO()
+    write_ratio_csv([({"m": 12}, [rec])], buf)
+    assert buf.getvalue() == (
+        "trial_index,ratio1,ratio2,ratio3\n3,0.9999999999999999,1.0020075375012782,nan\n"
+    )
+    buf.seek(0)
+    (back,) = read_ratio_csv(buf)
+    assert (back.trial_index, back.ratio1, back.ratio2) == (3, rec.ratio1, rec.ratio2)
+    assert math.isnan(back.ratio3)
+
+
+@pytest.mark.parametrize("read, text", [
+    (read_bench_csv, "trial_index,ratio1,ratio2,ratio3\n0,1.0,1.0,1.0\n"),
+    (read_bench_csv, "m,n,lambda,e_p,seed,method,value,wall_time_seconds,iterations\n"),
+    (read_ratio_csv, ",".join(BENCH_COLUMNS) + "\n"),
+    (read_ratio_csv, "trial_index,ratio1,ratio3,ratio2\n"),
+])
+def test_csv_readers_refuse_a_wrong_header(read, text):
+    with pytest.raises(ValueError, match="header"):
+        read(io.StringIO(text))
+
+
+def test_timing_bench_rejects_no_trials():
+    with pytest.raises(ValueError, match="trials"):
+        run_timing_bench([(10, 6)], [1.0], [0.1], trials=0, methods=["f2"])

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import stlscond
 from stlscond import (
     ProblemFormatError,
     StlsProblem,
@@ -745,3 +746,57 @@ def test_bench_value_columns_match_library(tmp_path):
     groups, _ = run_ratio_bench([(12, 8)], [1.0], [0.1], trials=2, seed=4)
     lib_ratios = [[rec.ratio1, rec.ratio2, rec.ratio3] for rec in groups[0][1]]
     assert np.allclose(cli_ratios, lib_ratios, rtol=1e-12, atol=0.0)
+
+
+# the documented exit code and stderr label of each kind of error, in the
+# order cli.main matches them
+EXIT_CASES = [
+    (stlscond.ProblemFormatError, 3, "problem file error"),
+    (OSError, 3, "I/O error"),
+    (stlscond.NongenericProblemError, 4, "nongeneric problem"),
+    (stlscond.NotPositiveDefiniteError, 4, "nongeneric problem"),
+    (stlscond.DegenerateSingularVectorError, 4, "nongeneric problem"),
+    (stlscond.ConvergenceError, 4, "did not converge"),
+    (stlscond.NonFiniteError, 4, "out of floating-point range"),
+    (stlscond.ZeroResidualError, 5, "degenerate problem"),
+    (stlscond.ZeroSolutionError, 5, "degenerate problem"),
+    (stlscond.MemoryBudgetError, 2, "over memory budget"),
+    (MemoryError, 2, "over memory budget"),
+    (ValueError, 2, "invalid arguments"),
+    (stlscond.SampleTooLargeError, 2, "invalid arguments"),
+]
+
+
+def _raising(kind):
+    def command(args):
+        raise kind("the message")
+    return command
+
+
+@pytest.mark.parametrize("kind, code, label", EXIT_CASES,
+                         ids=[kind.__name__ for kind, _, _ in EXIT_CASES])
+def test_each_error_kind_exits_with_its_code(monkeypatch, capsys, kind, code, label):
+    monkeypatch.setattr(cli, "cmd_solve", _raising(kind))
+    assert cli.main(["solve", "--in", "unused.json"]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"stlscond: {label}: the message\n"
+
+
+def test_an_unlisted_error_propagates(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cmd_solve", _raising(RuntimeError))
+    with pytest.raises(RuntimeError, match="the message"):
+        cli.main(["solve", "--in", "unused.json"])
+    assert capsys.readouterr() == ("", "")
+
+
+def test_degenerate_singular_vector_in_the_solve_exit_code(tmp_path, capsys):
+    # the trailing right singular vector's last component is 4.7e-15: the
+    # solve itself refuses the problem
+    path = tmp_path / "degenerate.json"
+    save_problem(StlsProblem(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+                             np.array([1.0, 1.0, 1.0]), 1e14), path)
+    assert cli.main(["cond", "--in", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("stlscond: nongeneric problem:") and err.count("\n") == 1

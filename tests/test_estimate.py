@@ -136,17 +136,39 @@ def test_factor_route_matches_packed_boundary(n, extra, lam, e_p, k, seed):
     assert np.linalg.norm(op.rmatmat(Y) - by_column) <= 1e-12 * np.linalg.norm(by_column)
 
 
+def test_operators_refuse_data_other_than_the_solved(gen_problem):
+    # A must be the data the solution solves: a matrix of the same shape is
+    # not, and a copy is read as the data itself
+    p, sol = gen_problem(12, 5, 1.0, 0.1, 0)
+    rng = np.random.default_rng(1)
+    y, P = rng.standard_normal(5), rng.standard_normal((12, 6))
+    configs = {"power": PowerConfig(), "pce": PceConfig(), "sce": SceConfig()}
+    for A in (2.0 * p.A, np.zeros_like(p.A), p.A[:, :4]):
+        for call in (lambda: apply_KT(sol, A, y), lambda: apply_K(sol, A, P),
+                     lambda: build_K_dense(sol, A),
+                     *(lambda f=f: f(sol, A, configs) for f in METHODS.values())):
+            with pytest.raises(ValueError, match="not the data"):
+                call()
+    A = p.A.copy()
+    assert np.array_equal(apply_KT(sol, A, y), apply_KT(sol, p.A, y))
+    assert np.array_equal(apply_K(sol, A, P), apply_K(sol, p.A, P))
+    assert np.array_equal(build_K_dense(sol, A), build_K_dense(sol, p.A))
+    with pytest.raises(ValueError, match="y has length 4, expected 5"):
+        apply_KT(sol, p.A, y[:4])
+    with pytest.raises(ValueError, match=r"P has shape \(12, 5\), expected \(12, 6\)"):
+        apply_K(sol, p.A, P[:, :5])
+
+
 # ---------------------------------------------------------------------------
 # power method
 # ---------------------------------------------------------------------------
 
 def test_power_diagonal_converges_fast(diagonal_problem, diagonal_solution):
-    # (0, 1) is the exact dominant eigenvector of K K'
-    rep = power_method(
-        diagonal_solution, diagonal_problem.A, PowerConfig(), y0=np.array([0.0, 1.0])
-    )
+    # K K' has eigenvalues 20/9 and 68/225, so each sweep cuts the error
+    # about 7-fold; seeds 0-5 take 7 or 8 sweeps
+    rep = power_method(diagonal_solution, diagonal_problem.A, PowerConfig(seed=0))
     assert rep.diagnostics["converged"]
-    assert rep.diagnostics["iterations"] <= 3
+    assert rep.diagnostics["iterations"] <= 10
     assert rep.absolute == pytest.approx(KAPPA_DIAGONAL, abs=1e-6)
     assert rep.method == "POWER"
 
@@ -181,12 +203,6 @@ def test_power_unconverged_is_flagged_not_raised(gen_problem):
     assert not rep.diagnostics["converged"]
     assert rep.diagnostics["iterations"] == 2
     assert rep.absolute > 0.0
-
-
-def test_power_rejects_zero_start(gen_problem):
-    p, sol = gen_problem(8, 4, 1.0, 0.2, 0)
-    with pytest.raises(ValueError):
-        power_method(sol, p.A, PowerConfig(), y0=np.zeros(4))
 
 
 def _kappa_trace(sol, trace):

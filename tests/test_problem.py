@@ -393,6 +393,15 @@ def test_svd_route_degenerate_singular_vector():
         solve_stls_svd(p)
 
 
+def test_solve_refuses_a_degenerate_singular_vector():
+    # the gap is clear, but the trailing right singular vector of the
+    # scaled [A, b] ends in 4.7e-15, so no meaningful x exists
+    p = StlsProblem(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 1.0, 1.0]),
+                    1e14)
+    with pytest.raises(DegenerateSingularVectorError, match="4.71"):
+        solve_stls(p)
+
+
 def test_ill_posed_flag_near_nongeneric():
     gp = generate(GeneratorSpec(m=6, n=3, lam=1.0, e_p=1e-9, seed=4))
     sol = solve_stls(gp.problem)
