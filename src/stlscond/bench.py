@@ -7,7 +7,8 @@ Two record types with fixed, versioned CSV schemas (schema version 1):
 
 One codec writes and reads both, a cell per field of the record: None is
 an empty cell and any other value its ``str`` (a float's repr), read back
-by the field's type.
+by the field's type.  A reader refuses a wrong header and a row of the
+wrong length.
 
 Timing measures the condition evaluation only; problem generation and the
 solve are excluded.  Value columns are reproducible for a fixed root seed:
@@ -326,7 +327,8 @@ def _read_csv(cls, columns, fh):
     if header != columns:
         raise ValueError(f"unexpected {cls.__name__} CSV header: {header}")
     parsers = [_CELL_PARSERS[f.type] for f in fields(cls)]
-    return [cls(*(parse(cell) for parse, cell in zip(parsers, row))) for row in reader if row]
+    return [cls(*(parse(cell) for parse, cell in zip(parsers, row, strict=True)))
+            for row in reader if row]
 
 
 def write_bench_csv(records, fh) -> None:

@@ -272,6 +272,19 @@ def test_csv_readers_refuse_a_wrong_header(read, text):
         read(io.StringIO(text))
 
 
+@pytest.mark.parametrize("read, row", [
+    (read_bench_csv, "10,6,1.0,0.1,99,power,nan,0.01,,2,7"),
+    (read_bench_csv, "10,6,1.0,0.1,99,power,nan,0.01,"),
+    (read_bench_csv, "10,6,1.0,0.1,99,power,nan,0.01,two,2"),
+    (read_ratio_csv, "0,1.0,1.0,1.0,5.0"),
+    (read_ratio_csv, "0,1.0"),
+])
+def test_csv_readers_refuse_a_malformed_row(read, row):
+    columns = BENCH_COLUMNS if read is read_bench_csv else RATIO_COLUMNS
+    with pytest.raises(ValueError):
+        read(io.StringIO(",".join(columns) + "\n" + row + "\n"))
+
+
 def test_timing_bench_rejects_no_trials():
     with pytest.raises(ValueError, match="trials"):
         run_timing_bench([(10, 6)], [1.0], [0.1], trials=0, methods=["f2"])
