@@ -45,7 +45,7 @@ from .errors import (
 )
 from .estimate import METHODS, PceConfig, PowerConfig, SceConfig
 from .generate import GeneratorSpec, generate
-from .problem import load_problem, problem_to_dict, read_json, solve_stls, to_data_units
+from .problem import load_problem, problem_to_json, read_json, solve_stls, to_data_units
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -193,8 +193,7 @@ def _emit(args, text: str) -> None:
 def cmd_gen(args) -> int:
     spec = GeneratorSpec(m=args.m, n=args.n, lam=args.lam, e_p=args.ep, seed=args.seed)
     gp = generate(spec)
-    doc = problem_to_dict(gp.problem, provenance=gp.provenance(spec))
-    _emit(args, json.dumps(doc, sort_keys=True))
+    _emit(args, problem_to_json(gp.problem, gp.provenance(spec)).decode())
     return EXIT_OK
 
 

@@ -20,12 +20,10 @@ uncompressed [A, lam*b] and serves as its oracle.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain
-from numbers import Integral, Real
+from functools import cache
 
 import numpy as np
 
@@ -42,9 +40,9 @@ from .errors import (
 # Below this relative gap the solution exists but is numerically fragile.
 ILL_POSED_GAP = 1e-8
 
-# Largest JSON file, in bytes, that ``read_json`` opens.  Loading a problem
-# file peaks at 3.1-3.9 times its size, so this keeps a load near the 1 GiB
-# of ``exact.KRON_BUDGET_BYTES``.
+# Largest JSON file, in bytes, that ``_read_bytes`` reads.  A problem file's
+# load peaks at 3.1-3.6 times its size for n >= 100 (5.2 at n = 10, 16 at
+# n = 1), so this keeps such a load near ``exact.KRON_BUDGET_BYTES``' 1 GiB.
 LOAD_BUDGET_BYTES = 1 << 28
 
 
@@ -341,87 +339,90 @@ def solve_stls_svd(p: StlsProblem) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Problem file format (shared with the CLI): self-describing JSON with fields
-# m, n, lambda, A (row-major array of arrays), b (array).  Readers reject
-# dimension mismatches.
+# m, n, lambda, A (row-major array of arrays), b (array), written and read by
+# pydantic_core, which only the calls that touch a file import.
 # ---------------------------------------------------------------------------
 
 def problem_to_dict(p: StlsProblem, provenance: dict | None = None) -> dict:
-    doc = {
-        "m": p.m,
-        "n": p.n,
-        "lambda": p.lam,
-        "A": p.A.tolist(),
-        "b": p.b.tolist(),
-    }
-    if provenance is not None:
-        doc["provenance"] = provenance
-    return doc
+    doc = {"m": p.m, "n": p.n, "lambda": p.lam, "A": p.A.tolist(), "b": p.b.tolist()}
+    return doc if provenance is None else doc | {"provenance": provenance}
 
 
-def problem_from_dict(doc: dict) -> StlsProblem:
+def problem_to_json(p: StlsProblem, provenance: dict | None = None) -> bytes:
+    """The problem file's bytes: ``problem_to_dict``'s keys in order, no
+    spaces, each float in its shortest round-trip spelling, and a newline."""
+    from pydantic_core import to_json
+
+    return to_json(problem_to_dict(p, provenance)) + b"\n"
+
+
+@cache
+def _problem_schema():
+    """The problem file format, stated once: integers m and n, finite numbers
+    lambda, A and b (an integer is a number, true and "1.5" are not), each
+    row of A and b read into a float64 array, and other keys ignored."""
+    from pydantic_core import SchemaValidator, core_schema as cs
+
+    number = cs.float_schema(strict=True, allow_inf_nan=False)
+    array = cs.no_info_after_validator_function(np.array, cs.list_schema(number))
+    size = cs.typed_dict_field(cs.int_schema(strict=True))
+    return SchemaValidator(cs.typed_dict_schema({
+        "m": size, "n": size, "lambda": cs.typed_dict_field(number),
+        "A": cs.typed_dict_field(cs.list_schema(array)), "b": cs.typed_dict_field(array),
+    }, extra_behavior="ignore"))
+
+
+def _validated(validate, source) -> StlsProblem:
+    """The problem ``validate``, of ``_problem_schema()``, reads from ``source``;
+    a fault raises a ProblemFormatError naming the field's path, as ``A.3.1``."""
+    from pydantic_core import ValidationError
+
     try:
-        m, n, lam = doc["m"], doc["n"], doc["lambda"]
-        A_rows, b = doc["A"], doc["b"]
-    except (KeyError, TypeError) as exc:
-        raise ProblemFormatError(f"missing or malformed field: {exc}") from exc
-    # JSON true/false load as Python bools, which are ints; no field is one
-    for key, value, kind in (("m", m, Integral), ("n", n, Integral), ("lambda", lam, Real)):
-        if isinstance(value, bool) or not isinstance(value, kind):
-            what = "an integer" if kind is Integral else "a number"
-            raise ProblemFormatError(f"{key} must be {what}, got {value!r}")
-    if (not isinstance(A_rows, list) or len(A_rows) != m
-            or any(not isinstance(row, list) or len(row) != n for row in A_rows)):
+        doc = validate(source)
+    except ValidationError as exc:
+        first = exc.errors()[0]
+        where = ".".join(map(str, first["loc"]))
+        raise ProblemFormatError(f"{where}: {first['msg']}" if where else first["msg"]) from exc
+    m, n, rows, b = doc["m"], doc["n"], doc["A"], doc["b"]
+    if len(rows) != m or any(len(row) != n for row in rows):
         raise ProblemFormatError(f"A must be {m} rows of {n} entries")
-    if not isinstance(b, list) or len(b) != m:
+    if len(b) != m:
         raise ProblemFormatError(f"b must be a list of {m} entries")
-    # np.array(dtype=float) would read "1.5" and true as numbers; the set of
-    # entry types is built in C, with no Python step per entry
-    types = set(map(type, chain(chain.from_iterable(A_rows), b)))
-    bad = sorted(t.__name__ for t in types if issubclass(t, bool) or not issubclass(t, Real))
-    if bad:
-        raise ProblemFormatError(f"entries of A and b must be numbers, got {', '.join(bad)}")
     try:
-        return StlsProblem(np.array(A_rows, dtype=float), np.array(b, dtype=float), lam)
-    except (TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: an integer literal beyond the float range
+        return StlsProblem(np.vstack(rows), b, doc["lambda"])
+    except ValueError as exc:
         raise ProblemFormatError(str(exc)) from exc
 
 
+def problem_from_dict(doc: dict) -> StlsProblem:
+    return _validated(_problem_schema().validate_python, doc)
+
+
 def save_problem(p: StlsProblem, path, provenance: dict | None = None) -> None:
-    # one json.dumps runs the C encoder; json.dump would stream through the
-    # pure-Python one
-    text = json.dumps(problem_to_dict(p, provenance), sort_keys=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    with open(path, "wb") as fh:
+        fh.write(problem_to_json(p, provenance))
 
 
-def read_json(path):
-    """The JSON document in the file at ``path``.
-
-    Parsed by ``pydantic_core.from_json`` (a Rust parser, about 4x faster
-    than ``json.loads`` on a 40 MB problem file, with the same floats),
-    imported here so that commands that read no file never load it.  Any
-    text that is not one JSON document raises ValueError: a syntax error,
-    bytes that are not UTF-8, a byte-order mark, or nesting deeper than
-    the parser's limit.  ``NaN`` and ``Infinity`` parse to floats, integers
-    stay exact ints and the last of duplicate keys wins, as in ``json``.
-    A file over ``LOAD_BUDGET_BYTES`` raises MemoryBudgetError before it is
-    opened.
-    """
-    from pydantic_core import from_json
-
+def _read_bytes(path) -> bytes:
+    """The file's bytes; one over ``LOAD_BUDGET_BYTES`` raises MemoryBudgetError."""
     size = os.stat(path).st_size
     if size > LOAD_BUDGET_BYTES:
         raise MemoryBudgetError(f"{path} has {size >> 20} MiB, over the "
                                 f"{LOAD_BUDGET_BYTES >> 20} MiB load budget")
     with open(path, "rb") as fh:
-        # the bytes are a temporary, freed before the caller builds arrays
-        return from_json(fh.read())
+        return fh.read()
+
+
+def read_json(path):
+    """The JSON document in the file, parsed as ``json.loads`` would by
+    ``pydantic_core.from_json`` (Rust).  Any text that is not one JSON
+    document raises ValueError: a syntax error, bytes that are not UTF-8, a
+    byte-order mark, or nesting deeper than the parser's limit.  ``NaN``
+    and ``Infinity`` parse to floats, and integers stay exact ints."""
+    from pydantic_core import from_json
+
+    return from_json(_read_bytes(path))
 
 
 def load_problem(path) -> StlsProblem:
-    try:
-        doc = read_json(path)
-    except ValueError as exc:
-        raise ProblemFormatError(f"not valid JSON: {exc}") from exc
-    return problem_from_dict(doc)
+    return _validated(_problem_schema().validate_json, _read_bytes(path))

@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 import stlscond
 from stlscond import (
+    GeneratorSpec,
     ProblemFormatError,
     StlsProblem,
     cli,
+    generate,
     load_problem,
     problem_from_dict,
     save_problem,
@@ -102,20 +104,20 @@ def test_commands_load_no_scipy(problem_file, tmp_path, args):
     assert loaded == [], loaded
 
 
-@pytest.mark.parametrize("args, reads_file", [
+@pytest.mark.parametrize("args, touches_file", [
     pytest.param((), False, id="import"),
-    pytest.param(("gen", "--m", "6", "--n", "4", "--lambda", "1", "--ep", "0.1"), False,
+    pytest.param(("gen", "--m", "6", "--n", "4", "--lambda", "1", "--ep", "0.1"), True,
                  id="gen"),
     pytest.param(("bench-time", "--sizes", "6x4", "--lambdas", "1", "--ep", "0.1",
                   "--methods", "f2"), False, id="bench-time"),
     pytest.param(("solve", "--in", "{in}"), True, id="solve"),
     pytest.param(("cond", "--in", "{in}"), True, id="cond"),
 ])
-def test_json_parser_loads_only_for_files(problem_file, tmp_path, args, reads_file):
+def test_json_parser_loads_only_for_files(problem_file, tmp_path, args, touches_file):
     # pydantic_core's import adds about 10 MB RSS, so only the commands
-    # that read a problem or config file load it
+    # that read or write a problem file, or read a config file, load it
     loaded = probe_modules("pydantic_core", args, problem_file, tmp_path / "out")
-    assert bool(loaded) == reads_file, loaded
+    assert bool(loaded) == touches_file, loaded
 
 
 def test_gen_writes_problem_with_provenance(tmp_path):
@@ -143,6 +145,25 @@ def test_gen_is_byte_deterministic():
     b = run_cli(*args)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(2, 9), data=st.data(), lam=st.floats(1e-3, 1e3),
+       e_p=st.floats(1e-6, 0.9), seed=st.integers(0, 2**32 - 1))
+def test_gen_file_loads_as_the_generated_problem(m, data, lam, e_p, seed):
+    n = data.draw(st.integers(1, m - 1))
+    spec = GeneratorSpec(m=m, n=n, lam=lam, e_p=e_p, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.json")
+        assert cli.main(["gen", "--m", str(m), "--n", str(n), "--lambda", repr(lam),
+                         "--ep", repr(e_p), "--seed", str(seed), "--out", path]) == 0
+        p = load_problem(path)
+        with open(path, encoding="utf-8") as fh:
+            keys = list(json.load(fh))
+    q = generate(spec).problem
+    assert keys == ["m", "n", "lambda", "A", "b", "provenance"]
+    assert p.A.tobytes() == q.A.tobytes() and p.b.tobytes() == q.b.tobytes()
+    assert np.float64(p.lam).tobytes() == np.float64(q.lam).tobytes()
 
 
 def test_solve_reports_solution(problem_file):
@@ -444,6 +465,18 @@ def test_malformed_problem_is_io_error(tmp_path):
                              "b": [0.0, " 2e0 ", 1.0]}), id="string-in-b"),
     pytest.param(json.dumps({"m": 3, "n": 1, "lambda": 1.0, "A": [[1.0], [2.0], [3.0]],
                              "b": [0.0, False, 1.0]}), id="bool-in-b"),
+    pytest.param(json.dumps({"m": 3, "n": 1, "lambda": 1.0, "A": [[1.0], [2.0, 0.0], [3.0]],
+                             "b": [0.0, 0.0, 1.0]}), id="ragged-row"),
+    pytest.param(json.dumps({"m": 3, "n": 1, "lambda": 1.0, "A": [[1.0], 2.0, [3.0]],
+                             "b": [0.0, 0.0, 1.0]}), id="row-not-a-list"),
+    pytest.param(json.dumps([3, 1, 1.0, [[1.0], [2.0], [3.0]], [0.0, 0.0, 1.0]]),
+                 id="top-level-array"),
+    pytest.param(json.dumps({"m": 3, "n": 1, "lambda": 1.0, "A": [[1.0], [2.0], [3.0]],
+                             "b": [0.0, 0.0, 1.0]}) + " {}", id="text-after-document"),
+    pytest.param(json.dumps({"m": 3, "n": 1, "lambda": 1.0, "A": [[1.0], [2.0], [3.0]]}),
+                 id="missing-b"),
+    pytest.param(json.dumps({"m": "3", "n": 1, "lambda": 1.0, "A": [[1.0], [2.0], [3.0]],
+                             "b": [0.0, 0.0, 1.0]}), id="string-m"),
 ])
 def test_malformed_problem_structure_is_io_error(tmp_path, cmd, text):
     path = tmp_path / "bad.json"
@@ -452,6 +485,7 @@ def test_malformed_problem_structure_is_io_error(tmp_path, cmd, text):
     assert r.returncode == 3
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("stlscond: problem file error:")
+    assert r.stderr.count("\n") == 1, r.stderr
 
 
 VALID_DOC = {"m": 4, "n": 2, "lambda": 1.5,

@@ -434,6 +434,23 @@ def test_problem_json_rejects_dimension_mismatch():
         problem_from_dict({"m": 3, "n": 1})
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"A": [[1.0, 0.5], [0.0, 2.0], [1.0, 1.0], [0.3, "x"]]}, "A.3.1: Input should be a valid number"),
+    ({"b": [1.0, 0.0, True, -1.0]}, "b.2: Input should be a valid number"),
+    ({"m": 4.0}, "m: Input should be a valid integer"),
+    ({"lambda": float("inf")}, "lambda: Input should be a finite number"),
+])
+def test_format_error_names_the_field_path(doc, message):
+    # every fault of the schema leaves as one ProblemFormatError line, which
+    # the CLI maps to exit 3, not as a ValueError that it would map to exit 2
+    base = {"m": 4, "n": 2, "lambda": 1.5, "A": [[1.0, 0.5], [0.0, 2.0], [1.0, 1.0], [0.3, -1.0]],
+            "b": [1.0, 0.0, 2.0, -1.0]}
+    with pytest.raises(ProblemFormatError) as info:
+        problem_from_dict(base | doc)
+    assert str(info.value) == message
+    assert not isinstance(info.value, ValueError)
+
+
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
      1.7976931348623157e308, -1.7976931348623157e308])
@@ -485,3 +502,36 @@ def test_load_problem_matches_the_json_module_bit_for_bit(text):
     assert p.A.tobytes() == np.array(doc["A"], dtype=float).tobytes()
     assert p.b.tobytes() == np.array(doc["b"], dtype=float).tobytes()
     assert np.float64(p.lam).tobytes() == np.float64(doc["lambda"]).tobytes()
+
+
+# finite doubles a writer must spell exactly: subnormals, signed zeros, the
+# ends of the range and integral values
+WRITTEN_FLOATS = (FINITE_FLOATS | st.integers(-2**63, 2**63).map(float)
+                  | st.floats(-1e-307, 1e-307, allow_subnormal=True))
+
+
+@st.composite
+def written_problems(draw):
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(1, m - 1))
+    A = np.array(draw(st.lists(WRITTEN_FLOATS, min_size=m * n, max_size=m * n))).reshape(m, n)
+    b = np.array(draw(st.lists(WRITTEN_FLOATS, min_size=m, max_size=m)))
+    lam = draw(WRITTEN_FLOATS.filter(lambda v: v > 0.0))
+    return StlsProblem(A, b, lam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=written_problems())
+def test_saved_problem_reads_back_bit_for_bit(p):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.json")
+        save_problem(p, path, provenance={"note": "property"})
+        q = load_problem(path)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    for got in (q.A, np.array(doc["A"], dtype=float)):
+        assert got.tobytes() == p.A.tobytes()
+    for got in (q.b, np.array(doc["b"], dtype=float)):
+        assert got.tobytes() == p.b.tobytes()
+    for got in (q.lam, doc["lambda"]):
+        assert np.float64(got).tobytes() == np.float64(p.lam).tobytes()
