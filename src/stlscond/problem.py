@@ -40,10 +40,12 @@ from .errors import (
 # Below this relative gap the solution exists but is numerically fragile.
 ILL_POSED_GAP = 1e-8
 
-# Largest JSON file, in bytes, that ``_read_bytes`` reads.  A problem file's
-# load peaks at 3.1-3.6 times its size for n >= 100 (5.2 at n = 10, 16 at
-# n = 1), so this keeps such a load near ``exact.KRON_BUDGET_BYTES``' 1 GiB.
-LOAD_BUDGET_BYTES = 1 << 28
+# Largest JSON file, in bytes, that ``_read_bytes`` reads.  A generated
+# problem file's load peaks at 3.1-3.7 times its size for n >= 100, 5.2 at
+# n = 10 and 15.8 at n = 1, where each one-entry row costs more in
+# pydantic_core's parsed tree than in the file; so this keeps such a load
+# within ``exact.KRON_BUDGET_BYTES``' 1 GiB.
+LOAD_BUDGET_BYTES = 1 << 26
 
 
 def to_data_units(value, e, out=None):
@@ -344,8 +346,16 @@ def solve_stls_svd(p: StlsProblem) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def problem_to_dict(p: StlsProblem, provenance: dict | None = None) -> dict:
-    doc = {"m": p.m, "n": p.n, "lambda": p.lam, "A": p.A.tolist(), "b": p.b.tolist()}
-    return doc if provenance is None else doc | {"provenance": provenance}
+    doc = {
+        "m": p.m,
+        "n": p.n,
+        "lambda": p.lam,
+        "A": p.A.tolist(),
+        "b": p.b.tolist(),
+    }
+    if provenance is not None:
+        doc["provenance"] = provenance
+    return doc
 
 
 def problem_to_json(p: StlsProblem, provenance: dict | None = None) -> bytes:
@@ -364,11 +374,14 @@ def _problem_schema():
     from pydantic_core import SchemaValidator, core_schema as cs
 
     number = cs.float_schema(strict=True, allow_inf_nan=False)
-    array = cs.no_info_after_validator_function(np.array, cs.list_schema(number))
+    # fail_fast: a list stops at its first bad entry, so a file of
+    # millions of strings makes one error, not one per entry
+    array = cs.no_info_after_validator_function(
+        np.array, cs.list_schema(number, fail_fast=True))
     size = cs.typed_dict_field(cs.int_schema(strict=True))
     return SchemaValidator(cs.typed_dict_schema({
         "m": size, "n": size, "lambda": cs.typed_dict_field(number),
-        "A": cs.typed_dict_field(cs.list_schema(array)), "b": cs.typed_dict_field(array),
+        "A": cs.typed_dict_field(cs.list_schema(array, fail_fast=True)), "b": cs.typed_dict_field(array),
     }, extra_behavior="ignore"))
 
 
@@ -380,7 +393,7 @@ def _validated(validate, source) -> StlsProblem:
     try:
         doc = validate(source)
     except ValidationError as exc:
-        first = exc.errors()[0]
+        first = exc.errors(include_url=False, include_input=False)[0]
         where = ".".join(map(str, first["loc"]))
         raise ProblemFormatError(f"{where}: {first['msg']}" if where else first["msg"]) from exc
     m, n, rows, b = doc["m"], doc["n"], doc["A"], doc["b"]
@@ -418,7 +431,9 @@ def read_json(path):
     ``pydantic_core.from_json`` (Rust).  Any text that is not one JSON
     document raises ValueError: a syntax error, bytes that are not UTF-8, a
     byte-order mark, or nesting deeper than the parser's limit.  ``NaN``
-    and ``Infinity`` parse to floats, and integers stay exact ints."""
+    and ``Infinity`` parse to floats, integers stay exact ints and the last
+    of duplicate keys wins, as in ``json``.  A file over
+    ``LOAD_BUDGET_BYTES`` raises MemoryBudgetError before it is opened."""
     from pydantic_core import from_json
 
     return from_json(_read_bytes(path))

@@ -451,6 +451,21 @@ def test_format_error_names_the_field_path(doc, message):
     assert not isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("where", ["A", "b"])
+def test_a_file_of_strings_makes_one_error_per_list(tmp_path, where):
+    # each list stops at its first bad entry: 1e5 strings are one error
+    # each, not 1e5 errors with a copy of every input
+    m = 100_000
+    doc = {"m": m, "n": 1, "lambda": 1.0, "A": [["x"]] * m, "b": ["x"] * m}
+    if where == "b":
+        doc["A"] = [[1.0]] * m
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ProblemFormatError, match=rf"^{where}\.0") as info:
+        load_problem(path)
+    assert info.value.__cause__.error_count() <= 2
+
+
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
      1.7976931348623157e308, -1.7976931348623157e308])
