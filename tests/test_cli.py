@@ -411,8 +411,8 @@ def test_cond_estimator_config_file(problem_file, tmp_path):
 
 @pytest.mark.parametrize("over", ["problem", "config"])
 def test_file_over_the_load_budget_is_refused(problem_file, tmp_path, monkeypatch, capsys, over):
-    # the size is checked before the file is opened: a load peaks at 3-4
-    # times it.  The config file is padded past the problem file's size
+    # the size is checked before the file is opened, since a load peaks at
+    # several times it.  The config file is padded past the problem file's size
     from stlscond import problem
 
     size = os.path.getsize(problem_file)
