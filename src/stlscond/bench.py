@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import StlsError
-from .estimate import METHODS, PceConfig, PowerConfig, SceConfig
+from .estimate import CONFIGS, METHODS
 from .generate import GeneratorSpec, generate
 from .problem import solve_stls
 
@@ -86,31 +86,29 @@ def estimator_ratios(values) -> dict:
     return {f"ratio{i}": values[mth] / exact for i, mth in enumerate(RATIO_METHODS[1:], 1)}
 
 
-def _trial(seed, key, cell, power_cfg=None, pce_cfg=None, sce_cfg=None):
+def _trial(seed, key, cell, configs=None):
     """Inputs of one trial, all seeded from the root seed and the trial key.
 
-    Returns (problem seed, configs, sol): a given config supplies all but
-    its seed, which is always derived, and ``sol`` is the solution of the
-    generated problem, or None when generation or the solve fails.  A cell
-    that ``GeneratorSpec`` refuses raises.
+    Returns (problem seed, configs, sol): ``configs`` maps keys of
+    ``CONFIGS`` to configs that supply all but their seed, which is derived
+    from the key's slot in that table (1, 2, 3), and a missing key takes
+    the defaults; ``sol`` is the solution of the generated problem, or None
+    when generation or the solve fails.  An unknown key, and a cell that
+    ``GeneratorSpec`` refuses, raise.
     """
+    configs = configs or {}
+    if not configs.keys() <= CONFIGS.keys():
+        raise ValueError(f"configs keys must be among {tuple(CONFIGS)}, got {tuple(configs)}")
     pseed = derive_seed(seed, *key)
-
-    def seeded(cfg, slot):
-        return replace(cfg, seed=derive_seed(seed, *key, slot))
-
-    configs = {
-        "power": seeded(power_cfg or PowerConfig(), 1),
-        "pce": seeded(pce_cfg or PceConfig(), 2),
-        "sce": seeded(sce_cfg or SceConfig(), 3),
-    }
+    seeded = {name: replace(configs.get(name, cls()), seed=derive_seed(seed, *key, slot))
+              for slot, (name, cls) in enumerate(CONFIGS.items(), 1)}
     m, n, lam, e_p = cell
     spec = GeneratorSpec(m=m, n=n, lam=lam, e_p=e_p, seed=pseed)
     try:
         sol = solve_stls(generate(spec).problem)
     except StlsError:
         sol = None
-    return pseed, configs, sol
+    return pseed, seeded, sol
 
 
 def _measure(method, sol, configs):
@@ -155,14 +153,14 @@ def run_timing_bench(
     methods,
     seed=0,
     threads=1,
-    power_cfg=None,
-    pce_cfg=None,
-    sce_cfg=None,
+    configs=None,
 ):
     """Time the requested methods over a grid of generated problems.
 
-    Returns (records, summaries); summaries hold per-(cell, method) mean
-    and variance of wall time plus the failure count.  Individual-trial
+    ``configs`` maps keys of ``CONFIGS`` to estimator configs, each of
+    which supplies all but its seed (see ``_trial``).  Returns (records,
+    summaries); summaries hold per-(cell, method) mean and variance of
+    wall time plus the failure count.  Individual-trial
     failures become NaN-valued flagged rows and the run continues.
     """
     if trials < 1:
@@ -174,15 +172,13 @@ def run_timing_bench(
     cells = _cells(sizes, lambdas, e_ps)
 
     def task(ci, cell, trial):
-        pseed, configs, sol = _trial(
-            seed, (ci, trial), cell, power_cfg, pce_cfg, sce_cfg
-        )
+        pseed, seeded, sol = _trial(seed, (ci, trial), cell, configs)
         rows = []
         for mth in methods:
             value, iterations, wall = float("nan"), None, 0.0
             if sol is not None:
                 t0 = time.perf_counter()
-                value, iterations = _measure(mth, sol, configs)
+                value, iterations = _measure(mth, sol, seeded)
                 wall = time.perf_counter() - t0
             rows.append(BenchRecord(*cell, pseed, mth, value, wall, iterations, trial))
         return rows
@@ -221,22 +217,19 @@ def run_ratio_bench(
     e_ps,
     trials,
     seed=0,
-    power_cfg=None,
-    pce_cfg=None,
-    sce_cfg=None,
+    configs=None,
 ):
     """Estimator-to-exact accuracy ratios over a grid of generated problems.
 
     The values are those of :func:`run_timing_bench` over
     ``RATIO_METHODS``, the exact reference being the rectangular-factor
-    value.  A failed or unconverged estimator leaves a NaN in its ratio (a
-    flagged row); the run continues.  Returns (groups, summaries) where
-    groups is a list of (cell_info, [RatioRecord]) in cell order and
-    trial_index counts within each cell.
+    value, with the same ``configs``.  A failed or unconverged estimator
+    leaves a NaN in its ratio (a flagged row); the run continues.  Returns
+    (groups, summaries) where groups is a list of (cell_info,
+    [RatioRecord]) in cell order and trial_index counts within each cell.
     """
     records, _ = run_timing_bench(
-        sizes, lambdas, e_ps, trials, RATIO_METHODS, seed,
-        power_cfg=power_cfg, pce_cfg=pce_cfg, sce_cfg=sce_cfg,
+        sizes, lambdas, e_ps, trials, RATIO_METHODS, seed, configs=configs
     )
     k = len(RATIO_METHODS)
     per_trial = [
@@ -270,27 +263,27 @@ def summarize_ratios(groups):
     return summaries
 
 
-def run_power_spread(m, n, lam, e_p, groups, inits, seed=0, power_cfg=None):
+def run_power_spread(m, n, lam, e_p, groups, inits, seed=0, configs=None):
     """Distribution of power-method cost across initial vectors.
 
     Generates and solves ``groups`` problems; for each, runs the power
-    method from ``inits`` different random initial vectors, the one of
-    ``power_cfg`` with its seed derived from the root seed, the group and
-    the vector's index.  Rows use the timing schema: seed identifies the
-    problem group, trial_index the initial vector; value is the estimate,
-    iterations the sweep count.  A failed or unconverged run is a
+    method from ``inits`` different random initial vectors, the power
+    config of ``configs`` with its seed derived from the root seed, the
+    group and the vector's index.  Rows use the timing schema: seed
+    identifies the problem group, trial_index the initial vector; value is
+    the estimate, iterations the sweep count.  A failed or unconverged run is a
     NaN-valued flagged row and the run continues.
     """
     if groups < 1 or inits < 1:
         raise ValueError(f"groups and inits must be >= 1, got {groups} and {inits}")
     cells = [(m, n, lam, e_p)] * groups
-    group_inputs = [_trial(seed, (gi,), cell, power_cfg) for gi, cell in enumerate(cells)]
+    group_inputs = [_trial(seed, (gi,), cell, configs) for gi, cell in enumerate(cells)]
 
     def task(gi, cell, trial):
-        pseed, configs, sol = group_inputs[gi]
+        pseed, seeded, sol = group_inputs[gi]
         value, iters, wall = float("nan"), None, 0.0
         if sol is not None:
-            start = {"power": replace(configs["power"], seed=derive_seed(seed, gi, trial, 1))}
+            start = {"power": replace(seeded["power"], seed=derive_seed(seed, gi, trial, 1))}
             t0 = time.perf_counter()
             value, iters = _measure("power", sol, start)
             wall = time.perf_counter() - t0

@@ -2,8 +2,8 @@
 
 Subcommands: gen, solve, cond, bench-time, bench-ratio.  Exit codes are
 stable: 0 success, 2 usage error (including a dense K over the memory
-budget of ``kron``, a generated problem over the same budget, a problem
-or config file over the load budget of ``problem.LOAD_BUDGET_BYTES``, and
+budget of ``kron``, a generated problem over the same budget, a file read
+or written over the load budget of ``problem.LOAD_BUDGET_BYTES``, and
 an allocation the host refuses), 3 I/O failure, 4 non-unique problem,
 degenerate singular vector, a numerical iteration that did not converge
 or a quantity out of the double range, 5 degenerate quantity (zero
@@ -19,10 +19,11 @@ import contextlib
 import json
 import sys
 from dataclasses import fields
+from functools import cache
 
 import numpy as np
 
-from . import exact
+from . import exact, problem
 from .bench import (
     estimator_ratios,
     run_power_spread,
@@ -43,9 +44,9 @@ from .errors import (
     ZeroResidualError,
     ZeroSolutionError,
 )
-from .estimate import METHODS, PceConfig, PowerConfig, SceConfig
+from .estimate import CONFIGS, METHODS
 from .generate import GeneratorSpec, generate
-from .problem import load_problem, problem_to_json, read_json, solve_stls, to_data_units
+from .problem import load_problem, problem_to_json, solve_stls, to_data_units
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -53,7 +54,10 @@ EXIT_IO = 3
 EXIT_NONGENERIC = 4
 EXIT_DEGENERATE = 5
 
-_CONFIG_SECTIONS = {"power": PowerConfig, "pce": PceConfig, "sce": SceConfig}
+# (section, key, type) of each estimator setting: every field of a class of
+# CONFIGS but its seed
+_SETTINGS = [(name, f.name, f.type) for name, cls in CONFIGS.items()
+             for f in fields(cls) if f.name != "seed"]
 
 
 def _common_options(sub, seed=True, fmt=False):
@@ -124,53 +128,56 @@ def _grid_options(sub):
 
 
 def _estimator_options(sub):
-    sub.add_argument("--power-tol", type=float, default=None)
-    sub.add_argument("--power-max-iter", type=int, default=None)
-    sub.add_argument("--pce-eps", type=float, default=None)
-    sub.add_argument("--pce-theta", type=float, default=None)
-    sub.add_argument("--sce-k", type=int, default=None)
+    """A flag ``--s-f`` for each setting ``f`` of each section ``s``, and
+    ``--config``."""
+    for name, key, kind in _SETTINGS:
+        sub.add_argument(f"--{name}-{key.replace('_', '-')}",
+                         type=int if kind == "int" else float, default=None)
+    sections = ", ".join(f"{name}: {{{', '.join(k for s, k, _ in _SETTINGS if s == name)}}}"
+                         for name in CONFIGS)
     sub.add_argument("--config", default=None,
-                     help="JSON file with {power: {tol, max_iter}, pce: {eps, theta}, "
-                          "sce: {k}, seed}; CLI flags override it")
+                     help=f"JSON file with {{{sections}, seed}}; CLI flags override it")
+
+
+@cache
+def _config_schema():
+    """The --config file format: an integer seed and a section per estimator
+    of its settings, every key optional and no other allowed; integers
+    strict, floats finite (an integer literal included)."""
+    from pydantic_core import SchemaValidator, core_schema as cs
+
+    kinds = {"int": cs.int_schema(strict=True),
+             "float": cs.float_schema(strict=True, allow_inf_nan=False)}
+
+    def obj(schemas):
+        return cs.typed_dict_schema({key: cs.typed_dict_field(s) for key, s in schemas.items()},
+                                    total=False, extra_behavior="forbid")
+
+    return SchemaValidator(obj({"seed": kinds["int"], **{
+        name: obj({k: kinds[kind] for s, k, kind in _SETTINGS if s == name})
+        for name in CONFIGS}}))
 
 
 def _estimator_configs(args, n: int | None = None) -> dict:
     """Defaults, overridden by --config file values, overridden by flags.
 
-    The flag for field ``f`` of section ``s`` is ``--s-f``.  The default
-    sample size is clamped to the problem dimension when known; an explicit
-    user value is passed through (and may be rejected later).
+    The default sample size is clamped to the problem dimension when known;
+    an explicit user value is passed through (and may be rejected later).
+    A config file that does not fit ``_config_schema`` raises ValueError.
     """
     doc = {}
     if args.config:
-        try:
-            doc = read_json(args.config)
-        except ValueError as exc:
-            raise ValueError(f"config file: not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ValueError("config file: top level must be a JSON object")
-        unknown = sorted(set(doc) - {"seed", *_CONFIG_SECTIONS})
-        if unknown:
-            raise ValueError(f"config file: unknown sections {unknown}")
+        doc = problem._validate(_config_schema().validate_json,
+                                problem._read_bytes(args.config),
+                                lambda msg: ValueError(f"config file: {msg}"))
+    for name, key, _ in _SETTINGS:
+        flag = getattr(args, f"{name}_{key}")
+        if flag is not None:
+            doc.setdefault(name, {})[key] = flag
+    if n is not None:
+        doc.setdefault("sce", {}).setdefault("k", min(CONFIGS["sce"].k, n))
     seed = doc.get("seed", args.seed)
-    configs = {}
-    for name, cls in _CONFIG_SECTIONS.items():
-        section = doc.get(name, {})
-        if not isinstance(section, dict):
-            raise ValueError(f"config file: section {name!r} must be a JSON object")
-        keys = [f.name for f in fields(cls) if f.name != "seed"]
-        unknown = sorted(set(section) - set(keys))
-        if unknown:
-            raise ValueError(f"config file: unknown keys {unknown} in section {name!r}")
-        values = dict(section)
-        for key in keys:
-            flag = getattr(args, f"{name}_{key}")
-            if flag is not None:
-                values[key] = flag
-        if name == "sce" and "k" not in values and n is not None:
-            values["k"] = min(SceConfig.k, n)
-        configs[name] = cls(**values, seed=seed)
-    return configs
+    return {name: cls(**doc.get(name, {}), seed=seed) for name, cls in CONFIGS.items()}
 
 
 @contextlib.contextmanager
@@ -289,8 +296,7 @@ def cmd_bench_time(args) -> int:
     methods = [mth.strip() for mth in args.methods.split(",")]
     configs = _estimator_configs(args)
     records, summaries = run_timing_bench(
-        *grid, trials=args.trials, methods=methods, seed=args.seed,
-        power_cfg=configs["power"], pce_cfg=configs["pce"], sce_cfg=configs["sce"],
+        *grid, trials=args.trials, methods=methods, seed=args.seed, configs=configs,
     )
     with _output(args) as fh:
         write_bench_csv(records, fh)
@@ -315,15 +321,13 @@ def cmd_bench_ratio(args) -> int:
         m, n = sizes[0]
         records = run_power_spread(
             m, n, lambdas[0], e_ps[0], groups=args.trials,
-            inits=args.vary_initial, seed=args.seed,
-            power_cfg=configs["power"],
+            inits=args.vary_initial, seed=args.seed, configs=configs,
         )
         with _output(args) as fh:
             write_bench_csv(records, fh)
         return EXIT_OK
     groups, summaries = run_ratio_bench(
-        sizes, lambdas, e_ps, trials=args.trials, seed=args.seed,
-        power_cfg=configs["power"], pce_cfg=configs["pce"], sce_cfg=configs["sce"],
+        sizes, lambdas, e_ps, trials=args.trials, seed=args.seed, configs=configs,
     )
     with _output(args) as fh:
         write_ratio_csv(groups, fh)

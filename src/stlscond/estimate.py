@@ -37,7 +37,8 @@ is a finite sum on numpy (``_sphere_quantile``), so no call pays an
 import part-way through a run.
 
 ``METHODS`` is the one table of the six ways to evaluate the condition
-number, the three exact forms and the three estimators, by name.
+number, the three exact forms and the three estimators, by name;
+``CONFIGS`` is that of the estimators' config classes.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ from .problem import StlsSolution, scaled_product, to_data_units
 def _check_field_types(cfg) -> None:
     """Reject a non-number in a config field, a non-integer in an integer
     field, and an infinite or NaN value or an integer beyond the double
-    range in a float field (config values may come from a user's JSON file,
-    whose integers are exact and whose 1e400 reads as inf)."""
+    range in a float field (a library caller's values reach the config
+    unchecked; the CLI's are checked by its flags and config schema)."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         kind = numbers.Integral if f.type == "int" else numbers.Real
@@ -374,16 +375,15 @@ def _lanczos_bracket(op, cfg: PceConfig, v):
     ``(alpha, beta, steps)`` with alpha <= beta, steps being the Lanczos
     depth reached.
 
-    The bases are kept as row-stacked arrays, grown by doubling, and each
-    new vector is reorthogonalized against them in two block passes.  The
-    Ritz values are those of the Gram tridiagonal ``B'B`` of the upper
-    bidiagonal B of the alphas and betas, whose diagonal and off-diagonal
-    grow by one entry a step."""
+    The bases are row-stacked arrays of full depth, whose untouched rows
+    cost no memory, and each new vector is reorthogonalized against them
+    in two block passes.  The Ritz values are those of the Gram tridiagonal
+    ``B'B`` of the upper bidiagonal B of the alphas and betas, whose
+    diagonal and off-diagonal grow by one entry a step."""
     rows, cols = op.shape
     alpha = 0.0
-    room = min(cols, 16)
-    U = np.empty((room, rows))
-    V = np.empty((room, cols))
+    U = np.empty((cols, rows))
+    V = np.empty((cols, cols))
     V[0] = v
     diag = np.zeros(cols)  # alpha_j**2 + beta_(j-1)**2
     off = np.zeros(cols)  # alpha_j beta_j
@@ -393,10 +393,6 @@ def _lanczos_bracket(op, cfg: PceConfig, v):
 
     for k in range(1, cols + 1):
         j = k - 1
-        if k == room < cols:  # V[k] is written at the end of this step
-            room = min(2 * room, cols)
-            U = np.concatenate([U, np.empty((room - len(U), rows))])
-            V = np.concatenate([V, np.empty((room - len(V), cols))])
         u = np.asarray(op.matvec(V[j]), dtype=float).ravel()
         if j:
             u = u - b * U[j - 1]
@@ -506,9 +502,12 @@ def sce(sol: StlsSolution, A, cfg: SceConfig) -> ConditionReport:
 # ---------------------------------------------------------------------------
 # The six evaluations of the condition number, by name: each maps
 # (sol, A, configs) to a ConditionReport, where configs holds the
-# estimator configs under the keys "power", "pce" and "sce"; the three
-# exact forms ignore it.
+# estimator configs under the keys of CONFIGS; the three exact forms
+# ignore it.  The CLI's flags and --config schema and the bench's seed
+# slots (1, 2, 3 in this order) are read off CONFIGS.
 # ---------------------------------------------------------------------------
+
+CONFIGS = {"power": PowerConfig, "pce": PceConfig, "sce": SceConfig}
 
 METHODS = {
     "kron": lambda sol, A, configs: exact.kappa_kron(sol, A),

@@ -40,11 +40,11 @@ from .errors import (
 # Below this relative gap the solution exists but is numerically fragile.
 ILL_POSED_GAP = 1e-8
 
-# Largest JSON file, in bytes, that ``_read_bytes`` reads.  A generated
-# problem file's load peaks at 3.1-3.7 times its size for n >= 100, 5.2 at
-# n = 10 and 15.8 at n = 1, where each one-entry row costs more in
-# pydantic_core's parsed tree than in the file; so this keeps such a load
-# within ``exact.KRON_BUDGET_BYTES``' 1 GiB.
+# Largest JSON file, in bytes, that ``_read_bytes`` reads and
+# ``problem_to_json`` writes.  A generated problem file's load peaks at
+# 3.1-3.7 times its size for n >= 100, 5.2 at n = 10 and 15.8 at n = 1, where
+# each one-entry row costs more in pydantic_core's parsed tree than in the
+# file; so this keeps such a load within ``exact.KRON_BUDGET_BYTES``' 1 GiB.
 LOAD_BUDGET_BYTES = 1 << 26
 
 
@@ -360,10 +360,16 @@ def problem_to_dict(p: StlsProblem, provenance: dict | None = None) -> dict:
 
 def problem_to_json(p: StlsProblem, provenance: dict | None = None) -> bytes:
     """The problem file's bytes: ``problem_to_dict``'s keys in order, no
-    spaces, each float in its shortest round-trip spelling, and a newline."""
+    spaces, each float in its shortest round-trip spelling, and a newline.
+    Bytes over ``LOAD_BUDGET_BYTES``, which ``load_problem`` would refuse,
+    raise MemoryBudgetError."""
     from pydantic_core import to_json
 
-    return to_json(problem_to_dict(p, provenance)) + b"\n"
+    data = to_json(problem_to_dict(p, provenance)) + b"\n"
+    if len(data) > LOAD_BUDGET_BYTES:
+        raise MemoryBudgetError(f"the problem file would have {len(data) >> 20} MiB, "
+                                f"over the {LOAD_BUDGET_BYTES >> 20} MiB load budget")
+    return data
 
 
 @cache
@@ -385,17 +391,24 @@ def _problem_schema():
     }, extra_behavior="ignore"))
 
 
-def _validated(validate, source) -> StlsProblem:
-    """The problem ``validate``, of ``_problem_schema()``, reads from ``source``;
-    a fault raises a ProblemFormatError naming the field's path, as ``A.3.1``."""
+def _validate(validate, source, error):
+    """``validate(source)`` for a pydantic_core schema's ``validate``; a
+    fault raises ``error(message)``, one line naming the first faulty
+    field by its path, as ``A.3.1``."""
     from pydantic_core import ValidationError
 
     try:
-        doc = validate(source)
+        return validate(source)
     except ValidationError as exc:
         first = exc.errors(include_url=False, include_input=False)[0]
         where = ".".join(map(str, first["loc"]))
-        raise ProblemFormatError(f"{where}: {first['msg']}" if where else first["msg"]) from exc
+        raise error(f"{where}: {first['msg']}" if where else first["msg"]) from exc
+
+
+def _validated(validate, source) -> StlsProblem:
+    """The problem ``validate``, of ``_problem_schema()``, reads from
+    ``source``; a fault raises a ProblemFormatError."""
+    doc = _validate(validate, source, ProblemFormatError)
     m, n, rows, b = doc["m"], doc["n"], doc["A"], doc["b"]
     if len(rows) != m or any(len(row) != n for row in rows):
         raise ProblemFormatError(f"A must be {m} rows of {n} entries")
@@ -412,8 +425,10 @@ def problem_from_dict(doc: dict) -> StlsProblem:
 
 
 def save_problem(p: StlsProblem, path, provenance: dict | None = None) -> None:
+    """Write ``problem_to_json``'s bytes, made before the path is opened."""
+    data = problem_to_json(p, provenance)
     with open(path, "wb") as fh:
-        fh.write(problem_to_json(p, provenance))
+        fh.write(data)
 
 
 def _read_bytes(path) -> bytes:
@@ -424,19 +439,6 @@ def _read_bytes(path) -> bytes:
                                 f"{LOAD_BUDGET_BYTES >> 20} MiB load budget")
     with open(path, "rb") as fh:
         return fh.read()
-
-
-def read_json(path):
-    """The JSON document in the file, parsed as ``json.loads`` would by
-    ``pydantic_core.from_json`` (Rust).  Any text that is not one JSON
-    document raises ValueError: a syntax error, bytes that are not UTF-8, a
-    byte-order mark, or nesting deeper than the parser's limit.  ``NaN``
-    and ``Infinity`` parse to floats, integers stay exact ints and the last
-    of duplicate keys wins, as in ``json``.  A file over
-    ``LOAD_BUDGET_BYTES`` raises MemoryBudgetError before it is opened."""
-    from pydantic_core import from_json
-
-    return from_json(_read_bytes(path))
 
 
 def load_problem(path) -> StlsProblem:

@@ -81,6 +81,15 @@ def test_timing_bench_rejects_unknown_method():
         run_timing_bench([(10, 6)], [1.0], [0.1], trials=1, methods=["qr"])
 
 
+def test_runners_refuse_an_unknown_config_key():
+    # a key outside estimate.CONFIGS would otherwise leave its config unused
+    cfg = {"powr": PowerConfig(max_iter=1)}
+    with pytest.raises(ValueError, match="powr"):
+        run_timing_bench([(10, 6)], [1.0], [0.1], trials=1, methods=["power"], configs=cfg)
+    with pytest.raises(ValueError, match="powr"):
+        run_power_spread(10, 6, 1.0, 0.1, groups=1, inits=1, configs=cfg)
+
+
 def test_oversized_cell_is_refused_not_flagged():
     # the generator refuses it before allocating, and the refusal is the
     # caller's error, not a failed trial to record as a NaN row
@@ -148,7 +157,7 @@ def test_ratio_bench_accuracy_at_reference_size():
 def test_ratio_bench_flags_unconverged_power():
     groups, _ = run_ratio_bench(
         [(16, 10)], [1.0], [0.1], trials=1, seed=2,
-        power_cfg=PowerConfig(tol=1e-30, max_iter=1, seed=0),
+        configs={"power": PowerConfig(tol=1e-30, max_iter=1, seed=0)},
     )
     rec = groups[0][1][0]
     assert math.isnan(rec.ratio1)

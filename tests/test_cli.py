@@ -2,12 +2,15 @@
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,10 +20,14 @@ from hypothesis import strategies as st
 import stlscond
 from stlscond import (
     GeneratorSpec,
+    PceConfig,
+    PowerConfig,
     ProblemFormatError,
+    SceConfig,
     StlsProblem,
     cli,
     generate,
+    problem,
     load_problem,
     problem_from_dict,
     save_problem,
@@ -29,10 +36,13 @@ from stlscond import (
 from stlscond.bench import (
     BENCH_COLUMNS,
     RATIO_COLUMNS,
+    run_power_spread,
     run_ratio_bench,
     run_timing_bench,
+    write_bench_csv,
+    write_ratio_csv,
 )
-from stlscond.estimate import METHODS
+from stlscond.estimate import CONFIGS, METHODS
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -130,6 +140,25 @@ def test_gen_writes_problem_with_provenance(tmp_path):
     assert doc["provenance"]["known_singular_values"] == [3.0, 2.0, 1.0, 0.9]
     assert doc["provenance"]["spec"]["seed"] == 42
     assert len(doc["A"]) == 5 and len(doc["A"][0]) == 3
+
+
+def test_gen_refuses_a_file_over_the_load_budget(tmp_path, monkeypatch, capsys):
+    # cond --in would refuse the file, so gen writes none; one exactly at
+    # the budget is written and loads
+    out = tmp_path / "p.json"
+    argv = ["gen", "--m", "6", "--n", "4", "--lambda", "1", "--ep", "0.1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    size = out.stat().st_size
+    out.unlink()
+    monkeypatch.setattr(problem, "LOAD_BUDGET_BYTES", size - 1)
+    assert cli.main(argv) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith("stlscond: over memory budget:") and err.count("\n") == 1
+    assert not out.exists()
+    monkeypatch.setattr(problem, "LOAD_BUDGET_BYTES", size)
+    assert cli.main(argv) == 0
+    assert out.stat().st_size == size
+    assert load_problem(out).m == 6
 
 
 def test_gen_rejects_invalid_sizes():
@@ -407,6 +436,37 @@ def test_cond_estimator_config_file(problem_file, tmp_path):
                  "--power-tol", "1e-8")
     doc2 = json.loads(r2.stdout)
     assert doc2["diagnostics"]["converged"] is True
+
+
+@pytest.mark.parametrize("name, field", [
+    pytest.param(name, f, id=f"{name}-{f.name}")
+    for name, cls in CONFIGS.items() for f in fields(cls) if f.name != "seed"
+])
+def test_each_estimator_setting_reaches_its_config(tmp_path, name, field):
+    # every setting of every config class has a flag and a config-file key;
+    # the flag wins over the file, and the file over the default
+    flag_value, file_value = (2, 4) if field.type == "int" else (0.25, 0.5)
+    flag = [f"--{name}-{field.name.replace('_', '-')}", str(flag_value)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: {field.name: file_value}}))
+
+    def value(*extra):
+        args = cli.build_parser().parse_args(
+            ["bench-time", "--sizes", "6x4", "--lambdas", "1", "--ep", "0.1", *extra])
+        return getattr(cli._estimator_configs(args)[name], field.name)
+
+    assert value() == field.default
+    assert value(*flag) == flag_value
+    assert value("--config", str(cfg)) == file_value
+    assert value("--config", str(cfg), *flag) == flag_value
+
+
+@pytest.mark.parametrize("command", ["cond", "bench-time", "bench-ratio"])
+def test_help_lists_the_estimator_flags(command, capsys):
+    assert cli.main([command, "--help"]) == 0
+    flags = set(re.findall(r"--(?:power|pce|sce)-[a-z-]+|--config", capsys.readouterr().out))
+    assert flags == {"--power-tol", "--power-max-iter", "--pce-eps", "--pce-theta",
+                     "--sce-k", "--config"}
 
 
 @pytest.mark.parametrize("over", ["problem", "config"])
@@ -756,30 +816,53 @@ def test_bench_argument_errors_exit_with_a_documented_code(cmd, sizes, lambdas, 
         assert out.getvalue() == "", argv
 
 
-def test_bench_value_columns_match_library(tmp_path):
-    # the CLI derives per-trial estimator seeds from --seed as the library
-    # does, so the value columns agree for the same root seed
+def check_bench_matches_library(tmp_path, flags, configs):
+    """``bench-time``, ``bench-ratio`` and ``bench-ratio --vary-initial``
+    with the estimator ``flags`` write the value columns of the library's
+    runners with ``configs``: the CLI derives per-trial estimator seeds
+    from --seed as the library does."""
     cell = ["--sizes", "12x8", "--lambdas", "1", "--ep", "0.1", "--trials", "2",
             "--seed", "4"]
-    out = tmp_path / "time.csv"
-    r = run_cli("bench-time", *cell, "--methods", "power,pce,sce", "--out", str(out))
-    assert r.returncode == 0, r.stderr
-    cli_values = [float(line.split(",")[6])
-                  for line in out.read_text().strip().splitlines()[1:]]
-    records, _ = run_timing_bench(
-        [(12, 8)], [1.0], [0.1], trials=2, methods=["power", "pce", "sce"],
-        seed=4,
-    )
-    assert cli_values == pytest.approx([rec.value for rec in records], rel=1e-12)
+    wall = BENCH_COLUMNS.index("wall_time_seconds")
 
-    out = tmp_path / "ratio.csv"
-    r = run_cli("bench-ratio", *cell, "--out", str(out))
-    assert r.returncode == 0, r.stderr
-    cli_ratios = [[float(v) for v in line.split(",")[1:]]
-                  for line in out.read_text().strip().splitlines()[1:]]
-    groups, _ = run_ratio_bench([(12, 8)], [1.0], [0.1], trials=2, seed=4)
-    lib_ratios = [[rec.ratio1, rec.ratio2, rec.ratio3] for rec in groups[0][1]]
-    assert np.allclose(cli_ratios, lib_ratios, rtol=1e-12, atol=0.0)
+    def cli_csv(*args):
+        out = tmp_path / "out.csv"
+        assert cli.main([*args, *cell, *flags, "--out", str(out)]) == 0
+        return out.read_text()
+
+    def library_csv(write, result):
+        buf = io.StringIO()
+        write(result, buf)
+        return buf.getvalue()
+
+    def values(text):
+        return [row[:wall] + row[wall + 1:] for row in csv.reader(io.StringIO(text))]
+
+    records, _ = run_timing_bench([(12, 8)], [1.0], [0.1], trials=2,
+                                  methods=["power", "pce", "sce"], seed=4, configs=configs)
+    assert values(cli_csv("bench-time", "--methods", "power,pce,sce")) == values(
+        library_csv(write_bench_csv, records))
+    groups, _ = run_ratio_bench([(12, 8)], [1.0], [0.1], trials=2, seed=4, configs=configs)
+    assert cli_csv("bench-ratio") == library_csv(write_ratio_csv, groups)
+    records = run_power_spread(12, 8, 1.0, 0.1, groups=2, inits=3, seed=4, configs=configs)
+    assert values(cli_csv("bench-ratio", "--vary-initial", "3")) == values(
+        library_csv(write_bench_csv, records))
+
+
+def test_bench_value_columns_match_library(tmp_path, capsys):
+    check_bench_matches_library(tmp_path, [], None)
+
+
+def test_bench_value_columns_match_library_with_estimator_settings(tmp_path, capsys):
+    # power stops after 4 sweeps on some trials, so its flagged NaN rows
+    # are compared too
+    check_bench_matches_library(
+        tmp_path,
+        ["--power-tol", "1e-6", "--power-max-iter", "4", "--pce-eps", "0.01",
+         "--pce-theta", "0.05", "--sce-k", "2"],
+        {"power": PowerConfig(tol=1e-6, max_iter=4), "pce": PceConfig(eps=0.01, theta=0.05),
+         "sce": SceConfig(k=2)},
+    )
 
 
 # the documented exit code and stderr label of each kind of error, in the

@@ -418,6 +418,24 @@ def test_problem_json_roundtrip(tmp_path, diagonal_problem):
     assert q.lam == diagonal_problem.lam
 
 
+def test_save_problem_refuses_a_file_over_the_load_budget(tmp_path, monkeypatch,
+                                                          diagonal_problem):
+    # load_problem would refuse the file; its bytes are made before the
+    # path is opened, so the refusal leaves no file behind
+    from stlscond import MemoryBudgetError, problem
+
+    size = len(problem.problem_to_json(diagonal_problem))
+    path = tmp_path / "p.json"
+    monkeypatch.setattr(problem, "LOAD_BUDGET_BYTES", size - 1)
+    with pytest.raises(MemoryBudgetError):
+        save_problem(diagonal_problem, path)
+    assert not path.exists()
+    monkeypatch.setattr(problem, "LOAD_BUDGET_BYTES", size)
+    save_problem(diagonal_problem, path)
+    assert path.stat().st_size == size
+    assert np.array_equal(load_problem(path).A, diagonal_problem.A)
+
+
 def test_problem_json_rejects_dimension_mismatch():
     base = {"m": 3, "n": 1, "lambda": 1.0, "A": [[1.0], [0.0], [2.0]], "b": [0.0, 0.0, 1.0]}
     problem_from_dict(base)  # sanity: the honest document parses
