@@ -160,8 +160,8 @@ def run_timing_bench(
     ``configs`` maps keys of ``CONFIGS`` to estimator configs, each of
     which supplies all but its seed (see ``_trial``).  Returns (records,
     summaries); summaries hold per-(cell, method) mean and variance of
-    wall time plus the failure count.  Individual-trial
-    failures become NaN-valued flagged rows and the run continues.
+    wall time plus the failure count.  Individual-trial failures become
+    NaN-valued flagged rows and the run continues.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -271,8 +271,8 @@ def run_power_spread(m, n, lam, e_p, groups, inits, seed=0, configs=None):
     config of ``configs`` with its seed derived from the root seed, the
     group and the vector's index.  Rows use the timing schema: seed
     identifies the problem group, trial_index the initial vector; value is
-    the estimate, iterations the sweep count.  A failed or unconverged run is a
-    NaN-valued flagged row and the run continues.
+    the estimate, iterations the sweep count.  A failed or unconverged run
+    is a NaN-valued flagged row and the run continues.
     """
     if groups < 1 or inits < 1:
         raise ValueError(f"groups and inits must be >= 1, got {groups} and {inits}")

@@ -375,11 +375,11 @@ def _lanczos_bracket(op, cfg: PceConfig, v):
     ``(alpha, beta, steps)`` with alpha <= beta, steps being the Lanczos
     depth reached.
 
-    The bases are row-stacked arrays of full depth, whose untouched rows
-    cost no memory, and each new vector is reorthogonalized against them
-    in two block passes.  The Ritz values are those of the Gram tridiagonal
-    ``B'B`` of the upper bidiagonal B of the alphas and betas, whose
-    diagonal and off-diagonal grow by one entry a step."""
+    The bases are row-stacked ``np.empty`` arrays of full depth, whose rows
+    cost nothing until written, and each new vector is reorthogonalized
+    against them in two block passes.  The Ritz values are those of the
+    Gram tridiagonal ``B'B`` of the upper bidiagonal B of the alphas and
+    betas, whose diagonal and off-diagonal grow by one entry a step."""
     rows, cols = op.shape
     alpha = 0.0
     U = np.empty((cols, rows))

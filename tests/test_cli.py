@@ -849,11 +849,11 @@ def check_bench_matches_library(tmp_path, flags, configs):
         library_csv(write_bench_csv, records))
 
 
-def test_bench_value_columns_match_library(tmp_path, capsys):
+def test_bench_value_columns_match_library(tmp_path):
     check_bench_matches_library(tmp_path, [], None)
 
 
-def test_bench_value_columns_match_library_with_estimator_settings(tmp_path, capsys):
+def test_bench_value_columns_match_library_with_estimator_settings(tmp_path):
     # power stops after 4 sweeps on some trials, so its flagged NaN rows
     # are compared too
     check_bench_matches_library(
