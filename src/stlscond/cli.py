@@ -158,13 +158,9 @@ def _config_schema():
         for name in CONFIGS}}))
 
 
-def _estimator_configs(args, n: int | None = None) -> dict:
-    """Defaults, overridden by --config file values, overridden by flags.
-
-    The default sample size is clamped to the problem dimension when known;
-    an explicit user value is passed through (and may be rejected later).
-    A config file that does not fit ``_config_schema`` raises ValueError.
-    """
+def _estimator_settings(args) -> dict:
+    """The --config file's values, overridden by flags.  A config file that
+    does not fit ``_config_schema`` raises ValueError."""
     doc = {}
     if args.config:
         doc = problem._validate(_config_schema().validate_json,
@@ -174,10 +170,16 @@ def _estimator_configs(args, n: int | None = None) -> dict:
         flag = getattr(args, f"{name}_{key}")
         if flag is not None:
             doc.setdefault(name, {})[key] = flag
-    if n is not None:
-        doc.setdefault("sce", {}).setdefault("k", min(CONFIGS["sce"].k, n))
-    seed = doc.get("seed", args.seed)
-    return {name: cls(**doc.get(name, {}), seed=seed) for name, cls in CONFIGS.items()}
+    return doc
+
+
+def _estimator_configs(args, settings: dict | None = None) -> dict:
+    """One config per estimator: its defaults, overridden by ``settings``
+    (``_estimator_settings(args)`` when not given)."""
+    if settings is None:
+        settings = _estimator_settings(args)
+    seed = settings.get("seed", args.seed)
+    return {name: cls(**settings.get(name, {}), seed=seed) for name, cls in CONFIGS.items()}
 
 
 @contextlib.contextmanager
@@ -230,8 +232,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_cond(args) -> int:
+    settings = _estimator_settings(args)  # a bad --config is refused before the load
     p = load_problem(args.input)
-    configs = _estimator_configs(args, n=p.n)
+    # the default sample size is clamped to the problem dimension; a value
+    # the user gave passes through, for sce to refuse when it is over n
+    settings.setdefault("sce", {}).setdefault("k", min(CONFIGS["sce"].k, p.n))
+    configs = _estimator_configs(args, settings)
     sol = solve_stls(p)
     methods = list(METHODS) if args.method == "all" else [args.method]
     reports = []

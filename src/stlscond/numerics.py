@@ -2,37 +2,37 @@
 
 All operations are pure functions of their inputs; nothing is modified in
 place.  Decompositions go through numpy's own OpenBLAS by two routes:
-``numpy.linalg`` for the eigen- and gesdd SVDs, and LAPACKE routines of
-the same library, called through ctypes, for what numpy does not expose
-or runs slower.  ``augmented_qr_r`` runs the blocked Householder QR
-dgeqrt on one column-major copy of ``[A, b]``.  ``factored_svd`` runs
-dgebrd and dbdsdc, the factorizations inside gesdd, and keeps U and V as
-products of Householder reflectors and the bidiagonal's singular
-vectors, applied with dormbr instead of formed; the gesvd fallback of
-``svd`` runs LAPACKE's dgesvd, and ``dlasd4``, the secular-equation
-solver inside dbdsdc, runs the Fortran routine itself.  Where numpy
-ships no such library, the QR is numpy's qr, ``factored_svd`` wraps the
-explicit U and V of ``svd``, and the gesvd fallback and ``dlasd4`` run
-scipy's wrappers, a second BLAS with its own thread pool.  ``scipy.linalg``
-(about 0.3 s to import) is imported inside them, so no other path pays
-for it.  The one layout convention that matters
+``numpy.linalg`` for the eigen- and gesdd SVDs, and routines of the same
+library, called through ctypes, for what numpy does not expose or runs
+slower.  ``augmented_qr_r`` runs the blocked Householder QR dgeqrt on one
+column-major copy of ``[A, b]``.  ``factored_svd`` runs dgebrd and
+dbdsdc, the factorizations inside gesdd, and keeps U and V as products of
+Householder reflectors and the bidiagonal's singular vectors, applied
+with dormbr instead of formed; the gesvd fallback of ``svd`` runs
+dgesvd, and ``dlasd4``, the secular-equation solver inside dbdsdc, runs
+the Fortran routine itself.  The one layout convention that matters
 elsewhere is column-major ``vec``: stacking a matrix column by column.
 Helpers here never reshape, but the condition-operator code relies on that
 ordering throughout.
 
-This module is the one owner of the BLAS thread count.  ``svd``,
-``singular_values``, ``factored_svd`` with its products, and
-``augmented_qr_r`` run on one OpenBLAS thread when the smaller side of
-their matrix (for the last, of A in ``[A, b]``) is at most
+One switch, ``_openblas()``, decides between two platforms.  numpy's
+wheels from 2.0 on ship ``scipy_openblas`` with every routine above, and
+``_openblas`` binds them all on first use.  numpy 1.x wheels, conda and
+Accelerate builds ship none; there ``_openblas`` is None and every kernel
+takes its one fallback: the QR is numpy's qr, ``factored_svd`` wraps the
+explicit U and V of ``svd``, the gesvd fallback and ``dlasd4`` run
+scipy's wrappers (a second BLAS with its own thread pool, so every solve
+imports ``scipy.linalg``, about 0.3 s), and ``serial_blas`` does nothing.
+
+Where the library is present, this module is the one owner of its thread
+count.  ``svd``, ``singular_values``, ``factored_svd`` with its products,
+and ``augmented_qr_r`` run on one OpenBLAS thread when the smaller side
+of their matrix (for the last, of A in ``[A, b]``) is at most
 ``SERIAL_BLAS_MAX_N``.  At those sizes one thread makes their results
 independent of the caller's thread count, at little cost: a second
 thread gains nothing on the SVD (1000x300 on two cores: dgebrd 6-7 ms on
 one thread against 7-8 ms on two) and about 1 ms on the QR (5-6.5
-against 4-5 ms).  Larger
-factorizations keep the count the caller set.  ``serial_blas`` changes
-the count of numpy's own OpenBLAS through its ``scipy_openblas`` C
-interface, looked up on first use, and does nothing where numpy ships no
-such library.
+against 4-5 ms).  Larger factorizations keep the count the caller set.
 """
 
 from __future__ import annotations
@@ -71,95 +71,53 @@ _blas_depth = 0  # callers inside serial_blas
 _blas_saved = 1  # the count to restore when the last of them leaves
 
 
-def _find_openblas(libdir):
-    """The scipy_openblas library in ``libdir`` as a ctypes handle, or None
-    when there is no such library or it lacks the thread-count symbols."""
+@functools.cache
+def _openblas(libdir=os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")):
+    """Every routine of numpy's bundled OpenBLAS that this module calls, by
+    name with its ctypes signature, or None when ``libdir`` holds no such
+    library, it cannot be loaded, or it lacks one of them.  The one switch
+    between the two platforms: each kernel takes its fallback on None.
+    The library has 64-bit integers (the ``64_`` suffix); LAPACKE matrices
+    are passed column-major, and the Fortran dlasd4 takes every argument by
+    reference."""
     import ctypes
     import glob
+    from types import SimpleNamespace
 
+    c_int, i64, ch = ctypes.c_int, ctypes.c_int64, ctypes.c_char
+    mat = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+    vec, ivec = np.ctypeslib.ndpointer(np.float64), np.ctypeslib.ndpointer(np.int64)
+    routines = {  # name: (symbol, restype, argtypes)
+        "get_num_threads": ("scipy_openblas_get_num_threads64_", c_int, []),
+        "set_num_threads": ("scipy_openblas_set_num_threads64_", None, [c_int]),
+        # layout, m, n, nb, a, lda, t, ldt
+        "dgeqrt": ("scipy_LAPACKE_dgeqrt64_", i64,
+                   [c_int, i64, i64, i64, mat, i64, mat, i64]),
+        # layout, m, n, a, lda, d, e, tauq, taup
+        "dgebrd": ("scipy_LAPACKE_dgebrd64_", i64,
+                   [c_int, i64, i64, mat, i64, mat, mat, mat, mat]),
+        # layout, uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq
+        "dbdsdc": ("scipy_LAPACKE_dbdsdc64_", i64,
+                   [c_int, ch, ch, i64, mat, mat, mat, i64, mat, i64, mat, ivec]),
+        # layout, vect, side, trans, m, n, k, a, lda, tau, c, ldc
+        "dormbr": ("scipy_LAPACKE_dormbr64_", i64,
+                   [c_int, ch, ch, ch, i64, i64, i64, mat, i64, mat, mat, i64]),
+        # layout, jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt, superb
+        "dgesvd": ("scipy_LAPACKE_dgesvd64_", i64,
+                   [c_int, ch, ch, i64, i64, mat, i64, mat, mat, i64, mat, i64, mat]),
+        # n, i, d, z, delta, rho, sigma, work, info
+        "dlasd4": ("scipy_dlasd4_64_", None, [ivec, ivec, vec, vec, vec, vec, vec, vec, ivec]),
+    }
     for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*.so*"))):
         try:
             lib = ctypes.CDLL(path)
-            lib.scipy_openblas_get_num_threads64_
+            funcs = {name: getattr(lib, symbol) for name, (symbol, _, _) in routines.items()}
         except (OSError, AttributeError):
             continue
-        return lib
+        for name, (_, restype, argtypes) in routines.items():
+            funcs[name].restype, funcs[name].argtypes = restype, argtypes
+        return SimpleNamespace(**funcs)
     return None
-
-
-@functools.cache
-def _openblas():
-    """numpy's bundled OpenBLAS, or None; looked up once."""
-    return _find_openblas(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                                       "numpy.libs"))
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) of numpy's OpenBLAS thread count, or None."""
-    import ctypes
-
-    lib = _openblas()
-    if lib is None:
-        return None
-    get = lib.scipy_openblas_get_num_threads64_
-    set_ = lib.scipy_openblas_set_num_threads64_
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-@functools.cache
-def _lapacke():
-    """The LAPACKE routines of numpy's OpenBLAS that the QR, the factored
-    SVD and the gesvd fallback call, by name, or None when numpy ships no
-    such library or it lacks one of them.  The library has 64-bit integers
-    (the ``64_`` suffix); matrices are passed column-major."""
-    import ctypes
-    from types import SimpleNamespace
-
-    lib = _openblas()
-    if lib is None:
-        return None
-    i64, ch, mat = ctypes.c_int64, ctypes.c_char, np.ctypeslib.ndpointer(
-        np.float64, flags="F_CONTIGUOUS")
-    signatures = {
-        # layout, m, n, nb, a, lda, t, ldt
-        "dgeqrt": [ctypes.c_int, i64, i64, i64, mat, i64, mat, i64],
-        # layout, m, n, a, lda, d, e, tauq, taup
-        "dgebrd": [ctypes.c_int, i64, i64, mat, i64, mat, mat, mat, mat],
-        # layout, uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq
-        "dbdsdc": [ctypes.c_int, ch, ch, i64, mat, mat, mat, i64, mat, i64, mat,
-                   np.ctypeslib.ndpointer(np.int64)],
-        # layout, vect, side, trans, m, n, k, a, lda, tau, c, ldc
-        "dormbr": [ctypes.c_int, ch, ch, ch, i64, i64, i64, mat, i64, mat, mat, i64],
-        # layout, jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt, superb
-        "dgesvd": [ctypes.c_int, ch, ch, i64, i64, mat, i64, mat, mat, i64, mat, i64, mat],
-    }
-    funcs = {}
-    for name, argtypes in signatures.items():
-        try:
-            f = getattr(lib, f"scipy_LAPACKE_{name}64_")
-        except AttributeError:
-            return None
-        f.argtypes, f.restype = argtypes, i64
-        funcs[name] = f
-    return SimpleNamespace(**funcs)
-
-
-@functools.cache
-def _fortran_dlasd4():
-    """LAPACK's dlasd4 in numpy's OpenBLAS, or None.  A Fortran symbol:
-    every argument goes by reference, integers as 64-bit."""
-    lib = _openblas()
-    try:
-        f = lib.scipy_dlasd4_64_
-    except AttributeError:  # lib is None, or it lacks the symbol
-        return None
-    vec, i64 = np.ctypeslib.ndpointer(np.float64), np.ctypeslib.ndpointer(np.int64)
-    # n, i, d, z, delta, rho, sigma, work, info
-    f.argtypes, f.restype = [i64, i64, vec, vec, vec, vec, vec, vec, i64], None
-    return f
 
 
 def dlasd4(d, z, rho):
@@ -175,15 +133,15 @@ def dlasd4(d, z, rho):
     relative to its pole; ``info > 0`` when the iteration failed.
     Where numpy ships no such library, scipy's wrapper runs it."""
     d, z = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(z, dtype=float)
-    f = _fortran_dlasd4()
-    if f is None:
+    lib = _openblas()
+    if lib is None:
         from scipy.linalg import lapack
 
         return lapack.dlasd4(0, d, z, rho)  # scipy counts i from 0
     n = len(d)
     delta, work, sigma, info = np.empty(n), np.empty(n), np.empty(1), np.zeros(1, np.int64)
-    f(np.array([n], np.int64), np.array([1], np.int64), d, z, delta, np.array([float(rho)]),
-      sigma, work, info)
+    lib.dlasd4(np.array([n], np.int64), np.array([1], np.int64), d, z, delta,
+               np.array([float(rho)]), sigma, work, info)
     return delta, float(sigma[0]), work, int(info[0])
 
 
@@ -212,11 +170,11 @@ def serial_blas():
     change: the first to enter saves the count and sets it to one, the last
     to leave restores it."""
     global _blas_depth, _blas_saved
-    funcs = _openblas_threads()
-    if funcs is None:
+    lib = _openblas()
+    if lib is None:
         yield
         return
-    get, set_ = funcs
+    get, set_ = lib.get_num_threads, lib.set_num_threads
     with _blas_lock:
         if _blas_depth == 0:
             _blas_saved = get()
@@ -243,7 +201,7 @@ def augmented_qr_r(A, b) -> np.ndarray:
     thread rule goes by A, so a solve with n <= SERIAL_BLAS_MAX_N runs
     every factorization on one thread."""
     A = np.asarray(A, dtype=float)
-    lapack = _lapacke()
+    lapack = _openblas()
     if lapack is None:
         with _threads_for(A):
             return np.linalg.qr(np.column_stack([A, b]), mode="r")
@@ -287,7 +245,7 @@ def svd(X):
 def _gesvd(X):
     """``svd`` by LAPACK's gesvd: numpy's OpenBLAS under the thread rule,
     or scipy's (a second OpenBLAS) where numpy ships no LAPACKE."""
-    lapack = _lapacke()
+    lapack = _openblas()
     if lapack is None:
         import scipy.linalg
 
@@ -359,7 +317,7 @@ class FactoredSvd:
         out = np.array(y, order="F")
         k = 1 if out.ndim == 1 else out.shape[1]
         tau = tauq if vect == b"Q" else taup
-        _checked("dormbr", _lapacke().dormbr(COLUMN_MAJOR, vect, b"L", trans, n, k, n, a, n,
+        _checked("dormbr", _openblas().dormbr(COLUMN_MAJOR, vect, b"L", trans, n, k, n, a, n,
                                              tau, out, n), a, tau, out)
         return out
 
@@ -376,7 +334,7 @@ def factored_svd(X) -> FactoredSvd:
     n = X.shape[0]
     if X.shape != (n, n):
         raise ValueError(f"matrix must be square, got shape {X.shape}")
-    lapack = _lapacke()
+    lapack = _openblas()
     if lapack is None:
         return FactoredSvd.explicit(*svd(X))
     top = float(np.max(np.abs(X)))

@@ -362,9 +362,14 @@ def problem_to_json(p: StlsProblem, provenance: dict | None = None) -> bytes:
     """The problem file's bytes: ``problem_to_dict``'s keys in order, no
     spaces, each float in its shortest round-trip spelling, and a newline.
     Bytes over ``LOAD_BUDGET_BYTES``, which ``load_problem`` would refuse,
-    raise MemoryBudgetError."""
+    raise MemoryBudgetError; so does a shape whose entries alone, a digit
+    and a separator each, would be over it, before anything is built."""
     from pydantic_core import to_json
 
+    least = 2 * p.m * (p.n + 1)
+    if least > LOAD_BUDGET_BYTES:
+        raise MemoryBudgetError(f"the problem file would have at least {least / 2**20:.1f} MiB, "
+                                f"over the {LOAD_BUDGET_BYTES >> 20} MiB load budget")
     data = to_json(problem_to_dict(p, provenance)) + b"\n"
     if len(data) > LOAD_BUDGET_BYTES:
         raise MemoryBudgetError(f"the problem file would have {len(data) >> 20} MiB, "

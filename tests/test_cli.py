@@ -27,6 +27,7 @@ from stlscond import (
     StlsProblem,
     cli,
     generate,
+    numerics,
     problem,
     load_problem,
     problem_from_dict,
@@ -109,9 +110,11 @@ def probe_modules(root, args, problem_file, out):
 ])
 def test_commands_load_no_scipy(problem_file, tmp_path, args):
     # scipy's import costs more than a small problem's whole command, so
-    # it is loaded only where a fallback or pce(solver="cg") calls it
+    # it is loaded only where a fallback or pce(solver="cg") calls it.
+    # Where numpy ships no scipy_openblas, every solve's dlasd4 is scipy's
     loaded = probe_modules("scipy", args, problem_file, tmp_path / "out")
-    assert loaded == [], loaded
+    solves = args[:1] in (("solve",), ("cond",))
+    assert bool(loaded) == (solves and numerics._openblas() is None), loaded
 
 
 @pytest.mark.parametrize("args, touches_file", [
@@ -278,6 +281,39 @@ def test_malformed_config_is_usage_error(problem_file, tmp_path, config):
     assert len(r.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("readable", [True, False])
+def test_malformed_config_is_refused_before_the_problem_load(problem_file, tmp_path,
+                                                              monkeypatch, capsys, readable):
+    # the config file is validated first, so a bad one exits 2 without the
+    # problem's load, even when --in is unreadable (which would exit 3)
+    def load_problem(path):
+        raise AssertionError("the problem file was loaded")
+
+    monkeypatch.setattr(cli, "load_problem", load_problem)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"power": {"bogus": 1}}))
+    path = str(problem_file) if readable else str(tmp_path / "missing.json")
+    assert cli.main(["cond", "--in", path, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("stlscond: invalid arguments: config file: power.bogus: "
+                   "Extra inputs are not permitted\n")
+
+
+def test_cond_clamps_the_default_sample_size_only(tmp_path):
+    # sce's default k of 3 is clamped to n = 2; a k given by flag or config
+    # file passes through and is refused
+    path = tmp_path / "p.json"
+    save_problem(StlsProblem(np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]),
+                 np.array([1.0, 0.0, 2.0]), 1.0), path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sce": {"k": 3}}))
+    argv = ["cond", "--in", str(path), "--method", "sce"]
+    assert cli.main(argv) == 0
+    assert cli.main([*argv, "--sce-k", "3"]) == 2
+    assert cli.main([*argv, "--config", str(cfg)]) == 2
+
+
 def test_cond_all_on_zero_solution_fixture(diagonal_file):
     r = run_cli("cond", "--in", str(diagonal_file), "--method", "all")
     assert r.returncode == 5  # zero solution: relative condition undefined
@@ -318,8 +354,6 @@ def test_degenerate_singular_vector_exit_code(tmp_path):
 def test_convergence_failure_exit_code(problem_file, monkeypatch, capsys, dlasd4_failing, cmd):
     # dlasd4 failing on the secular equation raises ConvergenceError,
     # which ends in exit 4 and one stderr line, not a traceback
-    from stlscond import cli, numerics
-
     monkeypatch.setattr(numerics, "dlasd4", dlasd4_failing)
     assert cli.main([cmd, "--in", str(problem_file)]) == 4
     out, err = capsys.readouterr()

@@ -729,20 +729,57 @@ def _solve_and_evaluate(p):
 
 @pytest.mark.parametrize("route", ["no LAPACKE", "dbdsdc fails"])
 def test_svd_routes_give_the_same_values(route, monkeypatch):
-    # without numpy's LAPACKE, the solution's SVD wraps numpy's explicit U
+    # without numpy's OpenBLAS, the solution's SVD wraps numpy's explicit U
     # and V; when dbdsdc does not converge, gesvd's.  Each basis differs
     # from the factored one in its signs and last bits only
-    real = numerics._lapacke()
+    real = numerics._openblas()
     if real is None:
-        pytest.skip("numpy ships no LAPACKE here")
+        pytest.skip("numpy ships no scipy_openblas library here")
     p = generate(GeneratorSpec(m=90, n=40, lam=2.0, e_p=0.1, seed=4)).problem
     x_ref, ref = _solve_and_evaluate(p)
     if route == "no LAPACKE":
-        monkeypatch.setattr(numerics, "_lapacke", lambda: None)
+        monkeypatch.setattr(numerics, "_openblas", lambda: None)
     else:
         failing = SimpleNamespace(**vars(real))
         failing.dbdsdc = lambda *args: 1
-        monkeypatch.setattr(numerics, "_lapacke", lambda: failing)
+        monkeypatch.setattr(numerics, "_openblas", lambda: failing)
     x, values = _solve_and_evaluate(p)
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
     assert np.all(np.abs(values - ref) <= 1e-12 * np.abs(ref)), (values - ref) / ref
+
+
+@pytest.mark.skipif(numerics._openblas() is None,
+                    reason="numpy ships no scipy_openblas library here")
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    extra=st.integers(1, 40),
+    lam=st.floats(-2.0, 2.0).map(lambda t: 10.0**t),
+    e_p=st.floats(-10.0, -0.1).map(lambda t: 10.0**t),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_the_fallback_platform_gives_the_same_values(n, extra, lam, e_p, seed):
+    # where numpy ships no scipy_openblas, every kernel takes its fallback at
+    # once: numpy's QR, numpy's explicit U and V, and scipy's dlasd4.  Both
+    # QRs are backward stable, so they differ by a data perturbation of order
+    # u, which moves x and every kappa by up to about kappa_rel u (1.1 at
+    # most over 900 draws from these ranges)
+    p = generate(GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed)).problem
+    configs = {"power": PowerConfig(seed=2), "pce": PceConfig(seed=2),
+               "sce": SceConfig(k=min(3, n), seed=2)}
+
+    def evaluate():
+        sol = solve_stls(p)
+        return sol, {name: METHODS[name](sol, p.A, configs).absolute for name in METHODS}
+
+    try:
+        ref_sol, ref = evaluate()
+    except StlsError:
+        assume(False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_openblas", lambda: None)
+        sol, values = evaluate()
+    tol = max(1e-12, 10.0 * relative_from_absolute(ref_sol, ref["f2"]) * np.finfo(float).eps)
+    assert np.linalg.norm(sol.x - ref_sol.x) <= tol * np.linalg.norm(ref_sol.x)
+    for name in METHODS:
+        assert abs(values[name] - ref[name]) <= tol * ref[name], name

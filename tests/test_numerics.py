@@ -108,7 +108,7 @@ def test_svd_falls_back_to_gesvd(monkeypatch):
     # or scipy's where numpy ships none
     X = np.random.default_rng(8).standard_normal((7, 4))
     monkeypatch.setattr(numerics.np.linalg, "svd", _not_converged)
-    if numerics._lapacke() is not None:
+    if numerics._openblas() is not None:
         monkeypatch.setattr(scipy.linalg, "svd", _not_converged)
     U, s, Vt = svd(X)
     assert U.shape == (7, 4) and s.shape == (4,) and Vt.shape == (4, 4)
@@ -122,14 +122,14 @@ def test_svd_fallback_failure_is_convergence_error(monkeypatch):
     # raising where numpy ships no LAPACKE
     monkeypatch.setattr(numerics.np.linalg, "svd", _not_converged)
     monkeypatch.setattr(scipy.linalg, "svd", _not_converged)
-    real = numerics._lapacke()
+    real = numerics._openblas()
     if real is not None:
         failing = SimpleNamespace(**vars(real))
         failing.dgesvd = lambda *args: 1
-        monkeypatch.setattr(numerics, "_lapacke", lambda: failing)
+        monkeypatch.setattr(numerics, "_openblas", lambda: failing)
         with pytest.raises(ConvergenceError):
             svd(np.eye(3))
-    monkeypatch.setattr(numerics, "_lapacke", lambda: None)
+    monkeypatch.setattr(numerics, "_openblas", lambda: None)
     with pytest.raises(ConvergenceError):
         svd(np.eye(3))
 
@@ -182,8 +182,8 @@ def test_factored_svd_matches_its_materialized_factors(R, k):
 
 
 def test_factored_svd_keeps_gesdd_values_without_forming_the_vectors():
-    if numerics._lapacke() is None:
-        pytest.skip("numpy ships no LAPACKE here")
+    if numerics._openblas() is None:
+        pytest.skip("numpy ships no scipy_openblas library here")
     R = np.linalg.qr(np.random.default_rng(5).standard_normal((90, 61)), mode="r")[:60, :60]
     f = numerics.factored_svd(R)
     assert f.reflectors is not None
@@ -202,7 +202,7 @@ def test_factored_svd_at_the_ends_of_the_double_range(scale):
 
 def test_factored_svd_without_lapacke_wraps_numpy_svd(monkeypatch):
     R = np.triu(np.random.default_rng(7).standard_normal((9, 9)))
-    monkeypatch.setattr(numerics, "_lapacke", lambda: None)
+    monkeypatch.setattr(numerics, "_openblas", lambda: None)
     f = numerics.factored_svd(R)
     U, s, Vt = np.linalg.svd(R)
     assert f.reflectors is None
@@ -212,12 +212,12 @@ def test_factored_svd_without_lapacke_wraps_numpy_svd(monkeypatch):
 
 
 def test_factored_svd_takes_gesvd_when_dbdsdc_fails(monkeypatch):
-    real = numerics._lapacke()
+    real = numerics._openblas()
     if real is None:
-        pytest.skip("numpy ships no LAPACKE here")
+        pytest.skip("numpy ships no scipy_openblas library here")
     failing = SimpleNamespace(**vars(real))
     failing.dbdsdc = lambda *args: 1
-    monkeypatch.setattr(numerics, "_lapacke", lambda: failing)
+    monkeypatch.setattr(numerics, "_openblas", lambda: failing)
     monkeypatch.setattr(numerics.np.linalg, "svd", _not_converged)  # gesvd, not gesdd
     R = np.triu(np.random.default_rng(8).standard_normal((9, 9)))
     f = numerics.factored_svd(R)
@@ -263,17 +263,17 @@ def test_augmented_qr_r_takes_any_layout_and_dtype():
 def test_augmented_qr_r_without_lapacke_is_numpy_qr(monkeypatch):
     rng = np.random.default_rng(5)
     A, b = rng.standard_normal((50, 20)), rng.standard_normal(50)
-    monkeypatch.setattr(numerics, "_lapacke", lambda: None)
+    monkeypatch.setattr(numerics, "_openblas", lambda: None)
     assert np.array_equal(numerics.augmented_qr_r(A, b), _numpy_qr_r(A, b))
 
 
 def test_augmented_qr_r_raises_on_a_negative_info(monkeypatch):
-    real = numerics._lapacke()
+    real = numerics._openblas()
     if real is None:
-        pytest.skip("numpy ships no LAPACKE here")
+        pytest.skip("numpy ships no scipy_openblas library here")
     failing = SimpleNamespace(**vars(real))
     failing.dgeqrt = lambda *args: -4
-    monkeypatch.setattr(numerics, "_lapacke", lambda: failing)
+    monkeypatch.setattr(numerics, "_openblas", lambda: failing)
     with pytest.raises(RuntimeError, match="dgeqrt returned -4"):
         numerics.augmented_qr_r(np.ones((4, 2)), np.arange(4.0))
 
@@ -283,8 +283,8 @@ def test_augmented_qr_r_raises_on_a_negative_info(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_reflect_of_a_nonfinite_operand_is_nonfinite_error():
-    if numerics._lapacke() is None:
-        pytest.skip("numpy ships no LAPACKE here")
+    if numerics._openblas() is None:
+        pytest.skip("numpy ships no scipy_openblas library here")
     f = numerics.factored_svd(np.triu(np.random.default_rng(9).standard_normal((6, 6))))
     y = np.ones(6)
     y[2] = np.nan  # LAPACKE checks for NaN; an inf passes its check
@@ -294,13 +294,13 @@ def test_reflect_of_a_nonfinite_operand_is_nonfinite_error():
 
 
 def test_negative_info_on_finite_operands_is_runtime_error(monkeypatch):
-    real = numerics._lapacke()
+    real = numerics._openblas()
     if real is None:
-        pytest.skip("numpy ships no LAPACKE here")
+        pytest.skip("numpy ships no scipy_openblas library here")
     f = numerics.factored_svd(np.triu(np.random.default_rng(9).standard_normal((6, 6))))
     failing = SimpleNamespace(**vars(real))
     failing.dormbr = lambda *args: -11
-    monkeypatch.setattr(numerics, "_lapacke", lambda: failing)
+    monkeypatch.setattr(numerics, "_openblas", lambda: failing)
     with pytest.raises(RuntimeError, match="dormbr returned -11") as info:
         f.ut(np.ones(6))
     assert not isinstance(info.value, NonFiniteError)
@@ -486,10 +486,10 @@ def test_unit_sphere_rejects_bad_dim():
 def blas_threads():
     """(get, set) of numpy's OpenBLAS thread count; the count is put back
     after the test."""
-    funcs = numerics._openblas_threads()
-    if funcs is None:
+    lib = numerics._openblas()
+    if lib is None:
         pytest.skip("numpy ships no scipy_openblas library here")
-    get, set_ = funcs
+    get, set_ = lib.get_num_threads, lib.set_num_threads
     before = get()
     yield get, set_
     set_(before)
@@ -541,9 +541,9 @@ def test_serial_blas_under_a_thread_pool(blas_threads):
 def test_serial_blas_without_library_does_nothing(blas_threads, monkeypatch, tmp_path):
     get, set_ = blas_threads
     (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
-    assert numerics._find_openblas(str(tmp_path)) is None
-    assert numerics._find_openblas(str(tmp_path / "missing")) is None
-    monkeypatch.setattr(numerics, "_openblas_threads", lambda: None)
+    assert numerics._openblas(str(tmp_path)) is None
+    assert numerics._openblas(str(tmp_path / "missing")) is None
+    monkeypatch.setattr(numerics, "_openblas", lambda: None)
     set_(2)
     with numerics.serial_blas():
         assert get() == 2
@@ -569,9 +569,9 @@ def test_gesvd_fallback_runs_under_the_thread_rule(blas_threads, monkeypatch):
     # the fallback calls numpy's OpenBLAS, whose count serial_blas owns,
     # not scipy's
     get, set_ = blas_threads
-    real = numerics._lapacke()
+    real = numerics._openblas()
     if real is None:
-        pytest.skip("numpy ships no LAPACKE here")
+        pytest.skip("numpy ships no scipy_openblas library here")
     counts = []
 
     def dgesvd(*args):
@@ -580,7 +580,7 @@ def test_gesvd_fallback_runs_under_the_thread_rule(blas_threads, monkeypatch):
 
     spy = SimpleNamespace(**vars(real))
     spy.dgesvd = dgesvd
-    monkeypatch.setattr(numerics, "_lapacke", lambda: spy)
+    monkeypatch.setattr(numerics, "_openblas", lambda: spy)
     monkeypatch.setattr(numerics.np.linalg, "svd", _not_converged)
     monkeypatch.setattr(scipy.linalg, "svd", _not_converged)
     set_(2)
@@ -593,9 +593,9 @@ def test_gesvd_fallback_runs_under_the_thread_rule(blas_threads, monkeypatch):
 @pytest.mark.parametrize("n, serial", [(400, True), (401, False)])
 def test_qr_runs_under_the_thread_rule(blas_threads, monkeypatch, n, serial):
     get, set_ = blas_threads
-    real = numerics._lapacke()
+    real = numerics._openblas()
     if real is None:
-        pytest.skip("numpy ships no LAPACKE here")
+        pytest.skip("numpy ships no scipy_openblas library here")
     counts = []
 
     def dgeqrt(*args):
@@ -604,7 +604,7 @@ def test_qr_runs_under_the_thread_rule(blas_threads, monkeypatch, n, serial):
 
     spy = SimpleNamespace(**vars(real))
     spy.dgeqrt = dgeqrt
-    monkeypatch.setattr(numerics, "_lapacke", lambda: spy)
+    monkeypatch.setattr(numerics, "_openblas", lambda: spy)
     set_(2)
     rng = np.random.default_rng(n)
     numerics.augmented_qr_r(rng.standard_normal((n + 20, n)), rng.standard_normal(n + 20))

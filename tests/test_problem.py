@@ -269,17 +269,31 @@ def test_secular_step_matches_a_50_digit_root(n, extra, lam, e_p, seed):
 
 
 def test_scipy_dlasd4_gives_the_same_solution(monkeypatch):
-    # scipy's wrapper (where numpy ships no dlasd4) runs the same routine
-    if numerics._fortran_dlasd4() is None:
-        pytest.skip("numpy's OpenBLAS exports no dlasd4 here")
-    problems = [generate(GeneratorSpec(m=60, n=30, lam=lam, e_p=e_p, seed=seed)).problem
-                for lam in (0.5, 2.0, 8.0) for e_p in (1e-2, 1e-5, 1e-8) for seed in range(2)]
-    ref = [solve_stls(p) for p in problems]
-    monkeypatch.setattr(numerics, "_fortran_dlasd4", lambda: None)
-    for p, r in zip(problems, ref):
-        sol = solve_stls(p)
-        assert np.array_equal(sol.x, r.x)
-        assert kappa_f2(sol, p.A).absolute == kappa_f2(r, p.A).absolute
+    # scipy's wrapper (where numpy ships no scipy_openblas) runs the same
+    # routine: on the secular equations of 18 solves, the same bits
+    if numerics._openblas() is None:
+        pytest.skip("numpy ships no scipy_openblas library here")
+    calls = []
+    real = numerics.dlasd4
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numerics, "dlasd4", spy)
+    for lam in (0.5, 2.0, 8.0):
+        for e_p in (1e-2, 1e-5, 1e-8):
+            for seed in range(2):
+                spec = GeneratorSpec(m=60, n=30, lam=lam, e_p=e_p, seed=seed)
+                solve_stls(generate(spec).problem)
+    monkeypatch.undo()
+    assert len(calls) == 18
+    ref = [numerics.dlasd4(*args) for args in calls]
+    monkeypatch.setattr(numerics, "_openblas", lambda: None)
+    for args, (delta, sigma, work, info) in zip(calls, ref):
+        got = numerics.dlasd4(*args)
+        assert np.array_equal(got[0], delta) and got[1] == sigma
+        assert np.array_equal(got[2], work) and got[3] == info == 0
 
 
 _DIAGONAL = np.vstack([np.diag([3.0, 2.0, 1.0]), np.zeros((2, 3))])
@@ -300,7 +314,7 @@ _RNG = np.random.default_rng(1)
 ], ids=["repeated", "zero-weight-last", "zero-weight-first", "consistent", "n1"])
 def test_secular_deflation_matches_svd_route(A, b, binding, monkeypatch):
     if binding == "scipy":
-        monkeypatch.setattr(numerics, "_fortran_dlasd4", lambda: None)
+        monkeypatch.setattr(numerics, "_openblas", lambda: None)
     p = StlsProblem(A, b, 1.0)
     sol = solve_stls(p)
     x = solve_stls_svd(p)
@@ -434,6 +448,24 @@ def test_save_problem_refuses_a_file_over_the_load_budget(tmp_path, monkeypatch,
     save_problem(diagonal_problem, path)
     assert path.stat().st_size == size
     assert np.array_equal(load_problem(path).A, diagonal_problem.A)
+
+
+def test_problem_to_json_refuses_a_shape_over_the_budget_before_building(monkeypatch):
+    # every entry takes at least a digit and a separator, so 2 m (n + 1)
+    # bytes over the budget are refused from the shape, before the lists
+    from stlscond import MemoryBudgetError, problem
+
+    def problem_to_dict(*args):
+        raise AssertionError("the file was built")
+
+    monkeypatch.setattr(problem, "problem_to_dict", problem_to_dict)
+    p = StlsProblem(np.zeros((40, 9)), np.ones(40), 1.0)
+    monkeypatch.setattr(problem, "LOAD_BUDGET_BYTES", 2 * 40 * 10 - 1)
+    with pytest.raises(MemoryBudgetError, match="would have at least"):
+        problem.problem_to_json(p)
+    monkeypatch.setattr(problem, "LOAD_BUDGET_BYTES", 2 * 40 * 10)
+    with pytest.raises(AssertionError, match="the file was built"):
+        problem.problem_to_json(p)
 
 
 def test_problem_json_rejects_dimension_mismatch():
