@@ -36,7 +36,6 @@ from .estimate import CONFIGS, METHODS
 from .generate import GeneratorSpec, generate
 from .problem import solve_stls
 
-CSV_SCHEMA_VERSION = 1
 BENCH_COLUMNS = [
     "m", "n", "lambda", "e_p", "seed", "method",
     "value", "wall_time_seconds", "iterations", "trial_index",

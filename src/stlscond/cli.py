@@ -136,14 +136,14 @@ def _estimator_options(sub):
     sections = ", ".join(f"{name}: {{{', '.join(k for s, k, _ in _SETTINGS if s == name)}}}"
                          for name in CONFIGS)
     sub.add_argument("--config", default=None,
-                     help=f"JSON file with {{{sections}, seed}}; CLI flags override it")
+                     help=f"JSON file with {{{sections}}}; CLI flags override it")
 
 
 @cache
 def _config_schema():
-    """The --config file format: an integer seed and a section per estimator
-    of its settings, every key optional and no other allowed; integers
-    strict, floats finite (an integer literal included)."""
+    """The --config file format: a section per estimator of its settings,
+    every key optional and no other allowed; integers strict, floats finite
+    (an integer literal included)."""
     from pydantic_core import SchemaValidator, core_schema as cs
 
     kinds = {"int": cs.int_schema(strict=True),
@@ -153,9 +153,9 @@ def _config_schema():
         return cs.typed_dict_schema({key: cs.typed_dict_field(s) for key, s in schemas.items()},
                                     total=False, extra_behavior="forbid")
 
-    return SchemaValidator(obj({"seed": kinds["int"], **{
+    return SchemaValidator(obj({
         name: obj({k: kinds[kind] for s, k, kind in _SETTINGS if s == name})
-        for name in CONFIGS}}))
+        for name in CONFIGS}))
 
 
 def _estimator_settings(args) -> dict:
@@ -175,11 +175,10 @@ def _estimator_settings(args) -> dict:
 
 def _estimator_configs(args, settings: dict | None = None) -> dict:
     """One config per estimator: its defaults, overridden by ``settings``
-    (``_estimator_settings(args)`` when not given)."""
+    (``_estimator_settings(args)`` when not given), with ``--seed``."""
     if settings is None:
         settings = _estimator_settings(args)
-    seed = settings.get("seed", args.seed)
-    return {name: cls(**settings.get(name, {}), seed=seed) for name, cls in CONFIGS.items()}
+    return {name: cls(**settings.get(name, {}), seed=args.seed) for name, cls in CONFIGS.items()}
 
 
 @contextlib.contextmanager

@@ -204,10 +204,10 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig) -> ConditionReport:
     times the norm ``||W q||`` of the sweep before, q being its unit W'y,
     so v = ||W'W q|| converges to the squared condition number.  The first
     sweep records the Rayleigh quotient ``||W'y||**2`` of the unit start
-    vector, a lower bound on it.  The start vector is the Gaussian draw of
-    ``cfg.seed``, normalized.  Neither renormalizing the work vector every
-    sweep (its scale carried into v) nor entering the start vector as V'y
-    changes the v sequence.
+    vector, a lower bound on it.  The start vector is
+    ``numerics.unit_sphere_sample`` of ``cfg.seed``, as pce's is.  Neither
+    renormalizing the work vector every sweep (its scale carried into v)
+    nor entering the start vector as V'y changes the v sequence.
 
     The sweeps run in the core's units and stop once
     ``|v - v_prev| <= tol * v``, so the data's units change neither the
@@ -221,8 +221,7 @@ def power_method(sol: StlsSolution, A, cfg: PowerConfig) -> ConditionReport:
     check_operator_inputs(sol, A)
     n = len(sol.x)
     L, a, b = exact._f1_terms(sol)
-    y = np.random.default_rng(cfg.seed).standard_normal(n)
-    y = sol.svd.vt(y / float(np.linalg.norm(y)))  # into the operator's basis
+    y = sol.svd.vt(numerics.unit_sphere_sample(n, np.random.default_rng(cfg.seed)))
     scale = None
     v = 0.0
     v_prev = None
@@ -445,8 +444,8 @@ def pce(sol: StlsSolution, A, cfg: PceConfig, solver=None) -> ConditionReport:
     sce's probes do (see ``exact._f2_operator``), so the bracket does not
     depend on the SVD's choice of basis."""
     check_operator_inputs(sol, A)
-    if solver not in (None, "factor", "cg"):
-        raise ValueError(f"unknown solver {solver!r}; expected 'factor' or 'cg'")
+    if solver not in (None, "cg"):
+        raise ValueError(f"unknown solver {solver!r}; expected None or 'cg'")
     msolve = None
     if solver == "cg":
         cg = _cg_solver(sol)

@@ -46,6 +46,9 @@ ILL_POSED_GAP = 1e-8
 # each one-entry row costs more in pydantic_core's parsed tree than in the
 # file; so this keeps such a load within ``exact.KRON_BUDGET_BYTES``' 1 GiB.
 LOAD_BUDGET_BYTES = 1 << 26
+# Entries of A that ``problem_to_json`` spells per block: about 1.3 MB of
+# JSON, so a refused file is built to at most one block over the budget.
+_WRITE_BLOCK_ENTRIES = 1 << 16
 
 
 def to_data_units(value, e, out=None):
@@ -361,20 +364,26 @@ def problem_to_dict(p: StlsProblem, provenance: dict | None = None) -> dict:
 def problem_to_json(p: StlsProblem, provenance: dict | None = None) -> bytes:
     """The problem file's bytes: ``problem_to_dict``'s keys in order, no
     spaces, each float in its shortest round-trip spelling, and a newline.
-    Bytes over ``LOAD_BUDGET_BYTES``, which ``load_problem`` would refuse,
-    raise MemoryBudgetError; so does a shape whose entries alone, a digit
-    and a separator each, would be over it, before anything is built."""
+    A is spelled in blocks of rows, and MemoryBudgetError is raised as soon
+    as the bytes so far pass ``LOAD_BUDGET_BYTES``, which ``load_problem``
+    would refuse, so an oversized file is never built whole."""
     from pydantic_core import to_json
 
-    least = 2 * p.m * (p.n + 1)
-    if least > LOAD_BUDGET_BYTES:
-        raise MemoryBudgetError(f"the problem file would have at least {least / 2**20:.1f} MiB, "
-                                f"over the {LOAD_BUDGET_BYTES >> 20} MiB load budget")
-    data = to_json(problem_to_dict(p, provenance)) + b"\n"
-    if len(data) > LOAD_BUDGET_BYTES:
-        raise MemoryBudgetError(f"the problem file would have {len(data) >> 20} MiB, "
-                                f"over the {LOAD_BUDGET_BYTES >> 20} MiB load budget")
-    return data
+    head = to_json({"m": p.m, "n": p.n, "lambda": p.lam})[:-1] + b',"A":['
+    tail = b'],"b":' + to_json(p.b.tolist())
+    if provenance is not None:
+        tail += b',"provenance":' + to_json(provenance)
+    tail += b"}\n"
+    size = len(head) + len(tail) - 1  # one comma fewer than blocks
+    blocks = []
+    step = max(1, _WRITE_BLOCK_ENTRIES // p.n)
+    for i in range(0, p.m, step):
+        blocks.append(to_json(p.A[i:i + step].tolist())[1:-1])  # rows, no brackets
+        size += len(blocks[-1]) + 1
+        if size > LOAD_BUDGET_BYTES:
+            raise MemoryBudgetError(f"the problem file would be over the "
+                                    f"{LOAD_BUDGET_BYTES >> 20} MiB load budget")
+    return b"".join((head, b",".join(blocks), tail))
 
 
 @cache

@@ -300,6 +300,21 @@ def test_malformed_config_is_refused_before_the_problem_load(problem_file, tmp_p
                    "Extra inputs are not permitted\n")
 
 
+def test_config_file_holds_no_seed(problem_file, tmp_path, capsys):
+    # --seed is the one seed: a config file naming one is refused, and
+    # every estimator takes --seed whatever the file holds
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    assert cli.main(["cond", "--in", str(problem_file), "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "stlscond: invalid arguments: config file: seed: Extra inputs are not permitted\n"
+    cfg.write_text(json.dumps({"sce": {"k": 2}}))
+    args = cli.build_parser().parse_args(
+        ["cond", "--in", str(problem_file), "--seed", "7", "--config", str(cfg)])
+    assert {cfg.seed for cfg in cli._estimator_configs(args).values()} == {7}
+
+
 def test_cond_clamps_the_default_sample_size_only(tmp_path):
     # sce's default k of 3 is clamped to n = 2; a k given by flag or config
     # file passes through and is refused
@@ -457,16 +472,16 @@ def test_cond_csv_format(problem_file):
 
 def test_cond_estimator_config_file(problem_file, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"power": {"max_iter": 1, "tol": 1e-30}, "seed": 1}))
+    cfg.write_text(json.dumps({"power": {"max_iter": 1, "tol": 1e-30}}))
     r = run_cli("cond", "--in", str(problem_file), "--method", "power",
-                "--config", str(cfg))
+                "--config", str(cfg), "--seed", "1")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["diagnostics"]["iterations"] == 1
     assert doc["diagnostics"]["converged"] is False
     # CLI flag overrides the config block
     r2 = run_cli("cond", "--in", str(problem_file), "--method", "power",
-                 "--config", str(cfg), "--power-max-iter", "500",
+                 "--config", str(cfg), "--seed", "1", "--power-max-iter", "500",
                  "--power-tol", "1e-8")
     doc2 = json.loads(r2.stdout)
     assert doc2["diagnostics"]["converged"] is True
@@ -511,7 +526,7 @@ def test_file_over_the_load_budget_is_refused(problem_file, tmp_path, monkeypatc
 
     size = os.path.getsize(problem_file)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"seed": 1}' + " " * (size if over == "config" else 0))
+    cfg.write_text('{"power": {}}' + " " * (size if over == "config" else 0))
     budget = size - 1 if over == "problem" else size
     monkeypatch.setattr(problem, "LOAD_BUDGET_BYTES", budget)
     assert cli.main(["cond", "--in", str(problem_file), "--config", str(cfg)]) == 2
@@ -675,7 +690,7 @@ def test_both_parsers_refuse_entries_beyond_the_float_range(literal, where, i, j
     assert err.getvalue().startswith("stlscond: problem file error:")
 
 
-VALID_CONFIG = {"seed": 3, "power": {"tol": 1e-6, "max_iter": 200},
+VALID_CONFIG = {"power": {"tol": 1e-6, "max_iter": 200},
                 "pce": {"eps": 1e-3, "theta": 1e-2}, "sce": {"k": 2}}
 
 

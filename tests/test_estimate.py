@@ -419,6 +419,37 @@ def test_pce_bracket_contains_exact_property(n, extra, lam, e_p, seed):
     assert rep.diagnostics["beta"] >= exact * (1.0 - 1e-12)
 
 
+def _binomial_upper(trials, p, tail=1e-6):
+    """The least count c with P(X > c) <= tail for X ~ Binomial(trials, p)."""
+    cdf = 0.0
+    for c in range(trials + 1):
+        cdf += math.comb(trials, c) * p**c * (1.0 - p) ** (trials - c)
+        if 1.0 - cdf <= tail:
+            return c
+    return trials
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.5])
+def test_pce_upper_bound_fails_at_most_at_rate_eps(eps):
+    # each run's beta is below kappa with probability at most eps, the
+    # runs are independent (one seed each), so the failure count is at most
+    # binomial.  theta = 10 stops the brackets after one or two steps, where
+    # the rate is nearest eps (200 of 1000 at 0.2, 496 at 0.5), so a
+    # quantile 1.3 times too loose fails
+    problems = []
+    for seed in range(8):
+        p = generate(GeneratorSpec(m=40, n=(2, 5, 12, 30)[seed % 4], lam=1.0, e_p=0.3,
+                                   seed=seed)).problem
+        sol = solve_stls(p)
+        problems.append((p, sol, kappa_f2(sol, p.A).absolute))
+    runs, failures = 1000, 0
+    for seed in range(runs):
+        p, sol, exact = problems[seed % len(problems)]
+        beta = pce(sol, p.A, PceConfig(eps=eps, theta=10.0, seed=seed)).diagnostics["beta"]
+        failures += beta < exact * (1.0 - 1e-12)
+    assert failures <= _binomial_upper(runs, eps)
+
+
 def test_pce_defaults_match_protocol():
     cfg = PceConfig()
     assert cfg.eps == 0.001

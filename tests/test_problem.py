@@ -450,22 +450,45 @@ def test_save_problem_refuses_a_file_over_the_load_budget(tmp_path, monkeypatch,
     assert np.array_equal(load_problem(path).A, diagonal_problem.A)
 
 
-def test_problem_to_json_refuses_a_shape_over_the_budget_before_building(monkeypatch):
-    # every entry takes at least a digit and a separator, so 2 m (n + 1)
-    # bytes over the budget are refused from the shape, before the lists
+@pytest.mark.parametrize("block", [1, 9, 27, 1 << 16])
+def test_problem_to_json_joins_its_blocks_into_the_whole_document(monkeypatch, block):
+    # A is spelled a block of rows at a time; the joined bytes are those of
+    # the whole document spelled at once
+    from pydantic_core import to_json
+
+    from stlscond import problem
+
+    monkeypatch.setattr(problem, "_WRITE_BLOCK_ENTRIES", block)
+    spec = GeneratorSpec(m=40, n=9, lam=2.5, e_p=0.1, seed=3)
+    gp = generate(spec)
+    for provenance in (None, gp.provenance(spec)):
+        assert problem.problem_to_json(gp.problem, provenance) == to_json(
+            problem.problem_to_dict(gp.problem, provenance)) + b"\n"
+
+
+def test_problem_to_json_refuses_before_building_the_whole_file(monkeypatch):
+    # the bytes are counted block by block, so a file over the budget is
+    # refused with at most one block spelled past it
+    import pydantic_core
+
     from stlscond import MemoryBudgetError, problem
 
-    def problem_to_dict(*args):
-        raise AssertionError("the file was built")
+    p = StlsProblem(np.full((40, 10), 1 / 3), np.ones(40), 1.0)
+    budget = len(problem.problem_to_json(p)) // 2
+    row = len(pydantic_core.to_json(p.A[0].tolist())) + 1  # and its comma
+    to_json, spelled = pydantic_core.to_json, []
 
-    monkeypatch.setattr(problem, "problem_to_dict", problem_to_dict)
-    p = StlsProblem(np.zeros((40, 9)), np.ones(40), 1.0)
-    monkeypatch.setattr(problem, "LOAD_BUDGET_BYTES", 2 * 40 * 10 - 1)
-    with pytest.raises(MemoryBudgetError, match="would have at least"):
+    def counting_to_json(value):
+        spelled.append(value)
+        return to_json(value)
+
+    monkeypatch.setattr(pydantic_core, "to_json", counting_to_json)
+    monkeypatch.setattr(problem, "_WRITE_BLOCK_ENTRIES", 10)  # a row a block
+    monkeypatch.setattr(problem, "LOAD_BUDGET_BYTES", budget)
+    with pytest.raises(MemoryBudgetError, match="load budget"):
         problem.problem_to_json(p)
-    monkeypatch.setattr(problem, "LOAD_BUDGET_BYTES", 2 * 40 * 10)
-    with pytest.raises(AssertionError, match="the file was built"):
-        problem.problem_to_json(p)
+    rows = len(spelled) - 2  # besides the header and b
+    assert rows < p.m and (rows - 1) * row <= budget
 
 
 def test_problem_json_rejects_dimension_mismatch():
