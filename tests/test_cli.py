@@ -312,7 +312,7 @@ def test_config_file_holds_no_seed(problem_file, tmp_path, capsys):
     cfg.write_text(json.dumps({"sce": {"k": 2}}))
     args = cli.build_parser().parse_args(
         ["cond", "--in", str(problem_file), "--seed", "7", "--config", str(cfg)])
-    assert {cfg.seed for cfg in cli._estimator_configs(args).values()} == {7}
+    assert {c.seed for c in cli._estimator_configs(args).values()} == {7}
 
 
 def test_cond_clamps_the_default_sample_size_only(tmp_path):
