@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Estimate the condition number without materializing the operator.
 
-All three estimators touch the data only through products with A, a few
-rank-one corrections, and solves with the shifted Gram matrix:
+None of the three estimators reads the m x n data: each works on the
+(n+1)-sized core that the solve leaves, the R factor of [A, b] in the
+eigenbasis of the shifted Gram matrix, where a product costs O(n):
 
-  * power iteration        -- certified by its own convergence history;
+  * power iteration        -- stops once its running value is stationary;
   * probabilistic bracket  -- a guaranteed lower bound and an upper bound
                               holding with probability 1 - eps, tightened
                               until they differ by at most theta;
   * small-sample probing   -- a few orthonormal random probes, Wallis-factor
-                              rescaled; cheap and within a factor of 10.
+                              rescaled; cheap, and an estimate of the
+                              Frobenius norm of K, which lies between
+                              kappa and sqrt(n) kappa (near kappa where K
+                              has one dominant direction, as here).
 """
 
 import time

@@ -19,7 +19,6 @@ import contextlib
 import json
 import sys
 from dataclasses import fields
-from functools import cache
 
 import numpy as np
 
@@ -54,10 +53,9 @@ EXIT_IO = 3
 EXIT_NONGENERIC = 4
 EXIT_DEGENERATE = 5
 
-# (section, key, type) of each estimator setting: every field of a class of
-# CONFIGS but its seed
-_SETTINGS = [(name, f.name, f.type) for name, cls in CONFIGS.items()
-             for f in fields(cls) if f.name != "seed"]
+# the settings of each estimator, by the key of its config class in
+# CONFIGS: every field of the class but its seed
+_SETTINGS = {name: [f for f in fields(cls) if f.name != "seed"] for name, cls in CONFIGS.items()}
 
 
 def _common_options(sub, seed=True, fmt=False):
@@ -130,55 +128,60 @@ def _grid_options(sub):
 def _estimator_options(sub):
     """A flag ``--s-f`` for each setting ``f`` of each section ``s``, and
     ``--config``."""
-    for name, key, kind in _SETTINGS:
-        sub.add_argument(f"--{name}-{key.replace('_', '-')}",
-                         type=int if kind == "int" else float, default=None)
-    sections = ", ".join(f"{name}: {{{', '.join(k for s, k, _ in _SETTINGS if s == name)}}}"
-                         for name in CONFIGS)
+    for name, settings in _SETTINGS.items():
+        for f in settings:
+            sub.add_argument(f"--{name}-{f.name.replace('_', '-')}",
+                             type=float if f.type == "float" else int, default=None)
+    sections = ", ".join(f"{name}: {{{', '.join(f.name for f in settings)}}}"
+                         for name, settings in _SETTINGS.items())
     sub.add_argument("--config", default=None,
                      help=f"JSON file with {{{sections}}}; CLI flags override it")
 
 
-@cache
-def _config_schema():
-    """The --config file format: a section per estimator of its settings,
-    every key optional and no other allowed; integers strict, floats finite
-    (an integer literal included)."""
-    from pydantic_core import SchemaValidator, core_schema as cs
+def _config_file(path) -> dict:
+    """The --config file: a JSON object of sections named as in CONFIGS,
+    each an object of its settings, none of them null.  Only this shape is
+    checked here, the values by the config classes; a fault raises one
+    ValueError naming its key path."""
+    from pydantic_core import from_json
 
-    kinds = {"int": cs.int_schema(strict=True),
-             "float": cs.float_schema(strict=True, allow_inf_nan=False)}
-
-    def obj(schemas):
-        return cs.typed_dict_schema({key: cs.typed_dict_field(s) for key, s in schemas.items()},
-                                    total=False, extra_behavior="forbid")
-
-    return SchemaValidator(obj({
-        name: obj({k: kinds[kind] for s, k, kind in _SETTINGS if s == name})
-        for name in CONFIGS}))
-
-
-def _estimator_settings(args) -> dict:
-    """The --config file's values, overridden by flags.  A config file that
-    does not fit ``_config_schema`` raises ValueError."""
-    doc = {}
-    if args.config:
-        doc = problem._validate(_config_schema().validate_json,
-                                problem._read_bytes(args.config),
-                                lambda msg: ValueError(f"config file: {msg}"))
-    for name, key, _ in _SETTINGS:
-        flag = getattr(args, f"{name}_{key}")
-        if flag is not None:
-            doc.setdefault(name, {})[key] = flag
+    try:
+        doc = from_json(problem._read_bytes(path))
+    except ValueError as exc:
+        raise ValueError(f"config file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"config file: expected an object of the sections {', '.join(_SETTINGS)}")
+    for name, section in doc.items():
+        if name not in _SETTINGS:
+            raise ValueError(f"config file: {name}: not a section; expected one of "
+                             f"{', '.join(_SETTINGS)}")
+        keys = [f.name for f in _SETTINGS[name]]
+        if not isinstance(section, dict):
+            raise ValueError(f"config file: {name}: expected an object of the settings "
+                             f"{', '.join(keys)}")
+        for key, value in section.items():
+            if key not in keys:
+                raise ValueError(f"config file: {name}.{key}: not a setting; expected one of "
+                                 f"{', '.join(keys)}")
+            if value is None:
+                raise ValueError(f"config file: {name}.{key}: expected a number, got null")
     return doc
 
 
-def _estimator_configs(args, settings: dict | None = None) -> dict:
-    """One config per estimator: its defaults, overridden by ``settings``
-    (``_estimator_settings(args)`` when not given), with ``--seed``."""
-    if settings is None:
-        settings = _estimator_settings(args)
-    return {name: cls(**settings.get(name, {}), seed=args.seed) for name, cls in CONFIGS.items()}
+def _estimator_configs(args) -> dict:
+    """One config per estimator: its defaults, overridden by the --config
+    file's settings, those by the flags, with ``--seed``.  A setting its
+    config class refuses raises ValueError."""
+    doc = _config_file(args.config) if args.config else {}
+    configs = {}
+    for name, cls in CONFIGS.items():
+        settings = dict(doc.get(name, {}))
+        for f in _SETTINGS[name]:
+            flag = getattr(args, f"{name}_{f.name}")
+            if flag is not None:
+                settings[f.name] = flag
+        configs[name] = cls(**settings, seed=args.seed)
+    return configs
 
 
 @contextlib.contextmanager
@@ -231,12 +234,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_cond(args) -> int:
-    settings = _estimator_settings(args)  # a bad --config is refused before the load
+    configs = _estimator_configs(args)  # a bad setting is refused before the load
     p = load_problem(args.input)
-    # the default sample size is clamped to the problem dimension; a value
-    # the user gave passes through, for sce to refuse when it is over n
-    settings.setdefault("sce", {}).setdefault("k", min(CONFIGS["sce"].k, p.n))
-    configs = _estimator_configs(args, settings)
     sol = solve_stls(p)
     methods = list(METHODS) if args.method == "all" else [args.method]
     reports = []
@@ -306,9 +305,10 @@ def cmd_bench_time(args) -> int:
     with _output(args) as fh:
         write_bench_csv(records, fh)
     for s in summaries:
+        mean = s["mean_wall_time"]  # NaN when every trial failed
         print(
             f"# cell m={s['m']} n={s['n']} lambda={s['lambda']} e_p={s['e_p']} "
-            f"method={s['method']}: mean={s['mean_wall_time']:.6f}s "
+            f"method={s['method']}: mean={'nan' if np.isnan(mean) else f'{mean:.6f}s'} "
             f"var={s['var_wall_time']:.3e} failures={s['failures']}/{s['trials']}",
             file=sys.stderr,
         )

@@ -58,12 +58,15 @@ from .problem import StlsSolution, scaled_product, to_data_units
 
 def _check_field_types(cfg) -> None:
     """Reject a non-number in a config field, a non-integer in an integer
-    field, and an infinite or NaN value or an integer beyond the double
-    range in a float field (a library caller's values reach the config
-    unchecked; the CLI's are checked by its flags and config schema)."""
+    field, None where the field's default is not None, and an infinite or
+    NaN value or an integer beyond the double range in a float field.  The
+    config classes are the one check of every setting, whether a library
+    caller, a CLI flag or a ``--config`` file gives it."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        kind = numbers.Integral if f.type == "int" else numbers.Real
+        if value is None and f.default is None:
+            continue
+        kind = numbers.Real if f.type == "float" else numbers.Integral
         if isinstance(value, bool) or not isinstance(value, kind):
             what = "an integer" if kind is numbers.Integral else "a number"
             raise ValueError(f"{f.name} must be {what}, got {value!r}")
@@ -108,15 +111,15 @@ class PceConfig:
 
 @dataclass(frozen=True)
 class SceConfig:
-    """Number of orthonormal random probes (must not exceed the solution
-    dimension)."""
+    """Number ``k`` of orthonormal random probes, which must not exceed the
+    solution dimension n; None, the default, takes ``min(3, n)``."""
 
-    k: int = 3
+    k: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         _check_field_types(self)
-        if self.k < 1:
+        if self.k is not None and self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
 
@@ -482,27 +485,27 @@ def sce(sol: StlsSolution, A, cfg: SceConfig) -> ConditionReport:
     square root of the quadratic form of K K' at z_i), taken as the norm of
     W'z_i for the rectangular factor W; the root sum of squares is rescaled
     by the ratio of Wallis factors for the sample size and the solution
-    dimension.
+    dimension.  ``cfg.k`` of None takes ``min(3, n)`` probes; the
+    diagnostics give the k used.
     """
     check_operator_inputs(sol, A)
     n = len(sol.x)
-    if cfg.k > n:
-        raise SampleTooLargeError(f"sample size {cfg.k} exceeds dimension {n}")
+    k = min(3, n) if cfg.k is None else cfg.k
+    if k > n:
+        raise SampleTooLargeError(f"sample size {k} exceeds dimension {n}")
     rng = np.random.default_rng(cfg.seed)
-    Z = np.linalg.qr(rng.standard_normal((n, cfg.k)))[0]
+    Z = np.linalg.qr(rng.standard_normal((n, k)))[0]
     # the operator works in the eigenbasis V of M: the probes enter as V'Z
     probes = _f2_operator(sol).rmatmat(sol.svd.vt(Z))
-    estimate = (wallis_factor(cfg.k) / wallis_factor(n)) * float(np.linalg.norm(probes))
-    return ConditionReport(
-        absolute=_kappa(sol, estimate), method="SCE", diagnostics={"k": cfg.k}
-    )
+    estimate = (wallis_factor(k) / wallis_factor(n)) * float(np.linalg.norm(probes))
+    return ConditionReport(absolute=_kappa(sol, estimate), method="SCE", diagnostics={"k": k})
 
 
 # ---------------------------------------------------------------------------
 # The six evaluations of the condition number, by name: each maps
 # (sol, A, configs) to a ConditionReport, where configs holds the
 # estimator configs under the keys of CONFIGS; the three exact forms
-# ignore it.  The CLI's flags and --config schema and the bench's seed
+# ignore it.  The CLI's flags and --config sections and the bench's seed
 # slots (1, 2, 3 in this order) are read off CONFIGS.
 # ---------------------------------------------------------------------------
 

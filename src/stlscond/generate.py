@@ -61,8 +61,6 @@ class GeneratedProblem:
 
     problem: StlsProblem
     known_singular_values: np.ndarray  # (n+1,) diagonal of D
-    left_reflector: np.ndarray   # unit vector y defining Y = I - 2 y y'
-    right_reflector: np.ndarray  # unit vector z defining Z = I - 2 z z'
 
     def provenance(self, spec: GeneratorSpec) -> dict:
         return {
@@ -90,9 +88,4 @@ def generate(spec: GeneratorSpec) -> GeneratedProblem:
     A = np.ascontiguousarray(C[:, :n])
     with np.errstate(over="ignore"):
         b = C[:, n] / spec.lam  # not finite for a tiny lam, which StlsProblem refuses
-    return GeneratedProblem(
-        problem=StlsProblem(A, b, spec.lam),
-        known_singular_values=d,
-        left_reflector=y,
-        right_reflector=z,
-    )
+    return GeneratedProblem(problem=StlsProblem(A, b, spec.lam), known_singular_values=d)

@@ -5,15 +5,15 @@ place.  Decompositions go through numpy's own OpenBLAS by two routes:
 ``numpy.linalg`` for the eigen- and gesdd SVDs, and routines of the same
 library, called through ctypes, for what numpy does not expose or runs
 slower.  ``augmented_qr_r`` runs the blocked Householder QR dgeqrt on one
-column-major copy of ``[A, b]``.  ``factored_svd`` runs dgebrd and
-dbdsdc, the factorizations inside gesdd, and keeps U and V as products of
-Householder reflectors and the bidiagonal's singular vectors, applied
-with dormbr instead of formed; the gesvd fallback of ``svd`` runs
-dgesvd, and ``dlasd4``, the secular-equation solver inside dbdsdc, runs
-the Fortran routine itself.  The one layout convention that matters
-elsewhere is column-major ``vec``: stacking a matrix column by column.
-Helpers here never reshape, but the condition-operator code relies on that
-ordering throughout.
+column-major copy of ``[A, b]``, scaled by a power of two as it is made.
+``factored_svd`` runs dgebrd and dbdsdc, the factorizations inside gesdd,
+and keeps U and V as products of Householder reflectors and the
+bidiagonal's singular vectors, applied with dormbr instead of formed; the
+gesvd fallback of ``svd`` runs dgesvd, and ``dlasd4``, the
+secular-equation solver inside dbdsdc, runs the Fortran routine itself.
+The one layout convention that matters elsewhere is column-major
+``vec``: stacking a matrix column by column.  Helpers here never reshape,
+but the condition-operator code relies on that ordering throughout.
 
 One switch, ``_openblas()``, decides between two platforms.  numpy's
 wheels from 2.0 on ship ``scipy_openblas`` with every routine above, and
@@ -194,22 +194,23 @@ def _threads_for(X):
     return serial_blas() if min(X.shape) <= SERIAL_BLAS_MAX_N else contextlib.nullcontext()
 
 
-def augmented_qr_r(A, b) -> np.ndarray:
-    """R factor of the thin QR of ``[A, b]``, for a tall A and finite
+def augmented_qr_r(A, b, e=0) -> np.ndarray:
+    """R factor of the thin QR of ``2**-e [A, b]``, for a tall A and finite
     entries: LAPACK's blocked Householder QR dgeqrt on one column-major
-    copy of ``[A, b]``, or numpy's qr where numpy ships no LAPACKE.  The
-    thread rule goes by A, so a solve with n <= SERIAL_BLAS_MAX_N runs
-    every factorization on one thread."""
+    copy of ``[A, b]``, scaled by 2**-e as it is made, or numpy's qr where
+    numpy ships no LAPACKE.  The scaling is exact unless an entry
+    underflows.  The thread rule goes by A, so a solve with
+    n <= SERIAL_BLAS_MAX_N runs every factorization on one thread."""
     A = np.asarray(A, dtype=float)
     lapack = _openblas()
     if lapack is None:
         with _threads_for(A):
-            return np.linalg.qr(np.column_stack([A, b]), mode="r")
+            return np.linalg.qr(np.ldexp(np.column_stack([A, b]), -e), mode="r")
     m, n = A.shape
     k = min(m, n + 1)
     a = np.empty((m, n + 1), order="F")  # dgeqrt overwrites it
-    a[:, :n] = A
-    a[:, n] = b
+    np.ldexp(A, -e, out=a[:, :n])
+    np.ldexp(b, -e, out=a[:, n])
     nb = min(32, k)
     t = np.empty((nb, k), order="F")  # the block reflectors' factors, unused
     with _threads_for(A):

@@ -4,16 +4,17 @@ The problem is: given a tall data matrix A, right-hand side b and a positive
 scale on b, find the minimal Frobenius-norm correction of the augmented data
 that makes the scaled system consistent.  ``solve_stls`` makes one thin QR
 of [A, b], the only pass over the m x n data, which has the same solution
-(orthogonal invariance).  ``_compress`` scales its triangular factor by the
-power of two 2**-e that brings the largest entry of [R11, lam*R12] into
-[1/2, 1), which is exact: this core, with the blocks R11 (n x n), R12 and
-the scalar R22, is where the data's units are decided, once.  One SVD
-``R11 = U diag(s) V'``, whose U and V stay in LAPACK's factored form
-(``numerics.FactoredSvd``), and ``c = U'R12`` reduce the rest to a secular
-equation on (n+1)-vectors, solved by LAPACK's dlasd4, which yields x, the
-gap and ``M = A'A - sigma**2 I`` in the eigenbasis V.  Everything after
-the solve runs on these unit-scale quantities; a value returns to the
-data's units, as a multiple of 2**e, only as it leaves.
+(orthogonal invariance).  ``_compress`` runs that QR on [A, b] scaled by
+a power of two to unit size, and scales its triangular factor by the
+power of two that brings the largest entry of [R11, lam*R12] into
+[1/2, 1), 2**-e in all, which is exact: this core, with the blocks R11
+(n x n), R12 and the scalar R22, is where the data's units are decided,
+once.  One SVD ``R11 = U diag(s) V'``, whose U and V stay in LAPACK's
+factored form (``numerics.FactoredSvd``), and ``c = U'R12`` reduce the
+rest to a secular equation on (n+1)-vectors, solved by LAPACK's dlasd4,
+which yields x, the gap and ``M = A'A - sigma**2 I`` in the eigenbasis V.
+Everything after the solve runs on these unit-scale quantities; a value
+returns to the data's units, as a multiple of 2**e, only as it leaves.
 ``solve_stls_svd`` reads x off the trailing right singular vector of the
 uncompressed [A, lam*b] and serves as its oracle.
 """
@@ -211,19 +212,24 @@ def _compress(p: StlsProblem) -> tuple[StlsProblem, int]:
     """The (n+1) x n core of the R factor of [A, b], and its exponent e.
 
     The core has the same x and K K' as the data, which depend on it only
-    through A'A, A'b and ||b||.  It is R times 2**-e, exact, with e the
-    ``frexp`` exponent of the largest entry of [R11, lam*R12]: that entry
-    lies in [1/2, 1), and the solve and every condition method work in
-    these units, whatever the data's."""
-    R = numerics.augmented_qr_r(p.A, p.b)
+    through A'A, A'b and ||b||.  The QR runs on [A, b] times 2**-e0, e0
+    the ``frexp`` exponent of its largest entry, so on data whose largest
+    entry lies in [1/2, 1) whatever the data's units.  The core is that R
+    times 2**-e1, e1 the exponent of the largest entry of [R11, lam*R12],
+    so e = e0 + e1.  Both scalings are exact, unless a data entry is over
+    2**1021 times smaller than the largest, and the solve and every
+    condition method work in these units."""
+    A, b = p.A, p.b
+    e0 = math.frexp(max(float(A.max()), -float(A.min()), float(b.max()), -float(b.min())))[1]
+    R = numerics.augmented_qr_r(A, b, e0)
     n = p.n
     top = max(float(np.max(np.abs(R[:, :n]))), p.lam * float(np.max(np.abs(R[:, n]))))
     if not np.isfinite(top):
-        raise NonFiniteError("the R factor of [A, b], or lam times its last column, is "
-                             "beyond the double range")
-    e = math.frexp(top)[1]
-    np.ldexp(R, -e, out=R)
-    return StlsProblem(R[:, :n], R[:, n], p.lam), e
+        raise NonFiniteError("lam times the last column of the R factor of [A, b] is beyond "
+                             "the double range")
+    e1 = math.frexp(top)[1]
+    np.ldexp(R, -e1, out=R)
+    return StlsProblem(R[:, :n], R[:, n], p.lam), e0 + e1
 
 
 def check_genericity(p: StlsProblem):
@@ -405,24 +411,18 @@ def _problem_schema():
     }, extra_behavior="ignore"))
 
 
-def _validate(validate, source, error):
-    """``validate(source)`` for a pydantic_core schema's ``validate``; a
-    fault raises ``error(message)``, one line naming the first faulty
-    field by its path, as ``A.3.1``."""
+def _validated(validate, source) -> StlsProblem:
+    """The problem ``validate``, of ``_problem_schema()``, reads from
+    ``source``; a fault raises a ProblemFormatError, one line naming the
+    first faulty field by its path, as ``A.3.1``."""
     from pydantic_core import ValidationError
 
     try:
-        return validate(source)
+        doc = validate(source)
     except ValidationError as exc:
         first = exc.errors(include_url=False, include_input=False)[0]
         where = ".".join(map(str, first["loc"]))
-        raise error(f"{where}: {first['msg']}" if where else first["msg"]) from exc
-
-
-def _validated(validate, source) -> StlsProblem:
-    """The problem ``validate``, of ``_problem_schema()``, reads from
-    ``source``; a fault raises a ProblemFormatError."""
-    doc = _validate(validate, source, ProblemFormatError)
+        raise ProblemFormatError(f"{where}: {first['msg']}" if where else first["msg"]) from exc
     m, n, rows, b = doc["m"], doc["n"], doc["A"], doc["b"]
     if len(rows) != m or any(len(row) != n for row in rows):
         raise ProblemFormatError(f"A must be {m} rows of {n} entries")

@@ -29,6 +29,28 @@ def gen_problem():
     return build
 
 
+@pytest.fixture(scope="session")
+def generator_reflectors():
+    """Callable fixture: the unit vectors y and z of the reflectors
+    Y = I - 2 y y' and Z = I - 2 z z' from which ``generate(spec)`` builds
+    [A, lam*b] = Y [D; 0] Z', drawn again from the spec's seed in the
+    generator's order, and checked to rebuild that matrix."""
+
+    def draw(spec):
+        rng = np.random.default_rng(spec.seed)
+        y = numerics.unit_sphere_sample(spec.m, rng)
+        z = numerics.unit_sphere_sample(spec.n + 1, rng)
+        gp = generate(spec)
+        D = np.zeros((spec.m, spec.n + 1))
+        D[: spec.n + 1] = np.diag(gp.known_singular_values)
+        Y = np.eye(spec.m) - 2.0 * np.outer(y, y)
+        Z = np.eye(spec.n + 1) - 2.0 * np.outer(z, z)
+        assert np.max(np.abs(Y @ D @ Z.T - gp.problem.augmented())) <= 1e-13 * spec.n * spec.m
+        return y, z
+
+    return draw
+
+
 @pytest.fixture
 def dlasd4_failing():
     """LAPACK's dlasd4 reporting INFO > 0, a failed iteration."""

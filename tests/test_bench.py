@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ import pytest
 from stlscond import (
     MemoryBudgetError,
     bench,
+    kappa_f2,
     pce,
     run_power_spread,
     run_ratio_bench,
     run_timing_bench,
+    sce,
     solve_stls,
 )
 from stlscond.bench import (
@@ -26,7 +29,7 @@ from stlscond.bench import (
     write_bench_csv,
     write_ratio_csv,
 )
-from stlscond.estimate import PowerConfig
+from stlscond.estimate import PowerConfig, SceConfig
 
 
 def test_timing_bench_record_counts():
@@ -37,6 +40,22 @@ def test_timing_bench_record_counts():
     assert all(rec.wall_time_seconds >= 0.0 for rec in records)
     assert all(math.isfinite(rec.value) for rec in records)
     assert {s["method"] for s in summaries} == {"f2", "sce"}
+
+
+def test_runners_take_the_default_sample_size_from_n():
+    # on a 5x2 cell sce's default k is min(3, n) = 2 in both runners; an
+    # explicit k of 3 is over n, a flagged NaN row
+    _, configs, sol = bench._trial(0, (0, 0), (5, 2, 1.0, 0.1))
+    rep = sce(sol, sol.problem.A, configs["sce"])
+    assert rep.diagnostics == {"k": 2} and math.isfinite(rep.absolute)
+    assert rep.absolute == sce(sol, sol.problem.A, replace(configs["sce"], k=2)).absolute
+    (rec,), (summary,) = run_timing_bench([(5, 2)], [1.0], [0.1], trials=1, methods=["sce"])
+    assert rec.value == rep.absolute and summary["failures"] == 0
+    ((_, (ratios,)),), _ = run_ratio_bench([(5, 2)], [1.0], [0.1], trials=1)
+    assert ratios.ratio3 == rep.absolute / kappa_f2(sol, sol.problem.A).absolute
+    (rec,), (summary,) = run_timing_bench([(5, 2)], [1.0], [0.1], trials=1, methods=["sce"],
+                                          configs={"sce": SceConfig(k=3)})
+    assert math.isnan(rec.value) and summary["failures"] == 1
 
 
 def test_timing_bench_single_record():

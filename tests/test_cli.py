@@ -37,6 +37,7 @@ from stlscond import (
 from stlscond.bench import (
     BENCH_COLUMNS,
     RATIO_COLUMNS,
+    read_bench_csv,
     run_power_spread,
     run_ratio_bench,
     run_timing_bench,
@@ -296,8 +297,8 @@ def test_malformed_config_is_refused_before_the_problem_load(problem_file, tmp_p
     assert cli.main(["cond", "--in", path, "--config", str(cfg)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("stlscond: invalid arguments: config file: power.bogus: "
-                   "Extra inputs are not permitted\n")
+    assert err == ("stlscond: invalid arguments: config file: power.bogus: not a setting; "
+                   "expected one of tol, max_iter\n")
 
 
 def test_config_file_holds_no_seed(problem_file, tmp_path, capsys):
@@ -308,7 +309,8 @@ def test_config_file_holds_no_seed(problem_file, tmp_path, capsys):
     assert cli.main(["cond", "--in", str(problem_file), "--config", str(cfg)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "stlscond: invalid arguments: config file: seed: Extra inputs are not permitted\n"
+    assert err == ("stlscond: invalid arguments: config file: seed: not a section; "
+                   "expected one of power, pce, sce\n")
     cfg.write_text(json.dumps({"sce": {"k": 2}}))
     args = cli.build_parser().parse_args(
         ["cond", "--in", str(problem_file), "--seed", "7", "--config", str(cfg)])
@@ -316,8 +318,8 @@ def test_config_file_holds_no_seed(problem_file, tmp_path, capsys):
 
 
 def test_cond_clamps_the_default_sample_size_only(tmp_path):
-    # sce's default k of 3 is clamped to n = 2; a k given by flag or config
-    # file passes through and is refused
+    # sce's default k takes min(3, n) = 2 probes; a k of 3 given by flag or
+    # config file is over n = 2 and is refused
     path = tmp_path / "p.json"
     save_problem(StlsProblem(np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]),
                  np.array([1.0, 0.0, 2.0]), 1.0), path)
@@ -494,7 +496,7 @@ def test_cond_estimator_config_file(problem_file, tmp_path):
 def test_each_estimator_setting_reaches_its_config(tmp_path, name, field):
     # every setting of every config class has a flag and a config-file key;
     # the flag wins over the file, and the file over the default
-    flag_value, file_value = (2, 4) if field.type == "int" else (0.25, 0.5)
+    flag_value, file_value = (0.25, 0.5) if field.type == "float" else (2, 4)
     flag = [f"--{name}-{field.name.replace('_', '-')}", str(flag_value)]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({name: {field.name: file_value}}))
@@ -750,6 +752,23 @@ def test_bench_time_emits_csv(tmp_path):
     assert lines[0] == ",".join(BENCH_COLUMNS)
     assert len(lines) == 1 + 2 * 2
     assert "mean=" in r.stderr
+    # on a 5x2 cell sce's default k is min(3, n) = 2, so its row is the
+    # library's value with k = 2; k = 3 is over n, a flagged NaN row, and a
+    # cell whose every trial failed prints its mean as nan
+    small = ["bench-time", "--sizes", "5x2", "--lambdas", "1", "--ep", "0.1",
+             "--methods", "sce", "--out", str(out)]
+    r = run_cli(*small)
+    assert r.returncode == 0, r.stderr
+    (rec,) = read_bench_csv(io.StringIO(out.read_text()))
+    (want,), _ = run_timing_bench([(5, 2)], [1.0], [0.1], trials=1, methods=["sce"],
+                                  configs={"sce": SceConfig(k=2)})
+    assert np.isfinite(rec.value) and rec.value == want.value
+    assert "failures=0/1" in r.stderr
+    r = run_cli(*small, "--sce-k", "3")
+    assert r.returncode == 0, r.stderr
+    (rec,) = read_bench_csv(io.StringIO(out.read_text()))
+    assert np.isnan(rec.value)
+    assert r.stderr.rstrip().endswith("method=sce: mean=nan var=0.000e+00 failures=1/1")
 
 
 def test_bench_ratio_emits_csv(tmp_path):

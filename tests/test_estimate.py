@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stlscond import (
@@ -555,8 +555,14 @@ def test_sce_rejects_oversized_sample(gen_problem):
         sce(sol, p.A, SceConfig(k=5, seed=0))
 
 
-def test_sce_default_sample_size():
-    assert SceConfig().k == 3
+def test_sce_default_sample_size(gen_problem):
+    # k = None takes min(3, n) probes, and the diagnostics give the k used
+    assert SceConfig().k is None
+    for n, k in [(1, 1), (2, 2), (3, 3), (8, 3)]:
+        p, sol = gen_problem(n + 2, n, 1.0, 0.2, n)
+        rep = sce(sol, p.A, SceConfig(seed=4))
+        assert rep.diagnostics == {"k": k}
+        assert rep.absolute == sce(sol, p.A, SceConfig(k=k, seed=4)).absolute
 
 
 def test_config_validation():
@@ -615,8 +621,7 @@ def test_post_solve_work_allocates_no_m_sized_array(gen_problem):
 
 def _six_kappas(p):
     sol = solve_stls(p)
-    configs = {"power": PowerConfig(seed=1), "pce": PceConfig(seed=2),
-               "sce": SceConfig(k=min(3, p.n), seed=3)}
+    configs = {"power": PowerConfig(seed=1), "pce": PceConfig(seed=2), "sce": SceConfig(seed=3)}
     return sol, np.array([METHODS[name](sol, p.A, configs).absolute for name in METHODS])
 
 
@@ -633,13 +638,13 @@ def _exponent(value):
     t=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
+# at its lowest scale, k = -1017, a QR of the data unscaled has a subnormal entry in R
+@example(n=4, extra=1, lam=3.0, e_p=0.125, t=0.0, seed=388307)
 def test_every_method_is_unit_free(n, extra, lam, e_p, t, seed):
     # (A, b) -> 2**k (A, b) is exact, keeps x and divides kappa by 2**k.
     # The scales run from the lowest k at which 2**k (A, b) has no
-    # subnormal entry to the highest at which its Frobenius norm is below
-    # 2**1020 (above that LAPACK's QR guards its column norms against
-    # overflow and rounds differently), both ends included, as far as
-    # 2**-k kappa is a normal double
+    # subnormal entry to the highest at which it is finite, both ends
+    # included, as far as 2**-k kappa is a normal double
     p = generate(GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed)).problem
     try:
         sol, kappas = _six_kappas(p)
@@ -648,12 +653,12 @@ def test_every_method_is_unit_free(n, extra, lam, e_p, t, seed):
     data = np.abs(np.r_[p.A.ravel(), p.b])
     products = _packed_products(p, sol, 1.0)
     k_lo = max(-1021 - _exponent(data[data > 0].min()), _exponent(kappas.max()) - 1020)
-    k_hi = min(1020 - _exponent(np.linalg.norm(data)), _exponent(kappas.min()) + 1021)
+    k_hi = min(1024 - _exponent(data.max()), _exponent(kappas.min()) + 1021)
     for k in {k_lo, k_hi, k_lo + round(t * (k_hi - k_lo))}:
         sol_k, kappas_k = _six_kappas(StlsProblem(np.ldexp(p.A, k), np.ldexp(p.b, k), lam))
         assert np.linalg.norm(sol_k.x - sol.x) <= 1e-13 * np.linalg.norm(sol.x), k
         assert np.all(np.abs(np.ldexp(kappas_k, k) - kappas) <= 1e-13 * kappas), k
-        for got, want in zip(_packed_products(p, sol_k, 2.0**k), products):
+        for got, want in zip(_packed_products(p, sol_k, 1.0, k), products):
             assert _close(got, want), k
 
 
@@ -682,15 +687,20 @@ def test_power_sweep_count_is_unit_free(n, extra, lam, e_p, c, seed):
     assert rep_c.diagnostics["converged"] == rep.diagnostics["converged"]
 
 
-def _packed_products(p, sol, c):
+def _packed_products(p, sol, c, k=0):
     """apply_KT, apply_K and build_K_dense on the data of ``sol``, which is
-    c times that of ``p``, with operands drawn from a fixed seed: y has no
-    units and the perturbation P is c times its draw, so K'y and K are 1/c
-    times their values on ``p`` and KP is the same."""
+    c 2**k times that of ``p`` (2**k apart, as it may be beyond the double
+    range), with operands drawn from a fixed seed: y has no units and the
+    perturbation P is c 2**k times its draw, so K'y and K are 1/(c 2**k)
+    times their values on ``p`` and KP is the same.  P's draw is scaled by
+    a power of two to about 1/16 of the data's largest entry, so that
+    c 2**k P is finite wherever c 2**k times the data is."""
     rng = np.random.default_rng(5)
     y, P = rng.standard_normal(p.n), rng.standard_normal((p.m, p.n + 1))
+    P = np.ldexp(P, _exponent(np.abs(np.r_[p.A.ravel(), p.b]).max()) - 4)
     A = sol.problem.A
-    return [apply_KT(sol, A, y) * c, apply_K(sol, A, P * c), build_K_dense(sol, A) * c]
+    return [np.ldexp(apply_KT(sol, A, y) * c, k), apply_K(sol, A, np.ldexp(P * c, k)),
+            np.ldexp(build_K_dense(sol, A) * c, k)]
 
 
 def _close(a, b, tol=1e-13):
@@ -796,8 +806,7 @@ def test_the_fallback_platform_gives_the_same_values(n, extra, lam, e_p, seed):
     # u, which moves x and every kappa by up to about kappa_rel u (1.1 at
     # most over 900 draws from these ranges)
     p = generate(GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed)).problem
-    configs = {"power": PowerConfig(seed=2), "pce": PceConfig(seed=2),
-               "sce": SceConfig(k=min(3, n), seed=2)}
+    configs = {"power": PowerConfig(seed=2), "pce": PceConfig(seed=2), "sce": SceConfig(seed=2)}
 
     def evaluate():
         sol = solve_stls(p)

@@ -35,9 +35,8 @@ def test_genericity_gap_bounded_by_ep():
     assert 0.0 < gap <= 0.001 + 1e-14
 
 
-def test_reflector_orthogonality():
-    gp = generate(GeneratorSpec(m=25, n=10, lam=2.0, e_p=0.2, seed=8))
-    y, z = gp.left_reflector, gp.right_reflector
+def test_reflector_orthogonality(generator_reflectors):
+    y, z = generator_reflectors(GeneratorSpec(m=25, n=10, lam=2.0, e_p=0.2, seed=8))
     Y = np.eye(25) - 2.0 * np.outer(y, y)
     Z = np.eye(11) - 2.0 * np.outer(z, z)
     assert spectral_norm_dense(Y.T @ Y - np.eye(25)) <= 1e-13
@@ -59,9 +58,9 @@ def test_spectrum_preserved_across_seeds():
         assert np.max(np.abs(s - gp.known_singular_values)) <= 1e-12
 
 
-def test_singular_values_invariant_under_generated_reflectors():
-    gp = generate(GeneratorSpec(m=7, n=4, lam=1.0, e_p=0.3, seed=2))
-    Y = np.eye(7) - 2.0 * np.outer(gp.left_reflector, gp.left_reflector)
+def test_singular_values_invariant_under_generated_reflectors(generator_reflectors):
+    y, _ = generator_reflectors(GeneratorSpec(m=7, n=4, lam=1.0, e_p=0.3, seed=2))
+    Y = np.eye(7) - 2.0 * np.outer(y, y)
     X = np.random.default_rng(0).standard_normal((7, 5))
     s0 = svd(X)[1]
     s1 = svd(Y @ X)[1]

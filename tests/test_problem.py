@@ -31,15 +31,16 @@ from stlscond import (
 from stlscond import numerics
 
 
-def exact_solution(gp):
+def exact_solution(spec, reflectors):
     """The solution the generator built in: the trailing right singular
     vector of [A, lam*b] = Y [D; 0] Z' is v = Z e_{n+1} = e_{n+1} - 2 z z_{n+1}
-    with z the right reflector, so x = -v[:n] / (lam v[n]) exactly."""
-    z = gp.right_reflector
-    n = len(z) - 1
+    with z the right reflector, so x = -v[:n] / (lam v[n]) exactly;
+    ``reflectors`` is the ``generator_reflectors`` fixture."""
+    _, z = reflectors(spec)
+    n = spec.n
     v = -2.0 * z[n] * z
     v[n] += 1.0
-    return -v[:n] / (gp.problem.lam * v[n])
+    return -v[:n] / (spec.lam * v[n])
 
 
 def test_validation_rejects_bad_inputs():
@@ -137,13 +138,13 @@ def test_route_equivalence_on_generated_problems():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_solution_accuracy_against_generator_truth(seed):
+def test_solution_accuracy_against_generator_truth(seed, generator_reflectors):
     # near non-uniqueness (e_p = 1e-6) x solves M x = A'b in the exact
     # eigenbasis of M that the SVD of the compressed A gives, with d from
     # the secular root, never through a Gram product A'A
-    gp = generate(GeneratorSpec(m=300, n=100, lam=1.0, e_p=1e-6, seed=seed))
-    x_true = exact_solution(gp)
-    x = solve_stls(gp.problem).x
+    spec = GeneratorSpec(m=300, n=100, lam=1.0, e_p=1e-6, seed=seed)
+    x_true = exact_solution(spec, generator_reflectors)
+    x = solve_stls(generate(spec).problem).x
     assert np.linalg.norm(x - x_true) <= 5e-8 * np.linalg.norm(x_true)
 
 
@@ -155,18 +156,20 @@ def test_solution_accuracy_against_generator_truth(seed):
     e_p=st.sampled_from([1e-2, 1e-4, 1e-6, 1e-8]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_forward_error_within_condition_bound_property(n, extra, lam, e_p, seed):
+def test_forward_error_within_condition_bound_property(generator_reflectors, n, extra, lam,
+                                                       e_p, seed):
     # ||x - x_true|| / ||x_true|| <= c kappa_rel u against generator truth.
     # The largest ratio over 3000 draws from these ranges was 1.5 (3.9
     # with x from the singular vector of [A, lam*b]); c = 10 allows
     # some margin above that.
-    gp = generate(GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed))
+    spec = GeneratorSpec(m=n + extra, n=n, lam=lam, e_p=e_p, seed=seed)
+    p = generate(spec).problem
     try:
-        sol = solve_stls(gp.problem)
-        k_rel = relative_from_absolute(sol, kappa_f2(sol, gp.problem.A).absolute)
+        sol = solve_stls(p)
+        k_rel = relative_from_absolute(sol, kappa_f2(sol, p.A).absolute)
     except StlsError:
         assume(False)
-    x_true = exact_solution(gp)
+    x_true = exact_solution(spec, generator_reflectors)
     err = np.linalg.norm(sol.x - x_true) / np.linalg.norm(x_true)
     assert err <= 10.0 * k_rel * np.finfo(float).eps
 
