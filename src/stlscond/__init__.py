@@ -61,8 +61,6 @@ from .problem import (
     StlsSolution,
     check_genericity,
     load_problem,
-    problem_from_dict,
-    problem_to_dict,
     save_problem,
     solve_stls,
     solve_stls_svd,

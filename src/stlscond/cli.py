@@ -142,8 +142,12 @@ def _config_file(path) -> dict:
     """The --config file: a JSON object of sections named as in CONFIGS,
     each an object of its settings, none of them null.  Only this shape is
     checked here, the values by the config classes; a fault raises one
-    ValueError naming its key path."""
+    ValueError naming its key path, a key that is not printable in its
+    ``repr`` escapes, so that the message stays on one line."""
     from pydantic_core import from_json
+
+    def spelled(key):
+        return key if key.isprintable() else repr(key)
 
     try:
         doc = from_json(problem._read_bytes(path))
@@ -153,7 +157,7 @@ def _config_file(path) -> dict:
         raise ValueError(f"config file: expected an object of the sections {', '.join(_SETTINGS)}")
     for name, section in doc.items():
         if name not in _SETTINGS:
-            raise ValueError(f"config file: {name}: not a section; expected one of "
+            raise ValueError(f"config file: {spelled(name)}: not a section; expected one of "
                              f"{', '.join(_SETTINGS)}")
         keys = [f.name for f in _SETTINGS[name]]
         if not isinstance(section, dict):
@@ -161,8 +165,8 @@ def _config_file(path) -> dict:
                              f"{', '.join(keys)}")
         for key, value in section.items():
             if key not in keys:
-                raise ValueError(f"config file: {name}.{key}: not a setting; expected one of "
-                                 f"{', '.join(keys)}")
+                raise ValueError(f"config file: {name}.{spelled(key)}: not a setting; "
+                                 f"expected one of {', '.join(keys)}")
             if value is None:
                 raise ValueError(f"config file: {name}.{key}: expected a number, got null")
     return doc

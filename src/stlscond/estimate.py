@@ -486,7 +486,10 @@ def sce(sol: StlsSolution, A, cfg: SceConfig) -> ConditionReport:
     W'z_i for the rectangular factor W; the root sum of squares is rescaled
     by the ratio of Wallis factors for the sample size and the solution
     dimension.  ``cfg.k`` of None takes ``min(3, n)`` probes; the
-    diagnostics give the k used.
+    diagnostics give the k used.  The estimate's median is near ||K||_F,
+    which lies between kappa = ||K||_2 and sqrt(n) kappa, so the bench's
+    ``ratio3`` (sce over f2) reads ||K||_F / kappa as much as the
+    estimate's error.
     """
     check_operator_inputs(sol, A)
     n = len(sol.x)

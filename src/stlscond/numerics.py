@@ -99,9 +99,9 @@ def _openblas(libdir=os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
         # layout, uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq
         "dbdsdc": ("scipy_LAPACKE_dbdsdc64_", i64,
                    [c_int, ch, ch, i64, mat, mat, mat, i64, mat, i64, mat, ivec]),
-        # layout, vect, side, trans, m, n, k, a, lda, tau, c, ldc
-        "dormbr": ("scipy_LAPACKE_dormbr64_", i64,
-                   [c_int, ch, ch, ch, i64, i64, i64, mat, i64, mat, mat, i64]),
+        # layout, vect, side, trans, m, n, k, a, lda, tau, c, ldc, work, lwork
+        "dormbr": ("scipy_LAPACKE_dormbr_work64_", i64,
+                   [c_int, ch, ch, ch, i64, i64, i64, mat, i64, mat, mat, i64, vec, i64]),
         # layout, jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt, superb
         "dgesvd": ("scipy_LAPACKE_dgesvd64_", i64,
                    [c_int, ch, ch, i64, i64, mat, i64, mat, mat, i64, mat, i64, mat]),
@@ -316,10 +316,18 @@ class FactoredSvd:
         if y.ndim not in (1, 2) or y.shape[0] != n:
             raise ValueError(f"operand has shape {y.shape}, expected {n} rows")
         out = np.array(y, order="F")
+        if np.isnan(out).any():  # LAPACKE_dormbr's NaN check, of the one operand data reaches
+            raise NonFiniteError("dormbr was given an operand with a NaN entry")
         k = 1 if out.ndim == 1 else out.shape[1]
-        tau = tauq if vect == b"Q" else taup
-        _checked("dormbr", _openblas().dormbr(COLUMN_MAJOR, vect, b"L", trans, n, k, n, a, n,
-                                             tau, out, n), a, tau, out)
+        args = (COLUMN_MAJOR, vect, b"L", trans, n, k, n, a, n, tauq if vect == b"Q" else taup,
+                out, n)
+        # at its optimal workspace, as at a workspace of one, dormbr takes a
+        # single column through its unblocked path: the same bits, no query
+        work = np.empty(1)
+        if k > 1:  # a block takes the queried size, as LAPACKE_dormbr passes it
+            _checked("dormbr", _openblas().dormbr(*args, work, -1))
+            work = np.empty(int(work[0]))
+        _checked("dormbr", _openblas().dormbr(*args, work, len(work)))
         return out
 
 

@@ -350,29 +350,18 @@ def solve_stls_svd(p: StlsProblem) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Problem file format (shared with the CLI): self-describing JSON with fields
-# m, n, lambda, A (row-major array of arrays), b (array), written and read by
-# pydantic_core, which only the calls that touch a file import.
+# m, n, lambda, A (row-major array of arrays), b (array), written by
+# ``problem_to_json`` and read by ``load_problem``, both through pydantic_core,
+# which only the calls that touch a file import.
 # ---------------------------------------------------------------------------
 
-def problem_to_dict(p: StlsProblem, provenance: dict | None = None) -> dict:
-    doc = {
-        "m": p.m,
-        "n": p.n,
-        "lambda": p.lam,
-        "A": p.A.tolist(),
-        "b": p.b.tolist(),
-    }
-    if provenance is not None:
-        doc["provenance"] = provenance
-    return doc
-
-
 def problem_to_json(p: StlsProblem, provenance: dict | None = None) -> bytes:
-    """The problem file's bytes: ``problem_to_dict``'s keys in order, no
-    spaces, each float in its shortest round-trip spelling, and a newline.
-    A is spelled in blocks of rows, and MemoryBudgetError is raised as soon
-    as the bytes so far pass ``LOAD_BUDGET_BYTES``, which ``load_problem``
-    would refuse, so an oversized file is never built whole."""
+    """The problem file's bytes: the keys m, n, lambda, A, b and, if given,
+    provenance in this order, no spaces, each float in its shortest
+    round-trip spelling, and a newline.  A is spelled in blocks of rows,
+    and MemoryBudgetError is raised as soon as the bytes so far pass
+    ``LOAD_BUDGET_BYTES``, which ``load_problem`` would refuse, so an
+    oversized file is never built whole."""
     from pydantic_core import to_json
 
     head = to_json({"m": p.m, "n": p.n, "lambda": p.lam})[:-1] + b',"A":['
@@ -411,33 +400,6 @@ def _problem_schema():
     }, extra_behavior="ignore"))
 
 
-def _validated(validate, source) -> StlsProblem:
-    """The problem ``validate``, of ``_problem_schema()``, reads from
-    ``source``; a fault raises a ProblemFormatError, one line naming the
-    first faulty field by its path, as ``A.3.1``."""
-    from pydantic_core import ValidationError
-
-    try:
-        doc = validate(source)
-    except ValidationError as exc:
-        first = exc.errors(include_url=False, include_input=False)[0]
-        where = ".".join(map(str, first["loc"]))
-        raise ProblemFormatError(f"{where}: {first['msg']}" if where else first["msg"]) from exc
-    m, n, rows, b = doc["m"], doc["n"], doc["A"], doc["b"]
-    if len(rows) != m or any(len(row) != n for row in rows):
-        raise ProblemFormatError(f"A must be {m} rows of {n} entries")
-    if len(b) != m:
-        raise ProblemFormatError(f"b must be a list of {m} entries")
-    try:
-        return StlsProblem(np.vstack(rows), b, doc["lambda"])
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from exc
-
-
-def problem_from_dict(doc: dict) -> StlsProblem:
-    return _validated(_problem_schema().validate_python, doc)
-
-
 def save_problem(p: StlsProblem, path, provenance: dict | None = None) -> None:
     """Write ``problem_to_json``'s bytes, made before the path is opened."""
     data = problem_to_json(p, provenance)
@@ -456,4 +418,23 @@ def _read_bytes(path) -> bytes:
 
 
 def load_problem(path) -> StlsProblem:
-    return _validated(_problem_schema().validate_json, _read_bytes(path))
+    """The problem of the file at ``path``, read by ``_problem_schema()``'s
+    ``validate_json``; a fault raises a ProblemFormatError, one line naming
+    the first faulty field by its path, as ``A.3.1``."""
+    from pydantic_core import ValidationError
+
+    try:
+        doc = _problem_schema().validate_json(_read_bytes(path))
+    except ValidationError as exc:
+        first = exc.errors(include_url=False, include_input=False)[0]
+        where = ".".join(map(str, first["loc"]))
+        raise ProblemFormatError(f"{where}: {first['msg']}" if where else first["msg"]) from exc
+    m, n, rows, b = doc["m"], doc["n"], doc["A"], doc["b"]
+    if len(rows) != m or any(len(row) != n for row in rows):
+        raise ProblemFormatError(f"A must be {m} rows of {n} entries")
+    if len(b) != m:
+        raise ProblemFormatError(f"b must be a list of {m} entries")
+    try:
+        return StlsProblem(np.vstack(rows), b, doc["lambda"])
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc)) from exc

@@ -30,7 +30,6 @@ from stlscond import (
     numerics,
     problem,
     load_problem,
-    problem_from_dict,
     save_problem,
     solve_stls,
 )
@@ -670,7 +669,8 @@ NON_FINITE_LITERALS = ["1" + "0" * 400, "-1" + "0" * 400, "NaN", "Infinity", "-I
 @settings(max_examples=60, deadline=None)
 @given(literal=st.sampled_from(NON_FINITE_LITERALS),
        where=st.sampled_from(["A", "b", "lambda"]), i=st.integers(0, 3), j=st.integers(0, 1))
-def test_both_parsers_refuse_entries_beyond_the_float_range(literal, where, i, j):
+def test_the_reader_refuses_entries_beyond_the_float_range(literal, where, i, j):
+    # load_problem refuses the file, and the CLI maps that to exit 3
     doc = copy.deepcopy(VALID_DOC)
     if where == "A":
         doc["A"][i][j] = "__entry__"
@@ -679,12 +679,12 @@ def test_both_parsers_refuse_entries_beyond_the_float_range(literal, where, i, j
     else:
         doc["lambda"] = "__entry__"
     text = json.dumps(doc).replace('"__entry__"', literal)
-    with pytest.raises(ProblemFormatError):
-        problem_from_dict(json.loads(text))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "p.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+        with pytest.raises(ProblemFormatError):
+            load_problem(path)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(["solve", "--in", path])
@@ -725,6 +725,9 @@ def malformed_config_texts(draw):
 @given(text=malformed_config_texts())
 # an integer beyond the double range in a float field
 @example(text=json.dumps({**VALID_CONFIG, "pce": {"eps": 1e-3, "theta": 10**400}}))
+# keys holding a line separator, which the message spells escaped
+@example(text=json.dumps({"po\fwer": {}}))
+@example(text=json.dumps({"power": {"t\u2028ol": 1}}))
 def test_malformed_config_files_exit_with_a_documented_code(text):
     with tempfile.TemporaryDirectory() as tmp:
         path, cfg = os.path.join(tmp, "p.json"), os.path.join(tmp, "cfg.json")
@@ -736,6 +739,8 @@ def test_malformed_config_files_exit_with_a_documented_code(text):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["cond", "--in", path, "--method", "all", "--config", cfg])
     assert code in (0, 2, 3, 4, 5), (code, err.getvalue())
+    # a refusal is one stderr line, whatever the keys hold
+    assert len(err.getvalue().splitlines()) == (code != 0), err.getvalue()
 
 
 def test_unknown_subcommand_is_usage_error():

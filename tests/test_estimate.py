@@ -549,6 +549,79 @@ def test_sce_median_ratio_is_near_one(seed):
     assert 0.88 <= np.median(ratios) <= 1.0
 
 
+def _graded_problem(m, n, decay, lam, seed):
+    """Gaussian data whose column scales fall geometrically from 1 to
+    10**-decay, so that K's singular values range from one dominant to
+    many alike (a small lam and decay give ||K||_F up to about 3.4 kappa)."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n)) * np.logspace(0, -decay, n)
+    return StlsProblem(A, rng.standard_normal(m), lam)
+
+
+@st.composite
+def graded_problems(draw):
+    n = draw(st.integers(3, 60))
+    return _graded_problem(draw(st.integers(2 * n, 4 * n)), n, draw(st.floats(0.0, 3.0)),
+                           draw(st.floats(0.05, 20.0)), draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def generated_problems(draw):
+    n = draw(st.integers(1, 12))
+    spec = GeneratorSpec(m=n + draw(st.integers(1, 12)), n=n, lam=draw(st.floats(0.05, 20.0)),
+                         e_p=draw(st.floats(1e-3, 0.9)), seed=draw(st.integers(0, 2**32 - 1)))
+    return generate(spec).problem
+
+
+# graded problems whose ||K||_F is 3.16 and 1.39 times kappa
+HIGH_RATIO = [_graded_problem(200, 40, 0.0, 0.1, 1), _graded_problem(200, 40, 1.0, 1.0, 1)]
+
+
+def _frobenius_norm_of_K(sol):
+    """||K||_F as that of the reduced factor ``G = D^-1 ([diag(sqrt(C)), 0] - g w')``
+    of ``exact._f2_terms``, formed dense, in the data's units."""
+    sqrt_C, g, w = exact._f2_terms(sol)
+    G0 = np.hstack([np.diag(sqrt_C), np.zeros((len(sqrt_C), 1))]) - np.outer(g, w)
+    return exact._kappa(sol, float(np.linalg.norm(G0 / sol.d[:, None], "fro")))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=generated_problems() | graded_problems())
+@example(p=HIGH_RATIO[0])
+@example(p=HIGH_RATIO[1])
+def test_reduced_factor_has_the_frobenius_norm_of_K(p):
+    # G G' = V'K K'V, so ||G||_F = ||K||_F.  Both sides are formed from the
+    # one solve, whose rounding each carries amplified by up to about
+    # s_1/gap: measured over 6000 draws of these families, they differ by
+    # at most 1.8 eps s_1/gap, and by up to 4.4e-13 near non-uniqueness
+    try:
+        sol = solve_stls(p)
+        K = build_K_dense(sol, p.A)
+    except StlsError:
+        assume(False)
+    frob = np.linalg.norm(K, "fro")
+    tol = 1e-13 + 8 * np.finfo(float).eps * float(sol.svd.s[0]) / sol.gap
+    assert abs(_frobenius_norm_of_K(sol) - frob) <= tol * frob
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=graded_problems())
+@example(p=HIGH_RATIO[0])
+@example(p=HIGH_RATIO[1])
+def test_sce_median_is_near_the_frobenius_norm_of_K(p):
+    # sce estimates ||K||_F, which lies between kappa and sqrt(n) kappa.  Its
+    # median with k = 3 runs from about 0.97 ||K||_F, where one singular
+    # value of K dominates, to sqrt(6/5) = 1.095 ||K||_F, where all are
+    # alike; the bounds leave room for the spread of a median of 200 draws
+    try:
+        sol = solve_stls(p)
+        frob = _frobenius_norm_of_K(sol)
+    except StlsError:
+        assume(False)
+    median = np.median([sce(sol, p.A, SceConfig(k=3, seed=s)).absolute for s in range(200)])
+    assert 0.8 <= median / frob <= 1.2
+
+
 def test_sce_rejects_oversized_sample(gen_problem):
     p, sol = gen_problem(8, 4, 1.0, 0.2, 1)
     with pytest.raises(SampleTooLargeError):

@@ -22,7 +22,6 @@ from stlscond import (
     generate,
     kappa_f2,
     load_problem,
-    problem_from_dict,
     relative_from_absolute,
     save_problem,
     solve_stls,
@@ -464,9 +463,11 @@ def test_problem_to_json_joins_its_blocks_into_the_whole_document(monkeypatch, b
     monkeypatch.setattr(problem, "_WRITE_BLOCK_ENTRIES", block)
     spec = GeneratorSpec(m=40, n=9, lam=2.5, e_p=0.1, seed=3)
     gp = generate(spec)
+    p = gp.problem
+    whole = {"m": p.m, "n": p.n, "lambda": p.lam, "A": p.A.tolist(), "b": p.b.tolist()}
     for provenance in (None, gp.provenance(spec)):
-        assert problem.problem_to_json(gp.problem, provenance) == to_json(
-            problem.problem_to_dict(gp.problem, provenance)) + b"\n"
+        doc = whole if provenance is None else whole | {"provenance": provenance}
+        assert problem.problem_to_json(p, provenance) == to_json(doc) + b"\n"
 
 
 def test_problem_to_json_refuses_before_building_the_whole_file(monkeypatch):
@@ -494,20 +495,27 @@ def test_problem_to_json_refuses_before_building_the_whole_file(monkeypatch):
     assert rows < p.m and (rows - 1) * row <= budget
 
 
-def test_problem_json_rejects_dimension_mismatch():
+def _load_doc(tmp_path, doc):
+    """``load_problem`` of a file holding ``doc`` spelled by ``json.dumps``."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_problem(path)
+
+
+def test_problem_json_rejects_dimension_mismatch(tmp_path):
     base = {"m": 3, "n": 1, "lambda": 1.0, "A": [[1.0], [0.0], [2.0]], "b": [0.0, 0.0, 1.0]}
-    problem_from_dict(base)  # sanity: the honest document parses
+    _load_doc(tmp_path, base)  # sanity: the honest document parses
     bad_rows = dict(base, A=[[1.0], [0.0]])
     with pytest.raises(ProblemFormatError):
-        problem_from_dict(bad_rows)
+        _load_doc(tmp_path, bad_rows)
     bad_cols = dict(base, A=[[1.0, 2.0], [0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(ProblemFormatError):
-        problem_from_dict(bad_cols)
+        _load_doc(tmp_path, bad_cols)
     bad_b = dict(base, b=[0.0, 1.0])
     with pytest.raises(ProblemFormatError):
-        problem_from_dict(bad_b)
+        _load_doc(tmp_path, bad_b)
     with pytest.raises(ProblemFormatError):
-        problem_from_dict({"m": 3, "n": 1})
+        _load_doc(tmp_path, {"m": 3, "n": 1})
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -516,13 +524,13 @@ def test_problem_json_rejects_dimension_mismatch():
     ({"m": 4.0}, "m: Input should be a valid integer"),
     ({"lambda": float("inf")}, "lambda: Input should be a finite number"),
 ])
-def test_format_error_names_the_field_path(doc, message):
+def test_format_error_names_the_field_path(tmp_path, doc, message):
     # every fault of the schema leaves as one ProblemFormatError line, which
     # the CLI maps to exit 3, not as a ValueError that it would map to exit 2
     base = {"m": 4, "n": 2, "lambda": 1.5, "A": [[1.0, 0.5], [0.0, 2.0], [1.0, 1.0], [0.3, -1.0]],
             "b": [1.0, 0.0, 2.0, -1.0]}
     with pytest.raises(ProblemFormatError) as info:
-        problem_from_dict(base | doc)
+        _load_doc(tmp_path, base | doc)  # inf is spelled Infinity
     assert str(info.value) == message
     assert not isinstance(info.value, ValueError)
 
